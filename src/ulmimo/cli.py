@@ -86,9 +86,14 @@ def _manifest(args, scenario: Scenario) -> dict:
 
 
 def dispatch(args) -> int:
+    if not 0 <= args.seed < 2 ** 64:
+        raise InvalidInputError("--seed must lie in [0, 2**64)")
     scenario = parse_scenario(args.scenario)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create output directory: {exc}") from exc
 
     alphas = _parse_list(args.alpha) if args.alpha else _DEFAULT_ALPHAS.get(
         args.command, [scenario.alpha])
@@ -105,13 +110,13 @@ def dispatch(args) -> int:
         result = experiments.asymptotic_sweep(scenario, alphas)
         outputs = {"asymptotic.csv": result}
     elif args.command == "montecarlo":
-        trials = args.trials or 500
+        trials = 500 if args.trials is None else args.trials
         result = experiments.monte_carlo_result(
             scenario, args.antennas, alphas, trials, filters,
             args.estimate, args.seed)
         outputs = {"montecarlo.csv": result}
     elif args.command == "percentile":
-        trials = args.trials or 500
+        trials = 500 if args.trials is None else args.trials
         result = experiments.percentile_sweep(
             scenario, args.antennas, alphas, trials, args.seed,
             estimate_mode=args.estimate)
@@ -128,11 +133,15 @@ def dispatch(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown command {args.command!r}")
 
-    for fname, res in outputs.items():
-        write_csv(res, out_dir / fname)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(_manifest(args, scenario), indent=2, sort_keys=True) + "\n")
-    (out_dir / "scenario.json").write_text(serialize_scenario(scenario))
+    try:
+        for fname, res in outputs.items():
+            write_csv(res, out_dir / fname)
+        (out_dir / "manifest.json").write_text(
+            json.dumps(_manifest(args, scenario), indent=2, sort_keys=True)
+            + "\n")
+        (out_dir / "scenario.json").write_text(serialize_scenario(scenario))
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write outputs: {exc}") from exc
     return EXIT_OK
 
 

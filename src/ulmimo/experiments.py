@@ -189,7 +189,8 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
 
     Channel and gain draws for a trial come from one substream, pilot
     noise from another, so the three estimate modes of the same seed see
-    identical channels.
+    identical channels. The noiseless mode draws no pilot noise and
+    derives no pilot substream.
     """
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
@@ -198,12 +199,15 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     if mode not in ESTIMATE_MODES.values():
         raise InvalidInputError(f"unknown estimate mode {estimate_mode!r}")
     filters = tuple(filters)
+    uses_pilot_stream = mode != MODE_NOISELESS
     samples = {(a, f): np.empty(trials) for a in grid for f in filters}
     for ai, a in enumerate(grid):
         sc = scenario.with_alpha(a)
+        channel_tag, pilot_tag = f"mc.channel.a{ai}", f"mc.pilot.a{ai}"
         for t in range(trials):
-            rng_ch = seed_substream(master_seed, f"mc.channel.a{ai}", t)
-            rng_pn = seed_substream(master_seed, f"mc.pilot.a{ai}", t)
+            rng_ch = seed_substream(master_seed, channel_tag, t)
+            rng_pn = (seed_substream(master_seed, pilot_tag, t)
+                      if uses_pilot_stream else None)
             out = run_trial(sc, M, mode, filters, rng_ch, rng_pn)
             for f in filters:
                 samples[(a, f)][t] = out[f]

@@ -31,6 +31,11 @@ log = logging.getLogger(__name__)
 
 SQRT3 = np.sqrt(3.0)
 
+# unit normals of the three pairs of hexagon edges (30, 90, 150 degrees)
+_HEX_NORMALS = tuple(
+    np.array([np.cos(a), np.sin(a)])
+    for a in (np.deg2rad(30.0 + 60.0 * k) for k in range(3)))
+
 
 @dataclass(frozen=True)
 class CellLayout:
@@ -87,6 +92,12 @@ class Cost231Params:
             raise InvalidInputError("terminal height outside model validity")
         if self.exclusion_radius_m <= 0.0:
             raise InvalidInputError("exclusion radius must be positive")
+        # beyond the apothem the exclusion disk covers most of the cell and
+        # the rejection sampler in drop_users stalls
+        if self.exclusion_radius_m > SQRT3 / 2.0 * self.cell_radius_m:
+            raise InvalidInputError(
+                "exclusion radius must not exceed the cell apothem "
+                f"({SQRT3 / 2.0 * self.cell_radius_m:.1f} m)")
         if self.noise_bandwidth_hz <= 0.0:
             raise InvalidInputError("noise bandwidth multiplier must be positive")
         if self.shadowing_sigma_db is not None and self.shadowing_sigma_db < 0.0:
@@ -121,9 +132,8 @@ def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np
     rel = np.atleast_2d(points) - center
     apothem = SQRT3 / 2.0 * radius_m
     ok = np.ones(rel.shape[0], dtype=bool)
-    for k in range(3):
-        a = np.deg2rad(30.0 + 60.0 * k)
-        ok &= np.abs(rel @ np.array([np.cos(a), np.sin(a)])) <= apothem + 1e-9
+    for normal in _HEX_NORMALS:
+        ok &= np.abs(rel @ normal) <= apothem + 1e-9
     return ok
 
 

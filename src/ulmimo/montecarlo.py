@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import (ConditioningError, InvalidInputError, NumericalError)
 from .rng import complex_gaussian
@@ -80,12 +80,12 @@ class PilotConfig:
             seq = np.asarray(self.sequences)
             if seq.ndim != 3 or seq.shape[1] != seq.shape[2]:
                 raise InvalidInputError("sequences must be (B, K, K)")
-            eye = np.eye(seq.shape[1])
-            for j in range(seq.shape[0]):
-                gram = seq[j] @ seq[j].conj().T
-                if np.max(np.abs(gram - eye)) > 1e-12:
-                    raise InvalidInputError(
-                        f"cell {j} training sequences are not orthonormal")
+            gram = seq @ np.swapaxes(seq.conj(), 1, 2)
+            err = np.abs(gram - np.eye(seq.shape[1])).max(axis=(1, 2))
+            bad = np.flatnonzero(~(err <= 1e-12))
+            if bad.size:
+                raise InvalidInputError(
+                    f"cell {bad[0]} training sequences are not orthonormal")
 
 
 @dataclass
@@ -160,7 +160,7 @@ def pilot_estimate_noiseless(real: ChannelRealization) -> EstimateSet:
     hhat_1k = sqrt(beta_1k)/beta^(k) * sum_j sqrt(beta_jk) h_jk.
     """
     total = real.total_gain_per_user()
-    combo = np.einsum("jk,jkm->km", np.sqrt(real.gains), real.small_scale)
+    combo = (np.sqrt(real.gains)[:, :, None] * real.small_scale).sum(axis=0)
     est = (np.sqrt(real.gains[0]) / total)[:, None] * combo
     err = real.gains[1:].sum(axis=0) / total
     return EstimateSet(estimates=est, error_cov_scalars=err)
@@ -178,7 +178,7 @@ def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
     if not rho_p > 0.0:
         raise InvalidInputError("rho_p must be positive")
     total = real.total_gain_per_user()
-    combo = np.einsum("jk,jkm->km", np.sqrt(real.gains), real.small_scale)
+    combo = (np.sqrt(real.gains)[:, :, None] * real.small_scale).sum(axis=0)
     noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
     mixed = combo + noise.T / np.sqrt(rho_p)
     est = (np.sqrt(real.gains[0]) / (total + 1.0 / rho_p))[:, None] * mixed
@@ -191,13 +191,13 @@ def generate_pilot_sequences(K: int, B: int, rng: np.random.Generator,
     """Independent per-cell training: a Haar-random unitary basis per cell."""
     if K < 1 or B < 1:
         raise InvalidInputError("K and B must be at least 1")
-    seqs = np.empty((B, K, K), dtype=complex)
-    for j in range(B):
-        z = complex_gaussian(rng, (K, K), 1.0)
-        q, r = np.linalg.qr(z)
-        # fix the phase ambiguity so the law is exactly Haar
-        phases = np.diagonal(r) / np.abs(np.diagonal(r))
-        seqs[j] = (q * phases).T  # row k = sequence of user k
+    z = np.stack([complex_gaussian(rng, (K, K), 1.0) for _ in range(B)])
+    q, r = np.linalg.qr(z)
+    # fix the phase ambiguity so the law is exactly Haar
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    phases = diag / np.abs(diag)
+    # row k of cell j = sequence of user k
+    seqs = np.ascontiguousarray(np.swapaxes(q * phases[:, None, :], 1, 2))
     return PilotConfig(mode=MODE_TRAINING, pilot_snr=pilot_snr, sequences=seqs)
 
 
@@ -261,43 +261,48 @@ def theta2_from_estimates(real: ChannelRealization, est: EstimateSet) -> float:
     return float((real.gains[0] * est.error_cov_scalars).sum() / real.M)
 
 
-def _structured_matvec(V, d, reg, x):
-    if V.shape[1] == 0:
-        return reg * x
-    return reg * x + V @ (d * (V.conj().T @ x))
-
-
 def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
                             b: np.ndarray, method: str | None = None) -> np.ndarray:
     """Solve (V diag(d) V^H + reg I) c = b for tall V.
 
     ``method`` None picks the rank-n subspace path when the column count
     stays below M/2, the dense Cholesky otherwise; both must agree to
-    1e-10 and a single refinement step enforces the residual contract.
+    1e-10 and a single refinement step, reusing the first solve's
+    factorization, enforces the residual contract. A non-finite residual
+    breaks the contract like a large one.
     """
     M, n = V.shape
     if method is None:
         method = "lowrank" if n < M / 2 else "dense"
+    Vh = V.conj().T
 
-    def solve_once(rhs):
-        if n == 0:
-            return rhs / reg
-        if method == "lowrank":
-            inner = V.conj().T @ V
-            inner[np.diag_indices(n)] += reg / d
-            y = np.linalg.solve(inner, V.conj().T @ rhs)
-            return (rhs - V @ y) / reg
-        S = (V * d) @ V.conj().T
+    def matvec(x):
+        return reg * x + V @ (d * (Vh @ x))
+
+    if method == "lowrank":
+        inner = Vh @ V
+        inner[np.diag_indices(n)] += reg / d
+
+        def solve(rhs):
+            return (rhs - V @ np.linalg.solve(inner, Vh @ rhs)) / reg
+    else:
+        S = (V * d) @ Vh
         S[np.diag_indices(M)] += reg
-        return cho_solve(cho_factor(S, lower=True), rhs)
+        factor, info = zpotrf(S, lower=1, overwrite_a=1, clean=0)
+        if info != 0:
+            raise NumericalError(
+                f"filter Gram matrix is not positive definite (info {info})")
 
-    c = solve_once(b)
-    bnorm = np.linalg.norm(b)
-    residual = np.linalg.norm(b - _structured_matvec(V, d, reg, c)) / bnorm
-    if residual > LINEAR_SOLVE_TOL:
-        c = c + solve_once(b - _structured_matvec(V, d, reg, c))
-        residual = np.linalg.norm(b - _structured_matvec(V, d, reg, c)) / bnorm
-        if residual > LINEAR_SOLVE_TOL:
+        def solve(rhs):
+            return zpotrs(factor, rhs, lower=1)[0]
+
+    bnorm = np.linalg.norm(b) or 1.0  # b = 0 is solved exactly by c = 0
+    c = solve(b)
+    r = b - matvec(c)
+    if not np.linalg.norm(r) / bnorm <= LINEAR_SOLVE_TOL:
+        c = c + solve(r)
+        residual = np.linalg.norm(b - matvec(c)) / bnorm
+        if not residual <= LINEAR_SOLVE_TOL:
             raise NumericalError(
                 f"filter solve residual {residual:.3e} above {LINEAR_SOLVE_TOL}")
     return c

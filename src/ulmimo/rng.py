@@ -40,7 +40,12 @@ def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian array, entry variance ``var``.
 
     Real and imaginary parts are drawn as two consecutive blocks so the
-    draw order, and hence reproducibility, does not depend on shape.
+    draw order, and hence reproducibility, does not depend on shape. Both
+    blocks come from one draw and are scaled straight into the result.
     """
+    re, im = rng.standard_normal((2, *shape))
     scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(re.shape, dtype=complex)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out

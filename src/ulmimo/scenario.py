@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -80,6 +81,8 @@ class Scenario:
             raise ScenarioError("alpha must be positive")
         if not self.noise_var > 0.0:
             raise ScenarioError("noise_var must be positive")
+        if not self.is_idealized and self.cells not in (1, 7):
+            raise ScenarioError("cost231 scenarios need cells = 1 or 7")
 
     @property
     def is_idealized(self) -> bool:
@@ -88,7 +91,9 @@ class Scenario:
     def with_alpha(self, alpha: float) -> "Scenario":
         return replace(self, alpha=alpha)
 
+    @cached_property
     def layout(self) -> geometry.CellLayout:
+        """Cell layout, built on first use and kept for the scenario's life."""
         radius = (self.gain_model.cell_radius_m
                   if isinstance(self.gain_model, Cost231Params) else 1000.0)
         return hex_layout(self.cells, radius)
@@ -99,7 +104,7 @@ class Scenario:
             gains = np.full((self.cells, K), self.gain_model.beta_other)
             gains[0] = 1.0
             return gains
-        drop = geometry.drop_users(self.layout(), K, rng,
+        drop = geometry.drop_users(self.layout, K, rng,
                                    exclusion_m=self.gain_model.exclusion_radius_m)
         return geometry.large_scale_gains(drop, self.gain_model, rng)
 
@@ -109,7 +114,7 @@ class Scenario:
             row = np.concatenate([[1.0], np.full(self.cells - 1,
                                                  self.gain_model.beta_other)])
             return np.tile(row, (n, 1))
-        return geometry.cost231_gain_rows(self.layout(), self.gain_model, n, rng)
+        return geometry.cost231_gain_rows(self.layout, self.gain_model, n, rng)
 
     def fading_distribution(self, n: int = 1,
                             rng: np.random.Generator | None = None) -> FadingDistribution:

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from ulmimo import asymptotic as la
 from ulmimo import cli
@@ -14,6 +15,30 @@ from ulmimo.rng import seed_substream, substream_key
 # test_asymptotic_command_matches_library below)
 GOLDEN_ASYMPTOTIC_SHA = (
     "35beece0f835fd8e243ccf9fdfd642767eef7b649e004d605c737fb606cf73e7")
+
+# Monte Carlo outputs pinned bit for bit: SHA-256 of the CSV from each run
+# below at seed 7, recorded before the trial fast path (one-shot draws,
+# factor-once solves, cached layout) and required to stay identical.
+_GOLDEN_MC = ("--antennas", "8", "--alpha", "0.25,0.5,1.0", "--trials", "20",
+              "--seed", "7")
+GOLDEN_MC_RUNS = {
+    "montecarlo-noiseless": (
+        ("montecarlo", "--scenario", "idealized-01", "--estimate", "noiseless")
+        + _GOLDEN_MC, "montecarlo.csv",
+        "5a0b8f3e3a9622bfd6c63c1751c99b977c8a986354f1e74061ad0aa5e4322a9e"),
+    "montecarlo-noisy": (
+        ("montecarlo", "--scenario", "idealized-01", "--estimate", "noisy")
+        + _GOLDEN_MC, "montecarlo.csv",
+        "0a91e1eeb628f22b812e8a88584b71ebc8243409425eb23098087794c11d6e33"),
+    "montecarlo-training": (
+        ("montecarlo", "--scenario", "idealized-01", "--estimate", "training")
+        + _GOLDEN_MC, "montecarlo.csv",
+        "24201df8f257a6a7531f13ad5fcfbde32759b5589c08457892241c2c9d15c59d"),
+    "percentile-cost231": (
+        ("percentile", "--scenario", "cost231-7cell") + _GOLDEN_MC,
+        "percentile.csv",
+        "006357193ae6d162930caf5661995c8d334ea5ef6a7a79ac271d35831f67f4e2"),
+}
 
 
 class TestSubstreams:
@@ -63,6 +88,53 @@ class TestExitCodes:
         assert cli.main(["montecarlo", "--filters", "zf",
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["montecarlo", "percentile"])
+    def test_zero_trials_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert cli.main([command, "--trials", "0", "--out", str(out)]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = cli.main(["asymptotic", "--alpha", "0.5",
+                         "--out", str(blocker / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys,
+                                                  seed):
+        out = tmp_path / "run"
+        code = cli.main(["asymptotic", "--alpha", "0.5", "--seed", seed,
+                         "--out", str(out)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["asymptotic", "--alpha", "0.5",
+                         "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 2 ** 64 - 1
+
+    def test_exclusion_beyond_apothem_fails_fast(self, tmp_path):
+        import subprocess
+        import sys
+        from ulmimo.scenario import (parse_scenario, scenario_to_dict)
+        data = scenario_to_dict(parse_scenario("cost231-7cell"))
+        data["gain_model"]["exclusion_radius_m"] = 5000.0
+        path = tmp_path / "wide-exclusion.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ulmimo", "rates", "--scenario", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "apothem" in proc.stderr
+
 
 class TestDispatch:
     def test_asymptotic_outputs(self, tmp_path):
@@ -95,6 +167,14 @@ class TestDispatch:
                   "--seed", "0", "--out", str(out)])
         digest = hashlib.sha256((out / "asymptotic.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_ASYMPTOTIC_SHA
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MC_RUNS))
+    def test_monte_carlo_golden_file(self, tmp_path, name):
+        argv, fname, expected = GOLDEN_MC_RUNS[name]
+        out = tmp_path / "run"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+        assert digest == expected
 
     def test_reruns_byte_identical(self, tmp_path):
         args = ["montecarlo", "--scenario", "idealized-01", "--seed", "5",

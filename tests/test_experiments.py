@@ -133,6 +133,22 @@ class TestMonteCarloSweep:
         assert np.array_equal(a[(0.5, "mmse-perfect")], b[(0.5, "mmse-perfect")])
         assert np.array_equal(a[(0.5, "mmse-perfect")], c[(0.5, "mmse-perfect")])
 
+    @pytest.mark.parametrize("mode,pilot_streams", [
+        ("noiseless", 0), ("noisy", 3), ("training", 3)])
+    def test_pilot_substream_only_when_consumed(self, idealized_01,
+                                                monkeypatch, mode,
+                                                pilot_streams):
+        tags = []
+        real_seed_substream = ex.seed_substream
+
+        def recording(seed, tag, index=0):
+            tags.append(tag)
+            return real_seed_substream(seed, tag, index)
+        monkeypatch.setattr(ex, "seed_substream", recording)
+        ex.monte_carlo_sweep(idealized_01, 8, [0.5], 3, estimate_mode=mode)
+        assert tags.count("mc.channel.a0") == 3
+        assert tags.count("mc.pilot.a0") == pilot_streams
+
     def test_unknown_mode_rejected(self, idealized_01):
         with pytest.raises(InvalidInputError):
             ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2,

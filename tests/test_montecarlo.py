@@ -4,7 +4,8 @@ import scipy.linalg as sla
 
 from ulmimo import asymptotic as la
 from ulmimo import montecarlo as mc
-from ulmimo.errors import (ConditioningError, InvalidInputError)
+from ulmimo.errors import (ConditioningError, InvalidInputError,
+                           NumericalError)
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import complex_gaussian, seed_substream
 from ulmimo.scenario import parse_scenario
@@ -64,6 +65,17 @@ class TestNoiselessEstimate:
                                      gains=np.ones((2, 2)), noise_var=0.01)
         est = mc.pilot_estimate_noiseless(real)
         assert np.allclose(est.estimates, (h[0] + h[1]) / 2.0, atol=1e-15)
+
+    def test_combination_matches_einsum_reference(self):
+        rng = seed_substream(7, "combo")
+        h = mc.draw_channel_matrix(7, 5, 12, rng)
+        gains = np.exp(rng.uniform(-10.0, 10.0, (7, 5)))
+        real = mc.ChannelRealization(M=12, K=5, B=7, small_scale=h,
+                                     gains=gains, noise_var=0.01)
+        est = mc.pilot_estimate_noiseless(real)
+        combo = np.einsum("jk,jkm->km", np.sqrt(gains), h)
+        ref = (np.sqrt(gains[0]) / gains.sum(axis=0))[:, None] * combo
+        assert np.array_equal(est.estimates, ref)
 
     def test_estimate_norm_scaling(self):
         # E||hhat||^2 = beta_1k / beta^(k); at M=500 the user average is tight
@@ -127,11 +139,26 @@ class TestPilotSequences:
             gram = cfg.sequences[j] @ cfg.sequences[j].conj().T
             assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
+    def test_matches_per_cell_reference(self):
+        cfg = mc.generate_pilot_sequences(5, 3, seed_substream(17, "seq"))
+        rng = seed_substream(17, "seq")
+        for j in range(3):
+            q, r = np.linalg.qr(complex_gaussian(rng, (5, 5), 1.0))
+            ref = (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).T
+            assert np.array_equal(cfg.sequences[j], ref)
+
     def test_cross_cell_coherence_media(self):
         cfg = mc.generate_pilot_sequences(64, 2, seed_substream(14, "seq"))
         cross = np.abs(cfg.sequences[0] @ cfg.sequences[1].conj().T)
         med = np.median(cross)
         assert 0.06 <= med <= 0.20  # concentrates near 1/sqrt(K) = 0.125
+
+    def test_nonfinite_sequences_rejected(self):
+        cfg = mc.generate_pilot_sequences(4, 3, seed_substream(16, "seq"))
+        seqs = cfg.sequences.copy()
+        seqs[2, 1, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="cell 2"):
+            mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=10.0, sequences=seqs)
 
     def test_nonorthonormal_rejected(self):
         bad = np.ones((1, 2, 2), dtype=complex)
@@ -253,6 +280,19 @@ class TestFilters:
                    / np.linalg.norm(de.weights))
             assert rel <= 1e-10
 
+    def test_dense_path_matches_scipy_cholesky_reference(self):
+        real = idealized_realization(12, 8, seed=32)
+        est = mc.pilot_estimate_noiseless(real)
+        t1, t2 = mc.theta_effective(real)
+        filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
+                                    method="dense")
+        V = est.estimates[1:].T
+        S = (V * real.gains[0, 1:]) @ V.conj().T
+        S[np.diag_indices(12)] += t1 + t2 + 0.01
+        b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
+        ref = sla.cho_solve(sla.cho_factor(S, lower=True), b)
+        assert np.array_equal(filt.weights, ref)
+
     def test_filter_residual_contract(self):
         real = idealized_realization(50, 25, seed=25)
         est = mc.pilot_estimate_noiseless(real)
@@ -263,6 +303,25 @@ class TestFilters:
         b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
         resid = np.linalg.norm(S @ filt.weights - b) / np.linalg.norm(b)
         assert resid <= 1e-10
+
+    @pytest.mark.parametrize("method", ["lowrank", "dense"])
+    def test_nan_right_hand_side_raises(self, method):
+        real = idealized_realization(16, 4, seed=30)
+        est = mc.pilot_estimate_noiseless(real)
+        est.estimates[0, 3] = np.nan
+        t1, t2 = mc.theta_effective(real)
+        with pytest.raises(NumericalError, match="residual"):
+            mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method=method)
+
+    def test_zero_right_hand_side_gives_zero_filter(self):
+        real = idealized_realization(16, 4, seed=31)
+        est = mc.pilot_estimate_noiseless(real)
+        est.estimates[0] = 0.0
+        t1, t2 = mc.theta_effective(real)
+        for method in ("lowrank", "dense"):
+            filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
+                                        method=method)
+            assert not filt.weights.any()
 
     def test_nonpositive_regularizer_rejected(self):
         real = idealized_realization(8, 2, seed=26)
@@ -445,6 +504,13 @@ class TestConcentration:
 
 
 class TestDeterminism:
+    def test_complex_gaussian_draws_real_then_imaginary_block(self):
+        z = complex_gaussian(seed_substream(38, "cg"), (3, 4), 2.0)
+        rng = seed_substream(38, "cg")
+        re, im = rng.standard_normal(12), rng.standard_normal(12)
+        assert np.array_equal(z.real, re.reshape(3, 4))
+        assert np.array_equal(z.imag, im.reshape(3, 4))
+
     def test_full_pipeline_bit_identical(self):
         def run():
             real = idealized_realization(32, 16, seed=37)

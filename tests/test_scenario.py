@@ -18,6 +18,8 @@ MINIMAL = {
     "gain_model": {"kind": "idealized", "beta_other": 0.1},
 }
 
+APOTHEM_1KM = np.sqrt(3.0) / 2.0 * 1000.0
+
 
 class TestParsing:
     def test_minimal_single_cell(self, tmp_path):
@@ -65,6 +67,26 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario("no-such-scenario")
+
+    @pytest.mark.parametrize("cells", [2, 3, 19])
+    def test_cost231_cell_count_rejected(self, cells):
+        data = dict(MINIMAL, cells=cells, gain_model={"kind": "cost231"})
+        with pytest.raises(ScenarioError, match="cells"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("exclusion", [APOTHEM_1KM + 1.0, 5000.0])
+    def test_exclusion_beyond_apothem_rejected(self, exclusion):
+        data = dict(MINIMAL, cells=7, gain_model={
+            "kind": "cost231", "cell_radius_m": 1000.0,
+            "exclusion_radius_m": exclusion})
+        with pytest.raises(ScenarioError, match="apothem"):
+            scenario_from_dict(data)
+
+    def test_exclusion_at_apothem_accepted_and_drops(self):
+        sc = scenario_from_dict(dict(MINIMAL, cells=7, gain_model={
+            "kind": "cost231", "cell_radius_m": 1000.0,
+            "exclusion_radius_m": APOTHEM_1KM}))
+        assert sc.gain_matrix(5, seed_substream(4, "apothem")).shape == (7, 5)
 
     def test_cost231_validity_wrapped(self):
         data = dict(MINIMAL, gain_model={"kind": "cost231",
@@ -119,6 +141,21 @@ class TestScenarioBehaviour:
         sc = parse_scenario("idealized-01")
         rho_p = sc.pilot_snr_from_budget(14, 20.0)
         assert 10 * np.log10(rho_p) == pytest.approx(28.45, abs=0.01)
+
+    def test_layout_built_once(self, monkeypatch):
+        from ulmimo import scenario as scenario_module
+        calls = []
+        real_hex_layout = scenario_module.hex_layout
+
+        def counting(*args):
+            calls.append(args)
+            return real_hex_layout(*args)
+        monkeypatch.setattr(scenario_module, "hex_layout", counting)
+        sc = parse_scenario("cost231-7cell")
+        for t in range(3):
+            sc.gain_matrix(4, seed_substream(t, "gm"))
+        sc.gain_rows(10, seed_substream(0, "rows"))
+        assert calls == [(7, 1000.0)]
 
     def test_with_alpha(self):
         sc = parse_scenario("idealized-01")
