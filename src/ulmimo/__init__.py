@@ -7,14 +7,13 @@ from .asymptotic import (AsymptoticSinrReport, DetEqSolution, asymptotic_report,
                          perfect_suppression, sinr_mf_pilot, sinr_mmse_perfect,
                          sinr_mmse_pilot, solve_det_eq, solve_eta1, solve_eta2,
                          solve_eta1_perfect, stieltjes_m, to_db)
-from .fading import (FadingDistribution, FadingSample, UserGainProfile,
-                     expect_total_gain)
+from .fading import FadingDistribution, UserGainProfile, expect_total_gain
 from .geometry import (CellLayout, Cost231Params, UserDrop, cost231_pathloss_db,
                        drop_users, hex_layout, idealized_gains,
                        large_scale_gains)
-from .montecarlo import (ChannelRealization, EstimateSet, LinearFilter,
-                         PilotConfig, SinrBreakdown, draw_channels,
-                         empirical_sinr, generate_pilot_sequences,
+from .montecarlo import (ChannelRealization, EstimateSet, PilotConfig,
+                         SinrBreakdown, draw_channels, empirical_sinr,
+                         generate_pilot_sequences,
                          matched_filter, mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
                          theta_effective, training_based_estimate)

@@ -308,14 +308,10 @@ def stieltjes_m_derivative(z: float, dist: FadingDistribution, alpha: float,
                            m: float | None = None) -> float:
     """d m / d z on the negative real axis, via implicit differentiation.
 
-    At -z = theta1_bar + theta2_bar + noise_var this is the second trace
-    limit eta2.
+    The derivative of the Stieltjes equation is the eta2 expression at
+    eta1 = m, so at -z = theta1_bar + theta2_bar + noise_var this is the
+    second trace limit eta2.
     """
     if m is None:
         m = stieltjes_m(z, dist, alpha)
-    p = dist.est_gain
-    denom = m**-2 - alpha * dist.expect((p / (1.0 + p * m)) ** 2)
-    if denom <= 0.0:
-        raise DegenerateRegimeError(
-            "stieltjes derivative denominator non-positive")
-    return 1.0 / denom
+    return solve_eta2(dist, alpha, m)

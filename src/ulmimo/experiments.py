@@ -28,6 +28,7 @@ from .rng import seed_substream
 from .scenario import Scenario, scenario_hash
 
 CSV_SCHEMA = 1
+MIN_PERCENTILE_SAMPLES = 20
 
 FILTER_MF = "mf"
 FILTER_MMSE = "mmse"
@@ -99,8 +100,7 @@ def asymptotic_sweep(scenario: Scenario, alpha_grid) -> SweepResult:
             "asymptotic sweeps need an idealized scenario; use the "
             "percentile or rates runners for drop-based models")
     grid = _check_alpha_grid(alpha_grid)
-    dist = scenario.fading_distribution()
-    profile = scenario.profile()
+    dist, profile = idealized_gains(scenario.cells, scenario.gain_model.beta_other)
     rows = []
     for a in grid:
         rep = asymptotic_report(profile, dist, a, scenario.noise_var)
@@ -121,11 +121,7 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
     Restricted to beta_other <= 0.1; above that both receivers are
     other-cell-interference limited and the comparison is uninformative.
     """
-    alphas = [float(a) for a in alpha_list]
-    if any(not 0.0 < a <= 1.5 for a in alphas):
-        raise InvalidInputError("alpha values must lie in (0, 1.5]")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise InvalidInputError("alpha values must be strictly increasing")
+    alphas = _check_alpha_grid(alpha_list)
     betas = [float(b) for b in beta_other_grid]
     if any(not 0.0 < b <= 0.1 for b in betas):
         raise InvalidInputError("beta_other grid must lie in (0, 0.1]")
@@ -242,8 +238,9 @@ def monte_carlo_result(scenario: Scenario, M: int, alpha_grid, trials: int,
 def five_percentile(samples) -> float:
     """Empirical 5% quantile with linear order-statistic interpolation."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 20:
-        raise InvalidInputError("five-percentile needs at least 20 samples")
+    if samples.size < MIN_PERCENTILE_SAMPLES:
+        raise InvalidInputError(
+            f"five-percentile needs at least {MIN_PERCENTILE_SAMPLES} samples")
     return float(np.quantile(samples, 0.05))
 
 
@@ -262,19 +259,6 @@ def sum_rate(alpha: float, M: int, sinr: float) -> float:
     if M < 1:
         raise InvalidInputError("M must be at least 1")
     return float(alpha * M * np.log2(1.0 + sinr))
-
-
-def training_overhead_factor(scenario: Scenario, K: int) -> float:
-    """Fraction of the coherence block left for data after K training symbols.
-
-    Rates ignore this by default (large coherence blocks assumed); callers
-    opt in where the training time matters.
-    """
-    block = scenario.coherence.symbols * scenario.coherence.subcarriers
-    if K >= block:
-        raise InvalidInputError(
-            f"K={K} training symbols exhaust the {block}-symbol coherence block")
-    return 1.0 - K / block
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +289,9 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
                      estimate_mode: str = "noiseless") -> SweepResult:
     """Five-percentile SINR versus loading: simulation and limit side by side."""
     grid = _check_alpha_grid(alpha_grid)
+    if trials < MIN_PERCENTILE_SAMPLES:
+        raise InvalidInputError(
+            f"percentile sweeps need at least {MIN_PERCENTILE_SAMPLES} trials")
     samples = monte_carlo_sweep(scenario, M, grid, trials,
                                 (FILTER_MMSE, FILTER_MMSE_PERFECT),
                                 estimate_mode, master_seed)

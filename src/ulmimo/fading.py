@@ -18,37 +18,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-POINT_MASS = "point-mass"
-EMPIRICAL = "empirical"
-
-
-@dataclass(frozen=True)
-class FadingSample:
-    """One joint draw of per-cell gains with a nonnegative weight."""
-
-    gains: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.ndim != 1 or gains.size == 0:
-            raise InvalidInputError("gains must be a non-empty 1-D vector")
-        if not np.all(gains > 0.0):
-            raise InvalidInputError("every per-cell gain must be positive")
-        if not np.isfinite(self.weight) or self.weight < 0.0:
-            raise InvalidInputError("sample weight must be nonnegative")
-        object.__setattr__(self, "gains", gains)
-
 
 class FadingDistribution:
     """Weighted empirical law of the per-cell gain vector.
 
-    ``kind`` is ``"point-mass"`` for a single unit-weight sample (the
-    idealized constant-gain cells) and ``"empirical"`` for a collection of
-    drop samples. Weights are normalized to sum to one on construction.
+    One row of ``gains`` per sample: a single row is the point mass of the
+    idealized constant-gain cells, many rows a collection of drop samples.
+    Weights are normalized to sum to one on construction.
     """
 
-    def __init__(self, gains, weights=None, kind: str | None = None):
+    def __init__(self, gains, weights=None):
         gains = np.atleast_2d(np.asarray(gains, dtype=float))
         if gains.size == 0:
             raise InvalidInputError("distribution needs at least one sample")
@@ -66,39 +45,21 @@ class FadingDistribution:
             if total <= 0.0:
                 raise InvalidInputError("weights must not all be zero")
             weights = weights / total
-        if kind is None:
-            kind = POINT_MASS if gains.shape[0] == 1 else EMPIRICAL
-        if kind == POINT_MASS and gains.shape[0] != 1:
-            raise InvalidInputError("point-mass kind requires exactly one sample")
-        if kind not in (POINT_MASS, EMPIRICAL):
-            raise InvalidInputError(f"unknown distribution kind {kind!r}")
 
         self.gains = gains
         self.weights = weights
-        self.kind = kind
         # Per-sample derived quantities reused by every solver:
         #   total:    B        = sum_j beta_j
         #   own:      beta_1
         #   est_gain: beta_1^2 / B, the nonzero eigenvalue contributed by a
         #             contaminated-estimate direction
         #   cross_est_gain: sum_{j>=2} beta_j^2 / B, its other-cell coupling
+        # and the law's componentwise mean E[beta_j], length B.
         self.total = gains.sum(axis=1)
         self.own = gains[:, 0]
         self.est_gain = self.own**2 / self.total
         self.cross_est_gain = (gains[:, 1:] ** 2).sum(axis=1) / self.total
-
-    @classmethod
-    def from_samples(cls, samples) -> "FadingDistribution":
-        samples = list(samples)
-        if not samples:
-            raise InvalidInputError("distribution needs at least one sample")
-        gains = np.stack([s.gains for s in samples])
-        weights = np.array([s.weight for s in samples])
-        return cls(gains, weights)
-
-    @classmethod
-    def point_mass(cls, gains) -> "FadingDistribution":
-        return cls(np.atleast_2d(np.asarray(gains, dtype=float)), kind=POINT_MASS)
+        self.mean_gains = weights @ gains
 
     @property
     def num_cells(self) -> int:
@@ -114,14 +75,6 @@ class FadingDistribution:
         if values.shape[0] != self.num_samples:
             raise InvalidInputError("per-sample values must match sample count")
         return float(self.weights @ values)
-
-    def mean_gains(self) -> np.ndarray:
-        """E[beta_j] componentwise, length B."""
-        return self.weights @ self.gains
-
-    def profiles(self) -> "np.ndarray":
-        """The raw (num_samples, B) gain rows, e.g. to build user profiles."""
-        return self.gains
 
 
 @dataclass(frozen=True)
@@ -171,5 +124,4 @@ def expect_total_gain(dist: FadingDistribution) -> tuple[float, np.ndarray]:
     """E[B] and the per-cell means E[beta_j] of a fading distribution."""
     if not isinstance(dist, FadingDistribution):
         raise InvalidInputError("expected a FadingDistribution")
-    mean_components = dist.mean_gains()
-    return float(mean_components.sum()), mean_components
+    return float(dist.mean_gains.sum()), dist.mean_gains

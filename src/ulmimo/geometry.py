@@ -60,7 +60,6 @@ class UserDrop:
 
     positions: np.ndarray  # (B, K, 2) meters
     layout: CellLayout
-    exclusion_m: float
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
             take = min(K - got, cand.shape[0])
             pos[j, got:got + take] = cand[:take]
             got += take
-    return UserDrop(positions=pos, layout=layout, exclusion_m=exclusion_m)
+    return UserDrop(positions=pos, layout=layout)
 
 
 def cost231_pathloss_db(distance_m, params: Cost231Params):
@@ -203,16 +202,19 @@ def large_scale_gains(drop: UserDrop, params: Cost231Params,
     return path_gain * (params.tx_power_mw / params.noise_power_mw)
 
 
-def idealized_gains(B: int, beta_other: float) -> tuple[FadingDistribution, UserGainProfile]:
-    """Point-mass law: unit in-cell gain, constant other-cell gain."""
+def idealized_row(B: int, beta_other: float) -> np.ndarray:
+    """(B,) gains of a user in each cell: unit in-cell, constant other-cell."""
     if B < 1:
         raise InvalidInputError("B must be at least 1")
     if not 0.0 < beta_other < 1.0:
         raise InvalidInputError("beta_other must lie in (0, 1)")
-    gains = np.concatenate([[1.0], np.full(B - 1, beta_other)])
-    dist = FadingDistribution.point_mass(gains)
-    profile = UserGainProfile.from_gain_row(gains)
-    return dist, profile
+    return np.concatenate([[1.0], np.full(B - 1, beta_other)])
+
+
+def idealized_gains(B: int, beta_other: float) -> tuple[FadingDistribution, UserGainProfile]:
+    """Point-mass law of the idealized row, and that row's user profile."""
+    gains = idealized_row(B, beta_other)
+    return FadingDistribution(gains), UserGainProfile.from_gain_row(gains)
 
 
 def cost231_gain_rows(layout: CellLayout, params: Cost231Params, n: int,

@@ -57,35 +57,29 @@ class ChannelRealization:
 
 @dataclass
 class PilotConfig:
-    """Pilot mode and, for independent training, the per-cell sequences.
+    """Per-cell sequences and pilot SNR of independent training.
 
     ``sequences[j, k]`` is the length-K training sequence of user k in
-    cell j; within a cell the K sequences are orthonormal. Repeated modes
-    do not materialize sequences (they are implicitly identical across
-    cells).
+    cell j; within a cell the K sequences are orthonormal. The repeated
+    pilot modes need no sequences (they are implicitly identical across
+    cells) and take their pilot SNR directly.
     """
 
-    mode: str
-    pilot_snr: float = np.inf
-    sequences: np.ndarray | None = None
+    sequences: np.ndarray
+    pilot_snr: float
 
     def __post_init__(self):
-        if self.mode not in (MODE_NOISELESS, MODE_NOISY, MODE_TRAINING):
-            raise InvalidInputError(f"unknown pilot mode {self.mode!r}")
-        if self.mode != MODE_NOISELESS and not self.pilot_snr > 0.0:
+        if not self.pilot_snr > 0.0:
             raise InvalidInputError("pilot_snr must be positive")
-        if self.mode == MODE_TRAINING:
-            if self.sequences is None:
-                raise InvalidInputError("independent training needs sequences")
-            seq = np.asarray(self.sequences)
-            if seq.ndim != 3 or seq.shape[1] != seq.shape[2]:
-                raise InvalidInputError("sequences must be (B, K, K)")
-            gram = seq @ np.swapaxes(seq.conj(), 1, 2)
-            err = np.abs(gram - np.eye(seq.shape[1])).max(axis=(1, 2))
-            bad = np.flatnonzero(~(err <= 1e-12))
-            if bad.size:
-                raise InvalidInputError(
-                    f"cell {bad[0]} training sequences are not orthonormal")
+        seq = np.asarray(self.sequences)
+        if seq.ndim != 3 or seq.shape[1] != seq.shape[2]:
+            raise InvalidInputError("sequences must be (B, K, K)")
+        gram = seq @ np.swapaxes(seq.conj(), 1, 2)
+        err = np.abs(gram - np.eye(seq.shape[1])).max(axis=(1, 2))
+        bad = np.flatnonzero(~(err <= 1e-12))
+        if bad.size:
+            raise InvalidInputError(
+                f"cell {bad[0]} training sequences are not orthonormal")
 
 
 @dataclass
@@ -98,12 +92,6 @@ class EstimateSet:
 
     estimates: np.ndarray          # (K, M) complex
     error_cov_scalars: np.ndarray  # (K,)
-
-
-@dataclass
-class LinearFilter:
-    weights: np.ndarray  # (M,) complex
-    kind: str
 
 
 @dataclass
@@ -198,7 +186,7 @@ def generate_pilot_sequences(K: int, B: int, rng: np.random.Generator,
     phases = diag / np.abs(diag)
     # row k of cell j = sequence of user k
     seqs = np.ascontiguousarray(np.swapaxes(q * phases[:, None, :], 1, 2))
-    return PilotConfig(mode=MODE_TRAINING, pilot_snr=pilot_snr, sequences=seqs)
+    return PilotConfig(sequences=seqs, pilot_snr=pilot_snr)
 
 
 def training_based_estimate(real: ChannelRealization, pilots: PilotConfig,
@@ -212,8 +200,6 @@ def training_based_estimate(real: ChannelRealization, pilots: PilotConfig,
     the realized sequence crosstalk and is not worth tracking for that
     purpose.
     """
-    if pilots.mode != MODE_TRAINING:
-        raise InvalidInputError("pilots must be in independent-training mode")
     seq = pilots.sequences
     if seq.shape[0] != real.B or seq.shape[1] != real.K:
         raise InvalidInputError("sequence shape does not match realization")
@@ -310,8 +296,8 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
 
 def mmse_filter_pilot(est: EstimateSet, gains: np.ndarray, theta1: float,
                       theta2: float, noise_var: float,
-                      method: str | None = None) -> LinearFilter:
-    """MMSE receiver for user 1 built from contaminated estimates.
+                      method: str | None = None) -> np.ndarray:
+    """MMSE receiver (M,) for user 1 built from contaminated estimates.
 
     Solves (sum_{k>=2} beta_1k hhat_1k hhat_1k^H + (theta1+theta2+s2) I) c
     = sqrt(beta_11) hhat_11. User 1's own estimate is excluded from the
@@ -323,13 +309,12 @@ def mmse_filter_pilot(est: EstimateSet, gains: np.ndarray, theta1: float,
     own = np.asarray(gains)[0]
     V = est.estimates[1:].T
     b = np.sqrt(own[0]) * est.estimates[0]
-    c = _solve_regularized_gram(V, own[1:], reg, b, method)
-    return LinearFilter(weights=c, kind="mmse-pilot")
+    return _solve_regularized_gram(V, own[1:], reg, b, method)
 
 
 def mmse_filter_perfect(real: ChannelRealization, theta1: float,
-                        noise_var: float, method: str | None = None) -> LinearFilter:
-    """MMSE receiver with error-free in-cell channel knowledge.
+                        noise_var: float, method: str | None = None) -> np.ndarray:
+    """MMSE receiver (M,) with error-free in-cell channel knowledge.
 
     The interference sum runs over all K in-cell users and the regularizer
     drops the estimation-error term.
@@ -339,23 +324,21 @@ def mmse_filter_perfect(real: ChannelRealization, theta1: float,
         raise InvalidInputError("theta1 + noise_var must be positive")
     V = real.small_scale[0].T
     b = np.sqrt(real.gains[0, 0]) * real.small_scale[0, 0]
-    c = _solve_regularized_gram(V, real.gains[0], reg, b, method)
-    return LinearFilter(weights=c, kind="mmse-perfect")
+    return _solve_regularized_gram(V, real.gains[0], reg, b, method)
 
 
-def matched_filter(est: EstimateSet) -> LinearFilter:
-    """Coherent projection onto user 1's (possibly contaminated) estimate."""
-    return LinearFilter(weights=est.estimates[0].copy(), kind="matched")
+def matched_filter(est: EstimateSet) -> np.ndarray:
+    """Coherent projection (M,) onto user 1's (possibly contaminated) estimate."""
+    return est.estimates[0].copy()
 
 
-def empirical_sinr(filt: LinearFilter, real: ChannelRealization) -> SinrBreakdown:
-    """Conditional power decomposition of the filter output.
+def empirical_sinr(c: np.ndarray, real: ChannelRealization) -> SinrBreakdown:
+    """Conditional power decomposition of the output of filter weights c.
 
     Signal is user (1,1); contamination is the same-resource users of the
     other cells; interference is everyone else; noise is the filter energy
     times the noise variance.
     """
-    c = filt.weights
     if c.shape != (real.M,):
         raise InvalidInputError("filter length does not match antennas")
     proj = real.small_scale @ c.conj()          # (B, K) of c^H h_jk

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import geometry
 from .errors import ScenarioError
-from .fading import FadingDistribution, UserGainProfile
 from .geometry import Cost231Params, hex_layout
 from .montecarlo import MODE_NOISELESS, MODE_NOISY, MODE_TRAINING
 
@@ -40,6 +39,12 @@ class IdealizedGains:
 
 @dataclass(frozen=True)
 class PilotSettings:
+    """Pilot SNR of the noisy and training estimators.
+
+    ``mode`` is parsed and hashed, but no run reads it: the runners take
+    the estimate mode as an argument.
+    """
+
     mode: str = MODE_NOISELESS
     pilot_snr_db: float = 28.0
 
@@ -54,7 +59,7 @@ class PilotSettings:
 
 @dataclass(frozen=True)
 class Coherence:
-    """Coherent symbols and subcarriers; only the pilot power budget uses them."""
+    """Coherent symbols and subcarriers; parsed and hashed, read by no run."""
 
     symbols: int = 7
     subcarriers: int = 14
@@ -101,9 +106,7 @@ class Scenario:
     def gain_matrix(self, K: int, rng: np.random.Generator) -> np.ndarray:
         """(B, K) user gains for one Monte Carlo trial."""
         if self.is_idealized:
-            gains = np.full((self.cells, K), self.gain_model.beta_other)
-            gains[0] = 1.0
-            return gains
+            return np.repeat(self._idealized_row()[:, None], K, axis=1)
         drop = geometry.drop_users(self.layout, K, rng,
                                    exclusion_m=self.gain_model.exclusion_radius_m)
         return geometry.large_scale_gains(drop, self.gain_model, rng)
@@ -111,30 +114,11 @@ class Scenario:
     def gain_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, B) joint gain samples, one user per cell."""
         if self.is_idealized:
-            row = np.concatenate([[1.0], np.full(self.cells - 1,
-                                                 self.gain_model.beta_other)])
-            return np.tile(row, (n, 1))
+            return np.tile(self._idealized_row(), (n, 1))
         return geometry.cost231_gain_rows(self.layout, self.gain_model, n, rng)
 
-    def fading_distribution(self, n: int = 1,
-                            rng: np.random.Generator | None = None) -> FadingDistribution:
-        if self.is_idealized:
-            dist, _ = geometry.idealized_gains(self.cells, self.gain_model.beta_other)
-            return dist
-        if rng is None:
-            raise ScenarioError("drop-based scenarios need a generator")
-        return FadingDistribution(self.gain_rows(n, rng))
-
-    def profile(self) -> UserGainProfile:
-        if not self.is_idealized:
-            raise ScenarioError("drop-based scenarios have no single profile")
-        _, profile = geometry.idealized_gains(self.cells, self.gain_model.beta_other)
-        return profile
-
-    def pilot_snr_from_budget(self, K: int, rho_avg_db: float) -> float:
-        """Pilot SNR from the average-power budget: rho_avg * Tc * Nc / K."""
-        block = self.coherence.symbols * self.coherence.subcarriers
-        return 10.0 ** (rho_avg_db / 10.0) * block / K
+    def _idealized_row(self) -> np.ndarray:
+        return geometry.idealized_row(self.cells, self.gain_model.beta_other)
 
 
 # ---------------------------------------------------------------------------

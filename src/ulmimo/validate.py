@@ -72,7 +72,7 @@ def _check_solver_paths(emit) -> bool:
     t1, t2 = mc.theta_effective(real)
     low = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="lowrank")
     dense = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="dense")
-    err = np.linalg.norm(low.weights - dense.weights) / np.linalg.norm(dense.weights)
+    err = np.linalg.norm(low - dense) / np.linalg.norm(dense)
     ok = err <= 1e-12
     emit(f"structured vs dense filter solve at M=3: {'PASS' if ok else 'FAIL'}")
     return ok

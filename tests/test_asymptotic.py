@@ -81,7 +81,7 @@ class TestEta2:
     def test_degenerate_denominator_raises(self):
         # an eta1 inconsistent with (dist, alpha) can push the denominator
         # negative; the failure must surface, never a clamped value
-        dist = FadingDistribution.point_mass([1.0])
+        dist = FadingDistribution([1.0])
         with pytest.raises(DegenerateRegimeError):
             la.solve_eta2(dist, 2.0, 10.0)
 

@@ -95,6 +95,39 @@ class TestExitCodes:
         assert "trials" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_percentile_refuses_too_few_trials_before_work(
+            self, tmp_path, capsys, monkeypatch):
+        from ulmimo import experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(experiments, "run_trial", no_trials)
+        out = tmp_path / "run"
+        assert cli.main(["percentile", "--scenario", "cost231-7cell",
+                         "--trials", "19", "--out", str(out)]) == 2
+        assert "20 trials" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["montecarlo", "percentile"])
+    @pytest.mark.parametrize("antennas", ["0", "-3"])
+    def test_antennas_below_one_is_config_error(self, tmp_path, capsys,
+                                                command, antennas):
+        out = tmp_path / "run"
+        assert cli.main([command, "--antennas", antennas, "--trials", "20",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["asymptotic", "montecarlo",
+                                         "percentile", "rates", "rategap"])
+    @pytest.mark.parametrize("alpha", ["0.2,abc", ",", "0.5,0.2"])
+    def test_malformed_alpha_is_config_error(self, tmp_path, capsys, command,
+                                             alpha):
+        out = tmp_path / "run"
+        assert cli.main([command, "--alpha", alpha, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "manifest.json").exists()
+
     def test_unwritable_out_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

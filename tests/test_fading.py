@@ -2,23 +2,12 @@ import numpy as np
 import pytest
 
 from ulmimo.errors import InvalidInputError
-from ulmimo.fading import (FadingDistribution, FadingSample, UserGainProfile,
-                           expect_total_gain)
-
-
-class TestFadingSample:
-    def test_rejects_nonpositive_gain(self):
-        with pytest.raises(InvalidInputError):
-            FadingSample(np.array([1.0, 0.0]))
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidInputError):
-            FadingSample(np.array([1.0]), weight=-0.5)
+from ulmimo.fading import FadingDistribution, UserGainProfile, expect_total_gain
 
 
 class TestFadingDistribution:
     def test_point_mass_expectation(self):
-        dist = FadingDistribution.point_mass([1.0] + [0.01] * 6)
+        dist = FadingDistribution([1.0] + [0.01] * 6)
         e_total, e_comp = expect_total_gain(dist)
         assert e_total == pytest.approx(1.06, abs=1e-15)
         assert e_comp[0] == 1.0
@@ -43,25 +32,30 @@ class TestFadingDistribution:
         assert np.allclose(dist.weights, [0.25, 0.75])
         assert dist.expect(dist.own) == pytest.approx(1.75)
 
+    def test_from_samples_matches_direct(self):
+        # a list of per-sample gain rows builds the same law as the stacked array
+        rows = [[1.0, 0.2], [0.5, 0.1]]
+        dist = FadingDistribution(rows, weights=[1.0, 3.0])
+        direct = FadingDistribution(np.array(rows), weights=np.array([1.0, 3.0]))
+        assert np.allclose(dist.weights, [0.25, 0.75])
+        assert np.array_equal(dist.gains, direct.gains)
+        assert np.array_equal(dist.weights, direct.weights)
+        assert np.allclose(dist.mean_gains, [0.625, 0.125])
+
+    def test_rejects_nonpositive_gain(self):
+        with pytest.raises(InvalidInputError):
+            FadingDistribution(np.array([1.0, 0.0]))
+
+    def test_rejects_negative_weight(self):
+        with pytest.raises(InvalidInputError):
+            FadingDistribution(np.array([[1.0], [2.0]]), weights=[-0.5, 1.0])
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             FadingDistribution(np.empty((0, 3)))
-        with pytest.raises(InvalidInputError):
-            FadingDistribution.from_samples([])
-
-    def test_point_mass_kind_requires_one_sample(self):
-        with pytest.raises(InvalidInputError):
-            FadingDistribution(np.ones((2, 3)), kind="point-mass")
-
-    def test_from_samples_matches_direct(self):
-        samples = [FadingSample(np.array([1.0, 0.2]), 1.0),
-                   FadingSample(np.array([0.5, 0.1]), 3.0)]
-        dist = FadingDistribution.from_samples(samples)
-        assert dist.kind == "empirical"
-        assert np.allclose(dist.weights, [0.25, 0.75])
 
     def test_derived_arrays(self):
-        dist = FadingDistribution.point_mass([1.0, 0.1, 0.1])
+        dist = FadingDistribution([1.0, 0.1, 0.1])
         assert dist.total[0] == pytest.approx(1.2)
         assert dist.est_gain[0] == pytest.approx(1.0 / 1.2)
         assert dist.cross_est_gain[0] == pytest.approx(0.02 / 1.2)

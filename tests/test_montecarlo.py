@@ -158,12 +158,12 @@ class TestPilotSequences:
         seqs = cfg.sequences.copy()
         seqs[2, 1, 1] = np.nan
         with pytest.raises(InvalidInputError, match="cell 2"):
-            mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=10.0, sequences=seqs)
+            mc.PilotConfig(sequences=seqs, pilot_snr=10.0)
 
     def test_nonorthonormal_rejected(self):
         bad = np.ones((1, 2, 2), dtype=complex)
         with pytest.raises(InvalidInputError):
-            mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=10.0, sequences=bad)
+            mc.PilotConfig(sequences=bad, pilot_snr=10.0)
 
 
 class TestTrainingEstimate:
@@ -174,7 +174,7 @@ class TestTrainingEstimate:
         M, K, rho = 16, 4, 25.0
         real = idealized_realization(M, K, B=1, seed=15)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (1, K, K)).copy()
-        cfg = mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=rho, sequences=seqs)
+        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=rho)
         est = mc.training_based_estimate(real, cfg, seed_substream(15, "tn"))
         noise = complex_gaussian(seed_substream(15, "tn"), (M, K), 1.0 / M)
         beta = real.gains[0]
@@ -188,7 +188,7 @@ class TestTrainingEstimate:
         M, K, B, rho = 24, 5, 7, 10 ** 2.8
         real = idealized_realization(M, K, B=B, seed=16)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (B, K, K)).copy()
-        cfg = mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=rho, sequences=seqs)
+        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=rho)
         trained = mc.training_based_estimate(real, cfg, seed_substream(16, "tn"))
         noisy = mc.pilot_estimate_noisy(real, rho, seed_substream(16, "tn"))
         rel = (np.linalg.norm(trained.estimates - noisy.estimates)
@@ -200,7 +200,7 @@ class TestTrainingEstimate:
         real = idealized_realization(M, K, B=B, seed=17)
         one_cell = mc.generate_pilot_sequences(K, 1, seed_substream(17, "u"))
         seqs = np.broadcast_to(one_cell.sequences[0], (B, K, K)).copy()
-        cfg = mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=rho, sequences=seqs)
+        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=rho)
         est = mc.training_based_estimate(real, cfg, seed_substream(17, "tn"))
         noise = complex_gaussian(seed_substream(17, "tn"), (M, K), 1.0 / M)
         combo = np.einsum("jk,jkm->km", np.sqrt(real.gains), real.small_scale)
@@ -218,7 +218,7 @@ class TestTrainingEstimate:
             M=M, K=K, B=1, small_scale=mc.draw_channel_matrix(1, K, M, rng),
             gains=gains, noise_var=0.01)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (1, K, K)).copy()
-        cfg = mc.PilotConfig(mode=mc.MODE_TRAINING, pilot_snr=1e6, sequences=seqs)
+        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=1e6)
         with pytest.raises(ConditioningError):
             mc.training_based_estimate(real, cfg, seed_substream(18, "tn"))
 
@@ -252,8 +252,8 @@ class TestFilters:
         est = mc.pilot_estimate_noiseless(real)
         t1, t2 = mc.theta_effective(real)
         filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
-        cosine = np.abs(np.vdot(filt.weights, est.estimates[0])) / (
-            np.linalg.norm(filt.weights) * np.linalg.norm(est.estimates[0]))
+        cosine = np.abs(np.vdot(filt, est.estimates[0])) / (
+            np.linalg.norm(filt) * np.linalg.norm(est.estimates[0]))
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_small_instance_dense_inverse_oracle(self):
@@ -265,7 +265,7 @@ class TestFilters:
                                          est.estimates[1].conj())
              + (t1 + t2 + 0.01) * np.eye(3))
         oracle = np.linalg.inv(S) @ (np.sqrt(real.gains[0, 0]) * est.estimates[0])
-        assert np.linalg.norm(filt.weights - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.linalg.norm(filt - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_lowrank_and_dense_paths_agree(self):
         for M, K in ((3, 2), (40, 9), (64, 33)):
@@ -276,8 +276,7 @@ class TestFilters:
                                       method="lowrank")
             de = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
                                       method="dense")
-            rel = (np.linalg.norm(lr.weights - de.weights)
-                   / np.linalg.norm(de.weights))
+            rel = np.linalg.norm(lr - de) / np.linalg.norm(de)
             assert rel <= 1e-10
 
     def test_dense_path_matches_scipy_cholesky_reference(self):
@@ -291,7 +290,7 @@ class TestFilters:
         S[np.diag_indices(12)] += t1 + t2 + 0.01
         b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
         ref = sla.cho_solve(sla.cho_factor(S, lower=True), b)
-        assert np.array_equal(filt.weights, ref)
+        assert np.array_equal(filt, ref)
 
     def test_filter_residual_contract(self):
         real = idealized_realization(50, 25, seed=25)
@@ -301,7 +300,7 @@ class TestFilters:
         V = est.estimates[1:].T
         S = (V * real.gains[0, 1:]) @ V.conj().T + (t1 + t2 + 0.01) * np.eye(50)
         b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
-        resid = np.linalg.norm(S @ filt.weights - b) / np.linalg.norm(b)
+        resid = np.linalg.norm(S @ filt - b) / np.linalg.norm(b)
         assert resid <= 1e-10
 
     @pytest.mark.parametrize("method", ["lowrank", "dense"])
@@ -321,7 +320,7 @@ class TestFilters:
         for method in ("lowrank", "dense"):
             filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
                                         method=method)
-            assert not filt.weights.any()
+            assert not filt.any()
 
     def test_nonpositive_regularizer_rejected(self):
         real = idealized_realization(8, 2, seed=26)
@@ -333,8 +332,8 @@ class TestFilters:
         real = idealized_realization(8, 1, B=1, seed=27)
         filt = mc.mmse_filter_perfect(real, 0.0, 0.01)
         h = real.small_scale[0, 0]
-        cosine = np.abs(np.vdot(filt.weights, h)) / (
-            np.linalg.norm(filt.weights) * np.linalg.norm(h))
+        cosine = np.abs(np.vdot(filt, h)) / (
+            np.linalg.norm(filt) * np.linalg.norm(h))
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_filter_dense_oracle(self):
@@ -345,7 +344,7 @@ class TestFilters:
         S = sum(real.gains[0, k] * np.outer(H[k], H[k].conj()) for k in range(2))
         S += (t1 + 0.01) * np.eye(3)
         oracle = np.linalg.inv(S) @ (np.sqrt(real.gains[0, 0]) * H[0])
-        assert np.linalg.norm(filt.weights - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.linalg.norm(filt - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_matched_filter_passthrough(self):
         real = idealized_realization(16, 4, seed=29)
@@ -355,7 +354,7 @@ class TestFilters:
                     mc.training_based_estimate(
                         real, mc.generate_pilot_sequences(4, 7, rng), rng)):
             filt = mc.matched_filter(est)
-            assert np.array_equal(filt.weights, est.estimates[0])
+            assert np.array_equal(filt, est.estimates[0])
 
     def test_mmse_dominates_matched_on_average(self):
         sinr_mmse, sinr_mf = [], []
@@ -384,8 +383,7 @@ class TestEmpiricalSinr:
     def test_single_user_matched_reduction(self):
         real = idealized_realization(16, 1, B=1, noise_var=0.05, seed=32)
         h = real.small_scale[0, 0]
-        filt = mc.LinearFilter(weights=h.copy(), kind="matched")
-        out = mc.empirical_sinr(filt, real)
+        out = mc.empirical_sinr(h.copy(), real)
         expected = np.linalg.norm(h) ** 2 / 0.05
         assert out.sinr == pytest.approx(expected, rel=1e-12)
         assert out.p_contam == 0.0
@@ -396,8 +394,7 @@ class TestEmpiricalSinr:
         h = real.small_scale[0, 0]
         v = np.zeros(8, dtype=complex)
         v[0], v[1] = -np.conj(h[1]), np.conj(h[0])  # orthogonal to h by design
-        filt = mc.LinearFilter(weights=v, kind="matched")
-        out = mc.empirical_sinr(filt, real)
+        out = mc.empirical_sinr(v, real)
         assert out.p_signal == pytest.approx(0.0, abs=1e-25)
         assert out.sinr == pytest.approx(0.0, abs=1e-20)
 
@@ -413,7 +410,7 @@ class TestEmpiricalSinr:
             for k in range(6):
                 h = real.small_scale[j, k]
                 cov += real.gains[j, k] * np.outer(h, h.conj())
-        quad = float((filt.weights.conj() @ cov @ filt.weights).real)
+        quad = float((filt.conj() @ cov @ filt).real)
         total = out.p_signal + out.p_noise + out.p_contam + out.p_inter
         assert total == pytest.approx(quad, rel=1e-10)
 
