@@ -17,17 +17,17 @@ from ulmimo.geometry import idealized_gains
 NOISE_VAR = 0.01  # 20 dB receive SNR
 
 for beta_other in (0.001, 0.01, 0.1):
-    dist, profile = idealized_gains(7, beta_other)
+    dist = idealized_gains(7, beta_other)
     print(f"\nother-cell gain {beta_other} "
           f"({10 * np.log10(beta_other):.0f} dB below in-cell)")
     print(f"{'alpha':>6} {'MF':>8} {'MMSE':>8} {'perfect':>8}   (dB)")
     for alpha in (0.1, 0.25, 0.5, 0.75, 1.0):
-        rep = la.asymptotic_report(profile, dist, alpha, NOISE_VAR)
-        print(f"{alpha:>6.2f} {rep.mf_pilot_db:>8.2f} "
-              f"{rep.mmse_pilot_db:>8.2f} {rep.mmse_perfect_db:>8.2f}")
+        mf, pilot, perfect = (la.to_db(x[0]) for x in
+                              la.det_eq_sinr_rows(dist, alpha, NOISE_VAR))
+        print(f"{alpha:>6.2f} {mf:>8.2f} {pilot:>8.2f} {perfect:>8.2f}")
 
 # the ingredients behind the middle table row at alpha = 0.5
-dist, profile = idealized_gains(7, 0.01)
+dist = idealized_gains(7, 0.01)
 det = la.solve_det_eq(dist, 0.5, NOISE_VAR)
 print(f"\nconstants at beta_other=0.01, alpha=0.5:")
 print(f"  eta1 = {det.eta1:.4f}  (limiting trace of the inverse filter matrix)")

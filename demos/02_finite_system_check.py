@@ -18,7 +18,7 @@ M = 50
 TRIALS = 300
 
 scenario = parse_scenario("idealized-01")
-dist, profile = idealized_gains(7, 0.01)
+dist = idealized_gains(7, 0.01)
 
 for mode in ("noiseless", "noisy", "training"):
     print(f"\nestimate mode: {mode}")
@@ -26,9 +26,9 @@ for mode in ("noiseless", "noisy", "training"):
     samples = monte_carlo_sweep(scenario, M, [0.2, 0.5, 1.0], TRIALS,
                                 estimate_mode=mode, master_seed=SEED)
     for alpha in (0.2, 0.5, 1.0):
-        rep = la.asymptotic_report(profile, dist, alpha, scenario.noise_var)
-        limits = {"mf": rep.mf_pilot_db, "mmse": rep.mmse_pilot_db,
-                  "mmse-perfect": rep.mmse_perfect_db}
+        sinrs = la.det_eq_sinr_rows(dist, alpha, scenario.noise_var)
+        limits = {filt: la.to_db(x[0])
+                  for filt, x in zip(("mf", "mmse", "mmse-perfect"), sinrs)}
         for filt, limit in limits.items():
             med = la.to_db(np.median(samples[(alpha, filt)]))
             print(f"{alpha:>6.1f} {filt:>14} {med:>10.2f}  {limit:>8.2f}"

@@ -22,10 +22,10 @@ scenario = parse_scenario("idealized-01")
 print(f"cell sum rate with {M} antennas (contaminated-estimate MMSE):")
 print(f"{'alpha':>6} {'sum rate':>9}")
 best = (0.0, 0.0)
+dist = idealized_gains(7, 0.01)
 for alpha in np.arange(0.1, 1.21, 0.1):
-    dist, profile = idealized_gains(7, 0.01)
-    det = la.solve_det_eq(dist, float(alpha), scenario.noise_var)
-    rate = sum_rate(float(alpha), M, la.sinr_mmse_pilot(profile, det))
+    _, pilot, _ = la.det_eq_sinr_rows(dist, float(alpha), scenario.noise_var)
+    rate = sum_rate(float(alpha), M, pilot[0])
     best = max(best, (rate, float(alpha)))
     print(f"{alpha:>6.1f} {rate:>9.1f}")
 print(f"peak: {best[0]:.1f} bits/symbol at alpha = {best[1]:.1f}")

@@ -2,12 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .asymptotic import (AsymptoticSinrReport, DetEqSolution, asymptotic_report,
-                         generalized_sinr, interference_suppression,
-                         perfect_suppression, sinr_mf_pilot, sinr_mmse_perfect,
-                         sinr_mmse_pilot, solve_det_eq, solve_eta1, solve_eta2,
+from .asymptotic import (DetEqSolution, det_eq_sinr_rows,
+                         interference_suppression, perfect_suppression,
+                         solve_det_eq, solve_eta1, solve_eta2,
                          solve_eta1_perfect, stieltjes_m, to_db)
-from .fading import FadingDistribution, UserGainProfile, expect_total_gain
+from .fading import FadingDistribution, expect_total_gain
 from .geometry import (CellLayout, Cost231Params, UserDrop, cost231_pathloss_db,
                        drop_users, hex_layout, idealized_gains,
                        large_scale_gains)

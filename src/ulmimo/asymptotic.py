@@ -11,10 +11,17 @@ large-scale fading law. The MMSE receiver's advantage over the matched
 filter is a single constant, the interference suppression ``C``, entering
 the generalized form
 
-    SINR(c) = signal_bar / (noise_var + pilot_bar + alpha * inter_bar(c))
+    SINR(c) = S / (noise_var + P + alpha * I(c))
 
-with ``inter_bar`` equal to E[B] for the matched filter and E[B] - C for
-the MMSE receiver with a contaminated estimate.
+where, per sample of the law, S = beta_1^2 / B is the signal power
+through a contaminated estimate and P = sum_{j>=2} beta_j^2 / B the power
+of its contaminators (``est_gain`` and ``cross_est_gain`` of the
+:class:`FadingDistribution`), and ``I`` is E[B] for the matched filter
+and E[B] - C for the MMSE receiver with a contaminated estimate. The
+MMSE receiver with an error-free estimate reaches beta_1 * eta1*, with
+eta1* the trace limit of its own filter matrix. :func:`det_eq_sinr_rows`
+is the one place these three limits are evaluated, for every sample of
+any law: a point mass (the idealized cells) or a set of drops.
 
 All fixed points are solved by damped Picard iteration (damping 0.5,
 relative tolerance 1e-12, at most 10_000 iterations) started from the
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateRegimeError, InvalidInputError
-from .fading import FadingDistribution, UserGainProfile, expect_total_gain
+from .fading import FadingDistribution, expect_total_gain
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -62,36 +69,6 @@ class DetEqSolution:
     @property
     def inter_mmse(self) -> float:
         return self.mean_total_gain - self.suppression
-
-    @property
-    def inter_mf(self) -> float:
-        return self.mean_total_gain
-
-
-@dataclass(frozen=True)
-class AsymptoticSinrReport:
-    """All three limiting SINRs for one user profile, plus their ingredients."""
-
-    mf_pilot: float
-    mmse_pilot: float
-    mmse_perfect: float
-    signal_bar: float
-    pilot_bar: float
-    inter_mf: float
-    inter_mmse: float
-    inter_perfect: float
-
-    @property
-    def mf_pilot_db(self) -> float:
-        return to_db(self.mf_pilot)
-
-    @property
-    def mmse_pilot_db(self) -> float:
-        return to_db(self.mmse_pilot)
-
-    @property
-    def mmse_perfect_db(self) -> float:
-        return to_db(self.mmse_perfect)
 
 
 def _check_alpha_noise(alpha: float, noise_var: float) -> None:
@@ -149,7 +126,9 @@ def solve_eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
         raise DegenerateRegimeError(
             "second trace moment has non-positive denominator; the "
             "large-system limit does not exist for this distribution")
-    return 1.0 / denom
+    # eta2 >= eta1^2 (Cauchy-Schwarz); a subtrahend below the rounding of
+    # eta1**-2 can leave 1/denom an ulp short of it
+    return max(1.0 / denom, eta1 * eta1)
 
 
 def interference_suppression(dist: FadingDistribution, alpha: float,
@@ -211,72 +190,35 @@ def solve_eta1_perfect(dist: FadingDistribution, alpha: float, noise_var: float,
         max_iter, damping, "perfect-estimate eta1")
 
 
-def perfect_suppression(dist: FadingDistribution, alpha: float, noise_var: float,
-                        eta1_perfect: float | None = None) -> float:
+def perfect_suppression(dist: FadingDistribution, alpha: float,
+                        noise_var: float) -> float:
     """Suppression achieved with an error-free estimate.
 
     E[B] minus this constant is the residual averaged interference of the
     perfect-estimate MMSE receiver, the benchmark the contaminated-estimate
     suppression is compared against.
     """
-    if eta1_perfect is None:
-        eta1_perfect = solve_eta1_perfect(dist, alpha, noise_var)
+    eta1_perfect = solve_eta1_perfect(dist, alpha, noise_var)
     own = dist.own
     return dist.expect(own * own * eta1_perfect / (1.0 + own * eta1_perfect))
 
 
-def generalized_sinr(signal_bar: float, pilot_bar: float, inter_bar: float,
-                     alpha: float, noise_var: float) -> float:
-    """SINR(c) = signal_bar / (noise_var + pilot_bar + alpha * inter_bar)."""
-    if signal_bar <= 0.0:
-        raise InvalidInputError("signal_bar must be positive")
-    if pilot_bar < 0.0 or inter_bar < 0.0:
-        raise InvalidInputError("power terms must be nonnegative")
-    _check_alpha_noise(alpha, noise_var)
-    return signal_bar / (noise_var + pilot_bar + alpha * inter_bar)
+def det_eq_sinr_rows(dist: FadingDistribution, alpha: float, noise_var: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Limiting MF, pilot-MMSE and perfect-MMSE SINR for every sample of the law.
 
-
-def sinr_mmse_pilot(profile: UserGainProfile, det: DetEqSolution) -> float:
-    """Limiting SINR of the MMSE receiver built on a contaminated estimate."""
-    return generalized_sinr(profile.signal_bar, profile.pilot_bar,
-                            det.inter_mmse, det.alpha, det.noise_var)
-
-
-def sinr_mf_pilot(profile: UserGainProfile, dist: FadingDistribution,
-                  alpha: float, noise_var: float) -> float:
-    """Limiting SINR of the matched filter built on a contaminated estimate."""
-    e_total, _ = expect_total_gain(dist)
-    return generalized_sinr(profile.signal_bar, profile.pilot_bar, e_total,
-                            alpha, noise_var)
-
-
-def sinr_mmse_perfect(profile: UserGainProfile, dist: FadingDistribution,
-                      alpha: float, noise_var: float,
-                      eta1_perfect: float | None = None) -> float:
-    """Limiting SINR of the MMSE receiver with an error-free estimate."""
-    if eta1_perfect is None:
-        eta1_perfect = solve_eta1_perfect(dist, alpha, noise_var)
-    return profile.own_gain * eta1_perfect
-
-
-def asymptotic_report(profile: UserGainProfile, dist: FadingDistribution,
-                      alpha: float, noise_var: float) -> AsymptoticSinrReport:
-    """Evaluate all three limiting SINRs and their power decomposition."""
+    The three arrays are aligned with ``dist.gains``; a point-mass law
+    gives arrays of length one.
+    """
     det = solve_det_eq(dist, alpha, noise_var)
     eta1_star = solve_eta1_perfect(dist, alpha, noise_var)
-    inter_perfect = det.mean_total_gain - perfect_suppression(
-        dist, alpha, noise_var, eta1_star)
-    return AsymptoticSinrReport(
-        mf_pilot=sinr_mf_pilot(profile, dist, alpha, noise_var),
-        mmse_pilot=sinr_mmse_pilot(profile, det),
-        mmse_perfect=sinr_mmse_perfect(profile, dist, alpha, noise_var,
-                                       eta1_star),
-        signal_bar=profile.signal_bar,
-        pilot_bar=profile.pilot_bar,
-        inter_mf=det.inter_mf,
-        inter_mmse=det.inter_mmse,
-        inter_perfect=inter_perfect,
-    )
+    if det.inter_mmse < 0.0:
+        raise InvalidInputError(
+            "power terms must be nonnegative: suppression exceeds E[B]")
+    mf, mmse_pilot = (
+        dist.est_gain / (noise_var + dist.cross_est_gain + alpha * inter)
+        for inter in (det.mean_total_gain, det.inter_mmse))
+    return mf, mmse_pilot, dist.own * eta1_star
 
 
 def stieltjes_map(z: float, dist: FadingDistribution, alpha: float,

@@ -33,6 +33,7 @@ _DEFAULT_ALPHAS = {
     "rategap": [0.2, 0.4, 0.6, 0.8, 1.0],
 }
 _DEFAULT_BETA_GRID = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
+_DEFAULT_FILTERS = ",".join(ALL_FILTERS)
 
 
 def _parse_list(text: str) -> list[float]:
@@ -59,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--estimate", default="noiseless",
                         choices=["noiseless", "noisy", "training"])
-    parser.add_argument("--filters", default="mf,mmse,mmse-perfect",
-                        help="comma-separated subset of mf,mmse,mmse-perfect")
+    parser.add_argument("--filters", default=_DEFAULT_FILTERS,
+                        help="comma-separated subset of mf,mmse,mmse-perfect "
+                             "(montecarlo only)")
     return parser
 
 
@@ -97,7 +99,12 @@ def dispatch(args) -> int:
 
     alphas = _parse_list(args.alpha) if args.alpha else _DEFAULT_ALPHAS.get(
         args.command, [scenario.alpha])
+    if args.command != "montecarlo" and args.filters != _DEFAULT_FILTERS:
+        raise InvalidInputError(
+            f"--filters is read only by montecarlo, not {args.command}")
     filters = tuple(tok for tok in args.filters.split(",") if tok)
+    if not filters:
+        raise InvalidInputError("--filters must name at least one filter")
     for f in filters:
         if f not in ALL_FILTERS:
             raise InvalidInputError(f"unknown filter {f!r}")

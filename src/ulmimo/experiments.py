@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotic import (asymptotic_report, solve_det_eq, solve_eta1_perfect,
-                         to_db)
+from .asymptotic import det_eq_sinr_rows, to_db
 from .errors import InvalidInputError, ScenarioError
 from .fading import FadingDistribution
 from .geometry import idealized_gains
@@ -93,18 +92,22 @@ def _check_alpha_grid(alpha_grid) -> list[float]:
 # closed-form sweeps
 # ---------------------------------------------------------------------------
 
-def asymptotic_sweep(scenario: Scenario, alpha_grid) -> SweepResult:
-    """Limiting SINR of the three receivers versus loading (idealized cells)."""
+def _check_idealized(scenario: Scenario, runner: str) -> None:
     if not scenario.is_idealized:
         raise ScenarioError(
-            "asymptotic sweeps need an idealized scenario; use the "
+            f"{runner} sweeps need an idealized scenario; use the "
             "percentile or rates runners for drop-based models")
+
+
+def asymptotic_sweep(scenario: Scenario, alpha_grid) -> SweepResult:
+    """Limiting SINR of the three receivers versus loading (idealized cells)."""
+    _check_idealized(scenario, "asymptotic")
     grid = _check_alpha_grid(alpha_grid)
-    dist, profile = idealized_gains(scenario.cells, scenario.gain_model.beta_other)
+    dist = idealized_gains(scenario.cells, scenario.gain_model.beta_other)
     rows = []
     for a in grid:
-        rep = asymptotic_report(profile, dist, a, scenario.noise_var)
-        rows.append((a, rep.mf_pilot_db, rep.mmse_pilot_db, rep.mmse_perfect_db))
+        mf, pilot, perfect = det_eq_sinr_rows(dist, a, scenario.noise_var)
+        rows.append((a, to_db(mf[0]), to_db(pilot[0]), to_db(perfect[0])))
     return SweepResult(
         columns=["alpha", "sinr_mf_pilot_db", "sinr_mmse_pilot_db",
                  "sinr_mmse_perfect_db"],
@@ -121,6 +124,7 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
     Restricted to beta_other <= 0.1; above that both receivers are
     other-cell-interference limited and the comparison is uninformative.
     """
+    _check_idealized(scenario, "rate-gap")
     alphas = _check_alpha_grid(alpha_list)
     betas = [float(b) for b in beta_other_grid]
     if any(not 0.0 < b <= 0.1 for b in betas):
@@ -128,9 +132,9 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
     rows = []
     for a in alphas:
         for b in betas:
-            dist, profile = idealized_gains(scenario.cells, b)
-            rep = asymptotic_report(profile, dist, a, scenario.noise_var)
-            gap = np.log2(1.0 + rep.mmse_perfect) - np.log2(1.0 + rep.mmse_pilot)
+            _, pilot, perfect = det_eq_sinr_rows(
+                idealized_gains(scenario.cells, b), a, scenario.noise_var)
+            gap = np.log2(1.0 + perfect[0]) - np.log2(1.0 + pilot[0])
             rows.append((a, b, float(gap)))
     return SweepResult(
         columns=["alpha", "beta_other", "rate_gap"],
@@ -195,6 +199,8 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     if mode not in ESTIMATE_MODES.values():
         raise InvalidInputError(f"unknown estimate mode {estimate_mode!r}")
     filters = tuple(filters)
+    if not filters:
+        raise InvalidInputError("filter list must be non-empty")
     uses_pilot_stream = mode != MODE_NOISELESS
     samples = {(a, f): np.empty(trials) for a in grid for f in filters}
     for ai, a in enumerate(grid):
@@ -265,23 +271,10 @@ def sum_rate(alpha: float, M: int, sinr: float) -> float:
 # drop-based runners
 # ---------------------------------------------------------------------------
 
-def _drop_profiles(scenario: Scenario, n_drops: int, master_seed: int):
+def _drop_profiles(scenario: Scenario, n_drops: int,
+                   master_seed: int) -> FadingDistribution:
     rng = seed_substream(master_seed, "drops")
-    rows = scenario.gain_rows(n_drops, rng)
-    return FadingDistribution(rows), rows
-
-
-def det_eq_sinr_rows(rows: np.ndarray, dist: FadingDistribution, alpha: float,
-                     noise_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Limiting pilot-MMSE and perfect-MMSE SINR for every gain row."""
-    det = solve_det_eq(dist, alpha, noise_var)
-    eta1_star = solve_eta1_perfect(dist, alpha, noise_var)
-    total = rows.sum(axis=1)
-    signal_bar = rows[:, 0] ** 2 / total
-    pilot_bar = (rows[:, 1:] ** 2).sum(axis=1) / total
-    pilot = signal_bar / (noise_var + pilot_bar + alpha * det.inter_mmse)
-    perfect = rows[:, 0] * eta1_star
-    return pilot, perfect
+    return FadingDistribution(scenario.gain_rows(n_drops, rng))
 
 
 def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
@@ -295,11 +288,10 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     samples = monte_carlo_sweep(scenario, M, grid, trials,
                                 (FILTER_MMSE, FILTER_MMSE_PERFECT),
                                 estimate_mode, master_seed)
-    dist, rows_gain = _drop_profiles(scenario, n_drops, master_seed)
+    dist = _drop_profiles(scenario, n_drops, master_seed)
     rows = []
     for a in grid:
-        pilot_det, perfect_det = det_eq_sinr_rows(rows_gain, dist, a,
-                                                  scenario.noise_var)
+        _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)
         rows.append((
             a,
             to_db(five_percentile(samples[(a, FILTER_MMSE)])),
@@ -332,7 +324,7 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
     finite-system table is not reproduced, it is refused.
     """
     grid = _check_alpha_grid(alpha_grid)
-    dist, rows_gain = _drop_profiles(scenario, n_drops, master_seed)
+    dist = _drop_profiles(scenario, n_drops, master_seed)
     mc = None
     if trials is not None:
         if M is None:
@@ -347,8 +339,7 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
                                estimate_mode, master_seed)
     rows = []
     for a in grid:
-        pilot_det, perfect_det = det_eq_sinr_rows(rows_gain, dist, a,
-                                                  scenario.noise_var)
+        _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)
         row = (a, achievable_rate(pilot_det), achievable_rate(perfect_det))
         if mc is not None:
             row = row + (achievable_rate(mc[(a, FILTER_MMSE)]),

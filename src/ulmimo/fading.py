@@ -1,4 +1,4 @@
-"""Large-scale fading laws and per-user gain profiles.
+"""Large-scale fading laws.
 
 All gains are linear power ratios, constant across a base station's
 antennas. A fading sample is one joint draw ``(beta_1, ..., beta_B)`` of
@@ -11,8 +11,6 @@ keeps them independent of any partitioning to well below 1e-13 relative.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +50,10 @@ class FadingDistribution:
         #   total:    B        = sum_j beta_j
         #   own:      beta_1
         #   est_gain: beta_1^2 / B, the nonzero eigenvalue contributed by a
-        #             contaminated-estimate direction
-        #   cross_est_gain: sum_{j>=2} beta_j^2 / B, its other-cell coupling
+        #             contaminated-estimate direction, and the signal power
+        #             S of the limit SINR
+        #   cross_est_gain: sum_{j>=2} beta_j^2 / B, its other-cell
+        #             coupling, and the contaminators' power P of that SINR
         # and the law's componentwise mean E[beta_j], length B.
         self.total = gains.sum(axis=1)
         self.own = gains[:, 0]
@@ -75,49 +75,6 @@ class FadingDistribution:
         if values.shape[0] != self.num_samples:
             raise InvalidInputError("per-sample values must match sample count")
         return float(self.weights @ values)
-
-
-@dataclass(frozen=True)
-class UserGainProfile:
-    """Gains relevant to one tagged user: its own and its contaminators'.
-
-    ``own_gain`` is the tagged user's gain to its serving base station;
-    ``contaminator_gains`` are the gains of the same-resource users of the
-    other B-1 cells to that base station.
-    """
-
-    own_gain: float
-    contaminator_gains: np.ndarray
-
-    def __post_init__(self):
-        contam = np.asarray(self.contaminator_gains, dtype=float)
-        if contam.ndim != 1:
-            raise InvalidInputError("contaminator gains must be a 1-D vector")
-        if self.own_gain <= 0.0 or not np.isfinite(self.own_gain):
-            raise InvalidInputError("own gain must be positive and finite")
-        if contam.size and (not np.all(contam > 0.0) or not np.all(np.isfinite(contam))):
-            raise InvalidInputError("contaminator gains must be positive and finite")
-        object.__setattr__(self, "contaminator_gains", contam)
-
-    @classmethod
-    def from_gain_row(cls, row) -> "UserGainProfile":
-        row = np.asarray(row, dtype=float)
-        return cls(float(row[0]), row[1:])
-
-    @property
-    def total_gain(self) -> float:
-        """Combined gain of the tagged user and its contaminators."""
-        return float(self.own_gain + self.contaminator_gains.sum())
-
-    @property
-    def signal_bar(self) -> float:
-        """Effective signal power through a contaminated estimate."""
-        return float(self.own_gain**2 / self.total_gain)
-
-    @property
-    def pilot_bar(self) -> float:
-        """Effective interference power contributed by the contaminators."""
-        return float((self.contaminator_gains**2).sum() / self.total_gain)
 
 
 def expect_total_gain(dist: FadingDistribution) -> tuple[float, np.ndarray]:

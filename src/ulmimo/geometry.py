@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fading import FadingDistribution, UserGainProfile
+from .fading import FadingDistribution
 
 log = logging.getLogger(__name__)
 
@@ -211,10 +211,9 @@ def idealized_row(B: int, beta_other: float) -> np.ndarray:
     return np.concatenate([[1.0], np.full(B - 1, beta_other)])
 
 
-def idealized_gains(B: int, beta_other: float) -> tuple[FadingDistribution, UserGainProfile]:
-    """Point-mass law of the idealized row, and that row's user profile."""
-    gains = idealized_row(B, beta_other)
-    return FadingDistribution(gains), UserGainProfile.from_gain_row(gains)
+def idealized_gains(B: int, beta_other: float) -> FadingDistribution:
+    """Point-mass law of the idealized row."""
+    return FadingDistribution(idealized_row(B, beta_other))
 
 
 def cost231_gain_rows(layout: CellLayout, params: Cost231Params, n: int,

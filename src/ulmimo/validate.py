@@ -17,7 +17,7 @@ from .rng import seed_substream
 def _check_fixed_points(emit) -> bool:
     ok = True
     for beta in (0.001, 0.01, 0.1):
-        dist, _ = idealized_gains(7, beta)
+        dist = idealized_gains(7, beta)
         for alpha in (0.0, 0.25, 0.5, 1.0):
             eta1 = la.solve_eta1(dist, alpha, 0.01)
             resid = abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1) / eta1
@@ -33,27 +33,22 @@ def _check_fixed_points(emit) -> bool:
 
 
 def _check_collapse(emit) -> bool:
-    dist, profile = idealized_gains(7, 0.01)
-    det = la.solve_det_eq(dist, 0.0, 0.01)
-    mmse = la.sinr_mmse_pilot(profile, det)
-    mf = la.sinr_mf_pilot(profile, dist, 0.0, 0.01)
-    ok = mmse == mf
+    mf, mmse, _ = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.0, 0.01)
+    ok = mmse[0] == mf[0]
     emit(f"alpha=0 collapse (MMSE == MF): {'PASS' if ok else 'FAIL'}")
     return ok
 
 
 def _check_single_cell(emit) -> bool:
-    dist, profile = idealized_gains(1, 0.5)  # beta_other unused at B=1
-    det = la.solve_det_eq(dist, 0.5, 0.01)
-    pilot = la.sinr_mmse_pilot(profile, det)
-    perfect = la.sinr_mmse_perfect(profile, dist, 0.5, 0.01)
-    ok = abs(pilot - perfect) <= 1e-9 * perfect
+    dist = idealized_gains(1, 0.5)  # beta_other unused at B=1
+    _, pilot, perfect = la.det_eq_sinr_rows(dist, 0.5, 0.01)
+    ok = abs(pilot[0] - perfect[0]) <= 1e-9 * perfect[0]
     emit(f"single-cell pilot == perfect: {'PASS' if ok else 'FAIL'}")
     return ok
 
 
 def _check_stieltjes(emit) -> bool:
-    dist, _ = idealized_gains(7, 0.01)
+    dist = idealized_gains(7, 0.01)
     det = la.solve_det_eq(dist, 0.5, 0.01)
     z = -(det.theta1_bar + det.theta2_bar + det.noise_var)
     m = la.stieltjes_m(z, dist, 0.5)

@@ -5,7 +5,7 @@ from ulmimo.geometry import idealized_gains
 
 @pytest.fixture(scope="session")
 def seven_cell_001():
-    """Idealized 7-cell law with other-cell gain 0.01, and its user profile."""
+    """Idealized 7-cell law with other-cell gain 0.01."""
     return idealized_gains(7, 0.01)
 
 

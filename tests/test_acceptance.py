@@ -42,10 +42,8 @@ def report(line):
 
 
 def test_criterion_01_mmse_gain_over_mf_6_to_8_db():
-    dist, profile = idealized_gains(7, 0.01)
-    det = la.solve_det_eq(dist, 0.5, 0.01)
-    gap = (la.to_db(la.sinr_mmse_pilot(profile, det))
-           - la.to_db(la.sinr_mf_pilot(profile, dist, 0.5, 0.01)))
+    mf, pilot, _ = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.5, 0.01)
+    gap = la.to_db(pilot[0]) - la.to_db(mf[0])
     ok = 6.0 <= gap <= 8.0
     report(f"criterion 1: MMSE-over-MF gain {gap:.2f} dB, band [6, 8] -> "
            f"{'PASS' if ok else 'FAIL'}")
@@ -53,10 +51,8 @@ def test_criterion_01_mmse_gain_over_mf_6_to_8_db():
 
 
 def test_criterion_02_contamination_loss_2_to_4_db():
-    dist, profile = idealized_gains(7, 0.01)
-    det = la.solve_det_eq(dist, 0.5, 0.01)
-    gap = (la.to_db(la.sinr_mmse_perfect(profile, dist, 0.5, 0.01))
-           - la.to_db(la.sinr_mmse_pilot(profile, det)))
+    _, pilot, perfect = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.5, 0.01)
+    gap = la.to_db(perfect[0]) - la.to_db(pilot[0])
     ok = 2.0 <= gap <= 4.0
     report(f"criterion 2: perfect-over-pilot gap {gap:.2f} dB, band [2, 4] -> "
            f"{'PASS' if ok else 'FAIL'}")
@@ -64,12 +60,10 @@ def test_criterion_02_contamination_loss_2_to_4_db():
 
 
 def test_criterion_03_strong_interference_regime():
-    dist, profile = idealized_gains(7, 0.1)
-    det = la.solve_det_eq(dist, 0.5, 0.01)
-    pilot_db = la.to_db(la.sinr_mmse_pilot(profile, det))
-    gap = la.to_db(la.sinr_mmse_perfect(profile, dist, 0.5, 0.01)) - pilot_db
-    mf_closeness = abs(pilot_db - la.to_db(la.sinr_mf_pilot(profile, dist,
-                                                            0.5, 0.01)))
+    mf, pilot, perfect = la.det_eq_sinr_rows(idealized_gains(7, 0.1), 0.5, 0.01)
+    pilot_db = la.to_db(pilot[0])
+    gap = la.to_db(perfect[0]) - pilot_db
+    mf_closeness = abs(pilot_db - la.to_db(mf[0]))
     ok = 3.0 <= gap <= 5.0 and mf_closeness <= 1.5
     report(f"criterion 3: perfect-over-pilot {gap:.2f} dB in [3, 5]; "
            f"|MMSE-MF| {mf_closeness:.2f} dB <= 1.5 -> "
@@ -78,12 +72,12 @@ def test_criterion_03_strong_interference_regime():
 
 
 def test_criterion_04_sum_rate_peak():
-    dist, profile = idealized_gains(7, 0.01)
+    dist = idealized_gains(7, 0.01)
     grid = [round(0.05 * i, 2) for i in range(1, 25)]  # (0, 1.2]
     rates = []
     for a in grid:
-        det = la.solve_det_eq(dist, a, 0.01)
-        rates.append(sum_rate(a, 50, la.sinr_mmse_pilot(profile, det)))
+        _, pilot, _ = la.det_eq_sinr_rows(dist, a, 0.01)
+        rates.append(sum_rate(a, 50, pilot[0]))
     at_08 = rates[grid.index(0.8)]
     peak = int(np.argmax(rates))
     ok = 83.0 <= at_08 <= 93.0 and 0 < peak < len(rates) - 1
@@ -95,13 +89,12 @@ def test_criterion_04_sum_rate_peak():
 
 def test_criterion_05_theory_simulation_agreement():
     sc = parse_scenario("idealized-01")
-    dist, profile = idealized_gains(7, 0.01)
+    dist = idealized_gains(7, 0.01)
     alphas = (0.2, 0.5, 1.0)
     theory = {}
     for a in alphas:
-        rep = la.asymptotic_report(profile, dist, a, 0.01)
-        theory[a] = {"mf": rep.mf_pilot_db, "mmse": rep.mmse_pilot_db,
-                     "mmse-perfect": rep.mmse_perfect_db}
+        theory[a] = {f: la.to_db(x[0]) for f, x in zip(
+            ("mf", "mmse", "mmse-perfect"), la.det_eq_sinr_rows(dist, a, 0.01))}
     worst = 0.0
     ok = True
     for mode in ("noiseless", "noisy", "training"):
@@ -176,7 +169,7 @@ def test_criterion_08_suppression_constants(cost231, drop_dist):
 
 def test_criterion_09a_fixed_point_residuals(drop_dist):
     worst = 0.0
-    for dist in [idealized_gains(7, b)[0] for b in (0.001, 0.01, 0.1)] + [drop_dist]:
+    for dist in [idealized_gains(7, b) for b in (0.001, 0.01, 0.1)] + [drop_dist]:
         for alpha in (0.0, 0.25, 0.5, 1.0):
             eta1 = la.solve_eta1(dist, alpha, 0.01)
             worst = max(worst, abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1)
@@ -191,7 +184,7 @@ def test_criterion_09a_fixed_point_residuals(drop_dist):
 
 def test_criterion_09b_eta_ordering_and_suppression_bounds(drop_dist):
     ok = True
-    for dist in [idealized_gains(7, b)[0] for b in (0.001, 0.01, 0.1)] + [drop_dist]:
+    for dist in [idealized_gains(7, b) for b in (0.001, 0.01, 0.1)] + [drop_dist]:
         e_total = dist.expect(dist.total)
         for alpha in (0.0, 0.5, 1.0):
             det = la.solve_det_eq(dist, alpha, 0.01)
@@ -203,21 +196,16 @@ def test_criterion_09b_eta_ordering_and_suppression_bounds(drop_dist):
 
 
 def test_criterion_09c_alpha_zero_collapse():
-    dist, profile = idealized_gains(7, 0.01)
-    det = la.solve_det_eq(dist, 0.0, 0.01)
-    same = (la.sinr_mmse_pilot(profile, det)
-            == la.sinr_mf_pilot(profile, dist, 0.0, 0.01))
+    mf, pilot, _ = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.0, 0.01)
+    same = pilot[0] == mf[0]
     report(f"criterion 9c: alpha=0 collapse MF == MMSE-pilot exactly -> "
            f"{'PASS' if same else 'FAIL'}")
     assert same
 
 
 def test_criterion_09d_single_cell_estimate_exactness():
-    dist, profile = idealized_gains(1, 0.5)
-    det = la.solve_det_eq(dist, 0.5, 0.01)
-    pilot = la.sinr_mmse_pilot(profile, det)
-    perfect = la.sinr_mmse_perfect(profile, dist, 0.5, 0.01)
-    rel = abs(pilot - perfect) / perfect
+    _, pilot, perfect = la.det_eq_sinr_rows(idealized_gains(1, 0.5), 0.5, 0.01)
+    rel = abs(pilot[0] - perfect[0]) / perfect[0]
     report(f"criterion 9d: single-cell pilot vs perfect relative gap "
            f"{rel:.2e} -> {'PASS' if rel <= 1e-10 else 'FAIL'}")
     assert rel <= 1e-10
@@ -225,7 +213,7 @@ def test_criterion_09d_single_cell_estimate_exactness():
 
 def test_criterion_09e_stieltjes_route_agreement(drop_dist):
     worst = 0.0
-    for dist in [idealized_gains(7, 0.01)[0], drop_dist]:
+    for dist in [idealized_gains(7, 0.01), drop_dist]:
         for alpha in (0.25, 1.0):
             det = la.solve_det_eq(dist, alpha, 0.01 if dist is not drop_dist
                                   else 1.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,19 +27,19 @@ def bisect_fixed_point(fmap, lo, hi, iters=200):
 
 class TestEta1:
     def test_alpha_zero_is_inverse_noise(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         assert la.solve_eta1(dist, 0.0, 0.01) == pytest.approx(100.0, rel=1e-12)
 
     def test_single_cell_bisection_oracle(self, single_cell):
         # scalar equation: x = 1/(0.01 + 0.5 - 0.5*x/(1+x))
-        dist, _ = single_cell
+        dist = single_cell
         oracle = bisect_fixed_point(
             lambda x: 1.0 / (0.01 + 0.5 - 0.5 * x / (1.0 + x)), 1e-9, 100.0)
         got = la.solve_eta1(dist, 0.5, 0.01)
         assert got == pytest.approx(oracle, rel=1e-9)
 
     def test_seven_cell_bisection_oracle(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         p = 1.0 / 1.06  # estimate-direction gain of the point mass
         oracle = bisect_fixed_point(
             lambda x: 1.0 / (0.01 + 0.5 * 1.06 - 0.5 * p * p * x / (1.0 + p * x)),
@@ -45,7 +47,7 @@ class TestEta1:
         assert la.solve_eta1(dist, 0.5, 0.01) == pytest.approx(oracle, rel=1e-9)
 
     def test_residual_contract(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         for alpha in (0.0, 0.25, 0.5, 1.0):
             eta1 = la.solve_eta1(dist, alpha, 0.01)
             resid = abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1) / eta1
@@ -53,13 +55,13 @@ class TestEta1:
             assert 0.0 < eta1 <= 1.0 / 0.01 + 1e-9
 
     def test_convergence_error_carries_residual(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         with pytest.raises(ConvergenceError) as err:
             la.solve_eta1(dist, 0.5, 0.01, max_iter=2)
         assert err.value.residual > 0.0
 
     def test_invalid_inputs(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         with pytest.raises(InvalidInputError):
             la.solve_eta1(dist, -0.1, 0.01)
         with pytest.raises(InvalidInputError):
@@ -68,12 +70,12 @@ class TestEta1:
 
 class TestEta2:
     def test_alpha_zero_square(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         eta1 = la.solve_eta1(dist, 0.0, 0.01)
         assert la.solve_eta2(dist, 0.0, eta1) == eta1 * eta1
 
     def test_always_at_least_square(self, seven_cell_001, seven_cell_01):
-        for dist, _ in (seven_cell_001, seven_cell_01):
+        for dist in (seven_cell_001, seven_cell_01):
             for alpha in (0.1, 0.5, 1.0, 1.4):
                 eta1 = la.solve_eta1(dist, alpha, 0.01)
                 assert la.solve_eta2(dist, alpha, eta1) >= eta1**2
@@ -99,7 +101,7 @@ class TestTraceOracles:
                                      noise_var=0.01)
 
     def test_eta1_eta2_vs_filter_matrix_traces(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         real = self._realization(400, 0.5)
         est = mc.pilot_estimate_noiseless(real)
         t1, t2 = mc.theta_effective(real)
@@ -113,7 +115,7 @@ class TestTraceOracles:
         assert np.mean(1.0 / lam**2) == pytest.approx(eta2, rel=0.02)
 
     def test_eta1_perfect_vs_trace(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         real = self._realization(400, 0.5, seed=12)
         t1, _ = mc.theta_effective(real)
         V = real.small_scale[0].T
@@ -126,7 +128,7 @@ class TestTraceOracles:
     @pytest.mark.parametrize("M,alpha", [(100, 0.25), (100, 0.5), (100, 1.0),
                                          (400, 0.25), (400, 0.5), (400, 1.0)])
     def test_oracle_equivalence_grid(self, seven_cell_001, M, alpha):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         real = self._realization(M, alpha, seed=13)
         est = mc.pilot_estimate_noiseless(real)
         t1, t2 = mc.theta_effective(real)
@@ -151,7 +153,7 @@ class TestTraceOracles:
 
 class TestSuppression:
     def test_single_cell_reduces_to_first_term(self, single_cell):
-        dist, _ = single_cell
+        dist = single_cell
         eta1 = la.solve_eta1(dist, 0.5, 0.01)
         eta2 = la.solve_eta2(dist, 0.5, eta1)
         got = la.interference_suppression(dist, 0.5, eta1, eta2)
@@ -159,7 +161,7 @@ class TestSuppression:
         assert got == pytest.approx(eta1 / (1.0 + eta1), rel=1e-12)
 
     def test_bounds(self, seven_cell_001, seven_cell_01):
-        for dist, _ in (seven_cell_001, seven_cell_01):
+        for dist in (seven_cell_001, seven_cell_01):
             e_total = dist.expect(dist.total)
             for alpha in (0.0, 0.3, 0.7, 1.0):
                 det = la.solve_det_eq(dist, alpha, 0.01)
@@ -180,73 +182,63 @@ class TestSuppression:
 
 class TestSinrFormulas:
     def test_mmse_pilot_no_interference(self):
-        dist, profile = idealized_gains(1, 0.5)
-        det = la.solve_det_eq(dist, 0.0, 0.01)
-        assert la.sinr_mmse_pilot(profile, det) == pytest.approx(100.0, rel=1e-12)
+        dist = idealized_gains(1, 0.5)
+        _, pilot, _ = la.det_eq_sinr_rows(dist, 0.0, 0.01)
+        assert pilot[0] == pytest.approx(100.0, rel=1e-12)
 
     def test_mmse_pilot_alpha_zero_direct_substitution(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        det = la.solve_det_eq(dist, 0.0, 0.01)
-        expected = profile.signal_bar / (0.01 + profile.pilot_bar)
-        assert la.sinr_mmse_pilot(profile, det) == pytest.approx(expected, rel=1e-14)
+        dist = seven_cell_001
+        _, pilot, _ = la.det_eq_sinr_rows(dist, 0.0, 0.01)
+        expected = dist.est_gain[0] / (0.01 + dist.cross_est_gain[0])
+        assert pilot[0] == pytest.approx(expected, rel=1e-14)
         # and in closed form: (1/1.06) / (0.0112/1.06) = 1/0.0112
-        assert la.sinr_mmse_pilot(profile, det) == pytest.approx(1.0 / 0.0112,
-                                                                 rel=1e-12)
+        assert pilot[0] == pytest.approx(1.0 / 0.0112, rel=1e-12)
 
     def test_mmse_gain_over_mf_near_7db(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        det = la.solve_det_eq(dist, 0.5, 0.01)
-        gain_db = (la.to_db(la.sinr_mmse_pilot(profile, det))
-                   - la.to_db(la.sinr_mf_pilot(profile, dist, 0.5, 0.01)))
+        mf, pilot, _ = la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)
+        gain_db = la.to_db(pilot[0]) - la.to_db(mf[0])
         assert 6.0 <= gain_db <= 8.0
 
     def test_mf_single_cell_direct(self):
-        dist, profile = idealized_gains(1, 0.5)
-        got = la.sinr_mf_pilot(profile, dist, 0.5, 0.01)
+        dist = idealized_gains(1, 0.5)
+        got = la.det_eq_sinr_rows(dist, 0.5, 0.01)[0][0]
         assert got == pytest.approx(1.0 / 0.51, rel=1e-12)
         assert la.to_db(got) == pytest.approx(2.92, abs=0.01)
 
     def test_mf_seven_cell_direct_substitution(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        got = la.sinr_mf_pilot(profile, dist, 0.5, 0.01)
+        got = la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)[0][0]
         expected = (1.0 / 1.06) / (0.01 + 0.0006 / 1.06 + 0.5 * 1.06)
         assert got == pytest.approx(expected, rel=1e-12)
         assert la.to_db(got) == pytest.approx(2.42, abs=0.01)
 
     def test_alpha_zero_collapse_bitwise(self, seven_cell_001, seven_cell_01):
-        for dist, profile in (seven_cell_001, seven_cell_01):
-            det = la.solve_det_eq(dist, 0.0, 0.01)
-            assert (la.sinr_mmse_pilot(profile, det)
-                    == la.sinr_mf_pilot(profile, dist, 0.0, 0.01))
+        for dist in (seven_cell_001, seven_cell_01):
+            mf, pilot, _ = la.det_eq_sinr_rows(dist, 0.0, 0.01)
+            assert pilot[0] == mf[0]
 
     def test_perfect_no_interference(self):
-        dist, profile = idealized_gains(1, 0.5)
-        assert la.sinr_mmse_perfect(profile, dist, 0.0, 0.01) == pytest.approx(
+        dist = idealized_gains(1, 0.5)
+        assert la.det_eq_sinr_rows(dist, 0.0, 0.01)[2][0] == pytest.approx(
             100.0, rel=1e-12)
 
     def test_perfect_exceeds_pilot_by_4db_strong_interference(self, seven_cell_01):
-        dist, profile = seven_cell_01
-        det = la.solve_det_eq(dist, 0.5, 0.01)
-        gap = (la.to_db(la.sinr_mmse_perfect(profile, dist, 0.5, 0.01))
-               - la.to_db(la.sinr_mmse_pilot(profile, det)))
+        _, pilot, perfect = la.det_eq_sinr_rows(seven_cell_01, 0.5, 0.01)
+        gap = la.to_db(perfect[0]) - la.to_db(pilot[0])
         assert 3.0 <= gap <= 5.0
 
     def test_perfect_exceeds_pilot_by_3db_moderate_interference(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        det = la.solve_det_eq(dist, 0.5, 0.01)
-        gap = (la.to_db(la.sinr_mmse_perfect(profile, dist, 0.5, 0.01))
-               - la.to_db(la.sinr_mmse_pilot(profile, det)))
+        _, pilot, perfect = la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)
+        gap = la.to_db(perfect[0]) - la.to_db(pilot[0])
         assert 2.0 <= gap <= 4.0
 
     def test_curves_meet_at_light_loading_and_weak_contamination(self):
-        dist, profile = idealized_gains(7, 0.001)
-        det = la.solve_det_eq(dist, 0.01, 0.01)
-        gap = (la.to_db(la.sinr_mmse_perfect(profile, dist, 0.01, 0.01))
-               - la.to_db(la.sinr_mmse_pilot(profile, det)))
+        dist = idealized_gains(7, 0.001)
+        _, pilot, perfect = la.det_eq_sinr_rows(dist, 0.01, 0.01)
+        gap = la.to_db(perfect[0]) - la.to_db(pilot[0])
         assert 0.0 <= gap <= 2.0
 
     def test_perfect_bisection_oracle(self, single_cell):
-        dist, _ = single_cell
+        dist = single_cell
         oracle = bisect_fixed_point(
             lambda x: 1.0 / (0.01 + 0.5 / (1.0 + x)), 1e-9, 100.0)
         assert la.solve_eta1_perfect(dist, 0.5, 0.01) == pytest.approx(
@@ -254,85 +246,95 @@ class TestSinrFormulas:
 
     def test_single_cell_pilot_equals_perfect(self, single_cell):
         # one cell: the contaminated estimate is exact, both receivers agree
-        dist, profile = single_cell
+        dist = single_cell
         for alpha in (0.25, 0.5, 1.0):
-            det = la.solve_det_eq(dist, alpha, 0.01)
-            pilot = la.sinr_mmse_pilot(profile, det)
-            perfect = la.sinr_mmse_perfect(profile, dist, alpha, 0.01)
-            assert pilot == pytest.approx(perfect, rel=1e-10)
-            assert profile.pilot_bar == 0.0
+            _, pilot, perfect = la.det_eq_sinr_rows(dist, alpha, 0.01)
+            assert pilot[0] == pytest.approx(perfect[0], rel=1e-10)
+            assert dist.cross_est_gain[0] == 0.0
 
 
 class TestGeneralizedSinr:
+    """SINR(c) = S / (noise_var + P + alpha * I(c)), per sample of the law."""
+
     def test_trivial_values(self):
-        assert la.generalized_sinr(1.0, 0.0, 0.0, 0.7, 0.01) == pytest.approx(100.0)
-        assert la.generalized_sinr(1.0, 0.5, 0.0, 0.7, 0.5) == pytest.approx(1.0)
+        # alpha = 0: S / (noise_var + P), with S = 1 and P = 0 or 0.5
+        single = FadingDistribution([1.0])
+        assert la.det_eq_sinr_rows(single, 0.0, 0.01)[0][0] == pytest.approx(100.0)
+        b = (np.sqrt(2.0) + 1.0) / 2.0  # gains (sqrt(2) b, b): S = 1, P = 0.5
+        pair = FadingDistribution([np.sqrt(2.0) * b, b])
+        assert la.det_eq_sinr_rows(pair, 0.0, 0.5)[0][0] == pytest.approx(1.0)
 
     def test_definitional_identity_bitwise(self, seven_cell_001):
-        dist, profile = seven_cell_001
+        dist = seven_cell_001
         det = la.solve_det_eq(dist, 0.5, 0.01)
-        direct = la.generalized_sinr(profile.signal_bar, profile.pilot_bar,
-                                     det.inter_mmse, 0.5, 0.01)
-        assert direct == la.sinr_mmse_pilot(profile, det)
+        direct = dist.est_gain[0] / (0.01 + dist.cross_est_gain[0]
+                                     + 0.5 * det.inter_mmse)
+        assert direct == la.det_eq_sinr_rows(dist, 0.5, 0.01)[1][0]
 
     def test_report_self_consistency(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        rep = la.asymptotic_report(profile, dist, 0.5, 0.01)
-        assert rep.mf_pilot == la.generalized_sinr(
-            rep.signal_bar, rep.pilot_bar, rep.inter_mf, 0.5, 0.01)
-        assert rep.mmse_pilot == la.generalized_sinr(
-            rep.signal_bar, rep.pilot_bar, rep.inter_mmse, 0.5, 0.01)
-        assert rep.mmse_perfect == pytest.approx(la.generalized_sinr(
-            profile.own_gain, 0.0, rep.inter_perfect, 0.5, 0.01), rel=1e-12)
-        assert rep.mmse_pilot >= rep.mf_pilot
+        dist = seven_cell_001
+        mf, pilot, perfect = la.det_eq_sinr_rows(dist, 0.5, 0.01)
+        det = la.solve_det_eq(dist, 0.5, 0.01)
+        signal, pilot_bar = dist.est_gain[0], dist.cross_est_gain[0]
+        assert mf[0] == signal / (0.01 + pilot_bar + 0.5 * det.mean_total_gain)
+        assert pilot[0] == signal / (0.01 + pilot_bar + 0.5 * det.inter_mmse)
+        inter_perfect = det.mean_total_gain - la.perfect_suppression(
+            dist, 0.5, 0.01)
+        assert perfect[0] == pytest.approx(
+            dist.own[0] / (0.01 + 0.5 * inter_perfect), rel=1e-12)
+        assert pilot[0] >= mf[0]
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, seven_cell_001, monkeypatch):
         with pytest.raises(InvalidInputError):
-            la.generalized_sinr(0.0, 0.0, 0.0, 0.5, 0.01)
+            la.det_eq_sinr_rows(seven_cell_001, -0.1, 0.01)
         with pytest.raises(InvalidInputError):
-            la.generalized_sinr(1.0, -0.1, 0.0, 0.5, 0.01)
+            la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.0)
+        # a suppression above E[B] would make the MMSE interference negative
+        det = la.solve_det_eq(seven_cell_001, 0.5, 0.01)
+        monkeypatch.setattr(la, "solve_det_eq", lambda *args: replace(
+            det, suppression=det.mean_total_gain * 1.5))
+        with pytest.raises(InvalidInputError):
+            la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)
 
 
 class TestOrderingAndMonotonicity:
     def test_ordering_grid(self):
         for beta in (0.001, 0.01, 0.1):
-            dist, profile = idealized_gains(7, beta)
+            dist = idealized_gains(7, beta)
             for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
                 for s2 in (0.01, 0.1):
                     det = la.solve_det_eq(dist, alpha, s2)
-                    mf = la.sinr_mf_pilot(profile, dist, alpha, s2)
-                    pilot = la.sinr_mmse_pilot(profile, det)
-                    perfect = la.sinr_mmse_perfect(profile, dist, alpha, s2)
+                    mf, pilot, perfect = (
+                        x[0] for x in la.det_eq_sinr_rows(dist, alpha, s2))
                     assert mf <= pilot <= perfect * (1 + 1e-12)
                     assert det.suppression >= 0.0
 
     def test_all_sinrs_nonincreasing_in_alpha(self, seven_cell_001):
-        dist, profile = seven_cell_001
+        dist = seven_cell_001
         alphas = np.arange(0.0, 1.01, 0.1)
         prev = (np.inf, np.inf, np.inf)
         for a in alphas:
-            rep = la.asymptotic_report(profile, dist, float(a), 0.01)
-            cur = (rep.mf_pilot, rep.mmse_pilot, rep.mmse_perfect)
+            cur = tuple(x[0] for x in la.det_eq_sinr_rows(dist, float(a), 0.01))
             assert all(c <= p * (1 + 1e-12) for c, p in zip(cur, prev))
             prev = cur
 
 
 class TestStieltjes:
     def test_alpha_zero_is_minus_inverse_z(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         for z in (-0.5, -2.0):
             assert la.stieltjes_m(z, dist, 0.0) == pytest.approx(-1.0 / z,
                                                                  rel=1e-12)
 
     def test_rejects_nonnegative_z(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         with pytest.raises(InvalidInputError):
             la.stieltjes_m(0.0, dist, 0.5)
 
     def test_eigen_brute_force_oracle(self, seven_cell_001):
         # build the block-structured random Gram whose limiting spectrum the
         # transform describes, at M=256, and compare the empirical resolvent
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         M, n_users = 256, 128
         rng = seed_substream(21, "stieltjes-oracle")
         gains = np.concatenate([[1.0], np.full(6, 0.01)])
@@ -348,7 +350,7 @@ class TestStieltjes:
                 empirical, rel=0.02)
 
     def test_derivative_matches_central_difference(self, seven_cell_001):
-        dist, _ = seven_cell_001
+        dist = seven_cell_001
         z = -0.7
         h = 1e-5 * abs(z)
         fd = (la.stieltjes_m(z + h, dist, 0.5, tol=1e-14)
@@ -357,7 +359,7 @@ class TestStieltjes:
             fd, rel=1e-5)
 
     def test_route_agreement_with_eta1(self, seven_cell_001, seven_cell_01):
-        for dist, _ in (seven_cell_001, seven_cell_01):
+        for dist in (seven_cell_001, seven_cell_01):
             for alpha in (0.25, 0.5, 1.0):
                 det = la.solve_det_eq(dist, alpha, 0.01)
                 z = -(det.theta1_bar + det.theta2_bar + 0.01)

@@ -88,6 +88,46 @@ class TestExitCodes:
         assert cli.main(["montecarlo", "--filters", "zf",
                          "--out", str(tmp_path)]) == 2
 
+    def test_empty_filters_refused_before_any_trial(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from ulmimo import experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(experiments, "run_trial", no_trials)
+        out = tmp_path / "run"
+        assert cli.main(["montecarlo", "--filters", ",", "--trials", "3",
+                         "--antennas", "8", "--alpha", "0.5",
+                         "--out", str(out)]) == 2
+        assert "--filters" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["asymptotic", "percentile", "rates",
+                                         "rategap"])
+    @pytest.mark.parametrize("filters", ["mmse", "mf,mmse", ","])
+    def test_filters_on_command_that_ignores_them_is_config_error(
+            self, tmp_path, capsys, command, filters):
+        out = tmp_path / "run"
+        assert cli.main([command, "--filters", filters,
+                         "--out", str(out)]) == 2
+        assert "--filters" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["asymptotic", "rategap"])
+    def test_default_filters_spelled_out_are_accepted(self, tmp_path, command):
+        out = tmp_path / "run"
+        assert cli.main([command, "--filters", "mf,mmse,mmse-perfect",
+                         "--alpha", "0.5", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["overrides"]["filters"] == "mf,mmse,mmse-perfect"
+
+    def test_rategap_refuses_drop_scenario(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["rategap", "--scenario", "cost231-7cell",
+                         "--out", str(out)]) == 2
+        assert "idealized scenario" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["montecarlo", "percentile"])
     def test_zero_trials_is_config_error(self, tmp_path, capsys, command):
         out = tmp_path / "run"
@@ -188,11 +228,8 @@ class TestDispatch:
                   "--out", str(out)])
         line = (out / "asymptotic.csv").read_text().splitlines()[2]
         cells = line.split(",")
-        dist, profile = idealized_gains(7, 0.01)
-        rep = la.asymptotic_report(profile, dist, 0.5, 0.01)
-        assert float(cells[1]) == rep.mf_pilot_db
-        assert float(cells[2]) == rep.mmse_pilot_db
-        assert float(cells[3]) == rep.mmse_perfect_db
+        sinrs = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.5, 0.01)
+        assert [float(c) for c in cells[1:]] == [la.to_db(x[0]) for x in sinrs]
 
     def test_asymptotic_golden_file(self, tmp_path):
         out = tmp_path / "run"

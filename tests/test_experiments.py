@@ -66,11 +66,8 @@ class TestAsymptoticSweep:
 
     def test_rows_match_direct_evaluation(self, idealized_01):
         res = ex.asymptotic_sweep(idealized_01, [0.5])
-        dist, profile = idealized_gains(7, 0.01)
-        rep = la.asymptotic_report(profile, dist, 0.5, 0.01)
-        assert res.rows[0][1] == rep.mf_pilot_db
-        assert res.rows[0][2] == rep.mmse_pilot_db
-        assert res.rows[0][3] == rep.mmse_perfect_db
+        sinrs = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.5, 0.01)
+        assert res.rows[0][1:] == tuple(la.to_db(x[0]) for x in sinrs)
 
 
 class TestSumRateCurve:
@@ -102,6 +99,11 @@ class TestRateGap:
         gaps = [row[2] for row in res.rows]
         assert gaps[0] < gaps[1] < gaps[2]
         assert gaps[0] < 0.05
+
+    def test_drop_scenario_rejected(self):
+        sc = parse_scenario("cost231-7cell")
+        with pytest.raises(ScenarioError, match="idealized scenario"):
+            ex.rate_gap_sweep(sc, [0.5], [0.01])
 
     def test_beta_grid_validated(self, idealized_01):
         with pytest.raises(InvalidInputError):
@@ -149,20 +151,24 @@ class TestMonteCarloSweep:
         assert tags.count("mc.channel.a0") == 3
         assert tags.count("mc.pilot.a0") == pilot_streams
 
+    def test_empty_filter_tuple_rejected(self, idealized_01):
+        with pytest.raises(InvalidInputError, match="filter"):
+            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, filters=())
+
     def test_unknown_mode_rejected(self, idealized_01):
         with pytest.raises(InvalidInputError):
             ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2,
                                  estimate_mode="psychic")
 
     def test_gap_to_limit_shrinks_with_antennas(self, idealized_01):
-        dist, profile = idealized_gains(7, 0.01)
+        dist = idealized_gains(7, 0.01)
         gaps = {}
         for M in (20, 200):
             samples = ex.monte_carlo_sweep(idealized_01, M, [0.5], 200,
                                            master_seed=11)
-            rep = la.asymptotic_report(profile, dist, 0.5, 0.01)
-            theory = {"mf": rep.mf_pilot_db, "mmse": rep.mmse_pilot_db,
-                      "mmse-perfect": rep.mmse_perfect_db}
+            theory = {f: la.to_db(x[0]) for f, x in zip(
+                ("mf", "mmse", "mmse-perfect"),
+                la.det_eq_sinr_rows(dist, 0.5, 0.01))}
             gaps[M] = {f: abs(la.to_db(np.median(samples[(0.5, f)])) - theory[f])
                        for f in theory}
         for f in gaps[20]:
@@ -190,9 +196,8 @@ class TestDropRunners:
 
     def test_rate_table_idealized_is_deterministic_rate(self, idealized_01):
         res = ex.rate_table(idealized_01, [0.5], master_seed=0, n_drops=10)
-        dist, profile = idealized_gains(7, 0.01)
-        det = la.solve_det_eq(dist, 0.5, 0.01)
-        expected = np.log2(1.0 + la.sinr_mmse_pilot(profile, det))
+        _, pilot, _ = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.5, 0.01)
+        expected = np.log2(1.0 + pilot[0])
         assert res.rows[0][1] == pytest.approx(expected, rel=1e-12)
 
     def test_rate_table_refuses_tiny_cells(self):
@@ -206,9 +211,8 @@ class TestDropRunners:
         sc = parse_scenario("cost231-7cell")
         from ulmimo.fading import FadingDistribution
         from ulmimo.rng import seed_substream
-        rows = sc.gain_rows(8000, seed_substream(1, "drops"))
-        dist = FadingDistribution(rows)
-        pilot_det, _ = ex.det_eq_sinr_rows(rows, dist, 0.5, sc.noise_var)
+        dist = FadingDistribution(sc.gain_rows(8000, seed_substream(1, "drops")))
+        _, pilot_det, _ = ex.det_eq_sinr_rows(dist, 0.5, sc.noise_var)
         theory = la.to_db(ex.five_percentile(pilot_det))
         samples = ex.monte_carlo_sweep(sc, 50, [0.5], 1200, ("mmse",),
                                        "training", 1)

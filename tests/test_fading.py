@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ulmimo.errors import InvalidInputError
-from ulmimo.fading import FadingDistribution, UserGainProfile, expect_total_gain
+from ulmimo.fading import FadingDistribution, expect_total_gain
 
 
 class TestFadingDistribution:
@@ -71,22 +71,20 @@ class TestFadingDistribution:
                     for i in range(0, 10_001, 997))
         assert abs(whole - parts) <= 1e-13 * abs(whole)
 
-
-class TestUserGainProfile:
     def test_effective_powers(self):
-        profile = UserGainProfile(1.0, np.full(6, 0.1))
+        dist = FadingDistribution([1.0] + [0.1] * 6)
         # own^2/total and sum(contam^2)/total with total = 1.6
-        assert profile.total_gain == pytest.approx(1.6)
-        assert profile.signal_bar == pytest.approx(1.0 / 1.6)
-        assert profile.pilot_bar == pytest.approx(6 * 0.01 / 1.6)
+        assert dist.total[0] == pytest.approx(1.6)
+        assert dist.est_gain[0] == pytest.approx(1.0 / 1.6)
+        assert dist.cross_est_gain[0] == pytest.approx(6 * 0.01 / 1.6)
 
     def test_single_cell_profile(self):
-        profile = UserGainProfile(2.0, np.array([]))
-        assert profile.pilot_bar == 0.0
-        assert profile.signal_bar == pytest.approx(2.0)
+        dist = FadingDistribution([2.0])
+        assert dist.cross_est_gain[0] == 0.0
+        assert dist.est_gain[0] == pytest.approx(2.0)
 
     def test_rejects_bad_gains(self):
         with pytest.raises(InvalidInputError):
-            UserGainProfile(0.0, np.array([0.1]))
+            FadingDistribution([0.0, 0.1])
         with pytest.raises(InvalidInputError):
-            UserGainProfile(1.0, np.array([-0.1]))
+            FadingDistribution([1.0, -0.1])

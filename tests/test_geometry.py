@@ -161,19 +161,18 @@ class TestLargeScaleGains:
 
 class TestIdealizedGains:
     def test_seven_cell_total(self):
-        dist, profile = geo.idealized_gains(7, 0.01)
+        dist = geo.idealized_gains(7, 0.01)
         assert dist.num_samples == 1
         assert dist.total[0] == pytest.approx(1.06)
-        assert profile.total_gain == pytest.approx(1.06)
 
     def test_single_cell(self):
-        dist, profile = geo.idealized_gains(1, 0.5)
+        dist = geo.idealized_gains(1, 0.5)
         assert dist.num_cells == 1
-        assert profile.pilot_bar == 0.0
+        assert dist.cross_est_gain[0] == 0.0
 
     def test_effective_pilot_power(self):
-        _, profile = geo.idealized_gains(7, 0.1)
-        assert profile.pilot_bar == pytest.approx(6 * 0.01 / 1.6)
+        dist = geo.idealized_gains(7, 0.1)
+        assert dist.cross_est_gain[0] == pytest.approx(6 * 0.01 / 1.6)
 
     def test_range_enforced(self):
         with pytest.raises(InvalidInputError):

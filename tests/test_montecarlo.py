@@ -368,8 +368,7 @@ class TestFilters:
         assert np.mean(sinr_mmse) > np.mean(sinr_mf)
 
     def test_perfect_filter_tracks_limit(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        limit = la.to_db(la.sinr_mmse_perfect(profile, dist, 0.5, 0.01))
+        limit = la.to_db(la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)[2][0])
         vals = []
         for t in range(300):
             real = idealized_realization(50, 25, seed=31, tag=f"per{t}")
@@ -415,8 +414,7 @@ class TestEmpiricalSinr:
         assert total == pytest.approx(quad, rel=1e-10)
 
     def test_median_tracks_matched_filter_limit(self, seven_cell_001):
-        dist, profile = seven_cell_001
-        limit = la.to_db(la.sinr_mf_pilot(profile, dist, 0.5, 0.01))
+        limit = la.to_db(la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)[0][0])
         vals = []
         for t in range(200):
             real = idealized_realization(200, 100, seed=35, tag=f"mf{t}")
@@ -433,14 +431,14 @@ class TestConvergenceToTheory:
         from ulmimo.experiments import monte_carlo_sweep
         sc = parse_scenario({0.001: "idealized-001", 0.01: "idealized-01",
                              0.1: "idealized-1"}[beta])
-        dist, profile = idealized_gains(7, beta)
+        dist = idealized_gains(7, beta)
         samples = monte_carlo_sweep(sc, 50, [0.5, 1.0], 400,
                                     ("mf", "mmse", "mmse-perfect"),
                                     "noiseless", 1)
         for a in (0.5, 1.0):
-            rep = la.asymptotic_report(profile, dist, a, 0.01)
-            theory = {"mf": rep.mf_pilot_db, "mmse": rep.mmse_pilot_db,
-                      "mmse-perfect": rep.mmse_perfect_db}
+            theory = {f: la.to_db(x[0]) for f, x in zip(
+                ("mf", "mmse", "mmse-perfect"),
+                la.det_eq_sinr_rows(dist, a, 0.01))}
             for f, th in theory.items():
                 med = la.to_db(np.median(samples[(a, f)]))
                 assert abs(med - th) <= 0.5, (beta, a, f, med, th)
