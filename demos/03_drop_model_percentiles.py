@@ -18,7 +18,7 @@ from ulmimo.scenario import parse_scenario
 SEED = 2024
 scenario = parse_scenario("cost231-7cell")
 
-rows = scenario.gain_rows(10_000, seed_substream(SEED, "drops"))
+rows = scenario.gain_matrix(10_000, seed_substream(SEED, "drops")).T
 dist = FadingDistribution(rows)
 
 det = la.solve_det_eq(dist, 1.0, scenario.noise_var)

@@ -23,11 +23,11 @@ eta1* the trace limit of its own filter matrix. :func:`det_eq_sinr_rows`
 is the one place these three limits are evaluated, for every sample of
 any law: a point mass (the idealized cells) or a set of drops.
 
-All fixed points are solved by damped Picard iteration (damping 0.5,
-relative tolerance 1e-12, at most 10_000 iterations) started from the
+All fixed points are solved by damped Picard iteration started from the
 matched-filter-style lower bound 1/(noise_var + alpha E[B]); the maps are
 monotone and bounded on (0, 1/noise_var], and the damping guards
-pathological sample sets.
+pathological sample sets. Damping, relative step tolerance and iteration
+cap are the module constants below, shared by every solve.
 """
 
 from __future__ import annotations
@@ -39,18 +39,14 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateRegimeError, InvalidInputError
 from .fading import FadingDistribution, expect_total_gain
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
-DEFAULT_DAMPING = 0.5
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 10_000
+FIXED_POINT_DAMPING = 0.5
 
 
 def to_db(x) -> float:
     """Linear power ratio to dB."""
     return 10.0 * np.log10(x)
-
-
-def from_db(x) -> float:
-    return 10.0 ** (np.asarray(x, dtype=float) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,6 @@ class DetEqSolution:
     eta1: float
     eta2: float
     suppression: float
-    theta1_bar: float
-    theta2_bar: float
     mean_total_gain: float
     alpha: float
     noise_var: float
@@ -78,14 +72,14 @@ def _check_alpha_noise(alpha: float, noise_var: float) -> None:
         raise InvalidInputError("noise_var must be a finite positive real")
 
 
-def _damped_fixed_point(fmap, x0: float, tol: float, max_iter: int,
-                        damping: float, what: str) -> float:
+def _damped_fixed_point(fmap, x0: float, what: str) -> float:
     x = x0
     residual = np.inf
-    for _ in range(max_iter):
+    damping = FIXED_POINT_DAMPING
+    for _ in range(FIXED_POINT_MAX_ITER):
         fx = fmap(x)
         residual = abs(fx - x) / abs(x)
-        if residual <= tol:
+        if residual <= FIXED_POINT_TOL:
             return x
         x = (1.0 - damping) * x + damping * fx
     raise ConvergenceError(f"{what} fixed point did not converge", residual)
@@ -99,16 +93,13 @@ def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float)
     return 1.0 / (noise_var + alpha * e_total - alpha * shrink)
 
 
-def solve_eta1(dist: FadingDistribution, alpha: float, noise_var: float,
-               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-               damping: float = DEFAULT_DAMPING) -> float:
+def solve_eta1(dist: FadingDistribution, alpha: float, noise_var: float) -> float:
     """Limiting normalized trace of the inverse filter matrix, (1/M) tr S^-1."""
     _check_alpha_noise(alpha, noise_var)
     e_total, _ = expect_total_gain(dist)
     x0 = 1.0 / (noise_var + alpha * e_total)
     return _damped_fixed_point(
-        lambda x: eta1_map(dist, alpha, noise_var, x), x0, tol, max_iter,
-        damping, "eta1")
+        lambda x: eta1_map(dist, alpha, noise_var, x), x0, "eta1")
 
 
 def solve_eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
@@ -151,20 +142,14 @@ def interference_suppression(dist: FadingDistribution, alpha: float,
     return dist.expect(per_sample)
 
 
-def solve_det_eq(dist: FadingDistribution, alpha: float, noise_var: float,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                 damping: float = DEFAULT_DAMPING) -> DetEqSolution:
+def solve_det_eq(dist: FadingDistribution, alpha: float,
+                 noise_var: float) -> DetEqSolution:
     """Solve eta1, eta2 and the suppression constant in one call."""
-    eta1 = solve_eta1(dist, alpha, noise_var, tol, max_iter, damping)
+    eta1 = solve_eta1(dist, alpha, noise_var)
     eta2 = solve_eta2(dist, alpha, eta1)
     supp = interference_suppression(dist, alpha, eta1, eta2)
-    e_total, e_comp = expect_total_gain(dist)
-    other = dist.gains[:, 1:]
-    theta1_bar = alpha * float(e_comp[1:].sum())
-    theta2_bar = alpha * dist.expect(
-        (other * (dist.own / dist.total)[:, None]).sum(axis=1))
+    e_total, _ = expect_total_gain(dist)
     return DetEqSolution(eta1=eta1, eta2=eta2, suppression=supp,
-                         theta1_bar=theta1_bar, theta2_bar=theta2_bar,
                          mean_total_gain=e_total, alpha=alpha,
                          noise_var=noise_var)
 
@@ -178,16 +163,15 @@ def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,
                   + alpha * dist.expect(own / (1.0 + own * x)))
 
 
-def solve_eta1_perfect(dist: FadingDistribution, alpha: float, noise_var: float,
-                       tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                       damping: float = DEFAULT_DAMPING) -> float:
+def solve_eta1_perfect(dist: FadingDistribution, alpha: float,
+                       noise_var: float) -> float:
     """Trace limit of the inverse perfect-estimate filter matrix."""
     _check_alpha_noise(alpha, noise_var)
     e_total, _ = expect_total_gain(dist)
     x0 = 1.0 / (noise_var + alpha * e_total)
     return _damped_fixed_point(
-        lambda x: eta1_perfect_map(dist, alpha, noise_var, x), x0, tol,
-        max_iter, damping, "perfect-estimate eta1")
+        lambda x: eta1_perfect_map(dist, alpha, noise_var, x), x0,
+        "perfect-estimate eta1")
 
 
 def perfect_suppression(dist: FadingDistribution, alpha: float,
@@ -221,39 +205,19 @@ def det_eq_sinr_rows(dist: FadingDistribution, alpha: float, noise_var: float
     return mf, mmse_pilot, dist.own * eta1_star
 
 
-def stieltjes_map(z: float, dist: FadingDistribution, alpha: float,
-                  m: float) -> float:
-    """One application of the Stieltjes fixed-point map at m."""
-    p = dist.est_gain
-    return 1.0 / (-z + alpha * dist.expect(p / (1.0 + p * m)))
-
-
-def stieltjes_m(z: float, dist: FadingDistribution, alpha: float,
-                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                damping: float = DEFAULT_DAMPING) -> float:
+def stieltjes_m(z: float, dist: FadingDistribution, alpha: float) -> float:
     """Stieltjes transform of the limiting estimate-Gram spectrum, z < 0.
 
     Evaluated on the negative real axis, where the filter-matrix trace
-    limits live: eta1 equals m(z) at -z = theta1_bar + theta2_bar +
-    noise_var.
+    limits live: eta1 equals m(z) at -z = noise_var + alpha (E[B] - E[p]),
+    p = ``dist.est_gain``. Its derivative dm/dz is solve_eta2 at eta1 = m.
     """
     if not np.isfinite(z) or z >= 0.0:
         raise InvalidInputError("z must be a negative real")
     if alpha < 0.0:
         raise InvalidInputError("alpha must be nonnegative")
+    p = dist.est_gain
     return _damped_fixed_point(
-        lambda m: stieltjes_map(z, dist, alpha, m), -1.0 / z, tol, max_iter,
-        damping, "stieltjes transform")
+        lambda m: 1.0 / (-z + alpha * dist.expect(p / (1.0 + p * m))),
+        -1.0 / z, "stieltjes transform")
 
-
-def stieltjes_m_derivative(z: float, dist: FadingDistribution, alpha: float,
-                           m: float | None = None) -> float:
-    """d m / d z on the negative real axis, via implicit differentiation.
-
-    The derivative of the Stieltjes equation is the eta2 expression at
-    eta1 = m, so at -z = theta1_bar + theta2_bar + noise_var this is the
-    second trace limit eta2.
-    """
-    if m is None:
-        m = stieltjes_m(z, dist, alpha)
-    return solve_eta2(dist, alpha, m)

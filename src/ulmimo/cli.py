@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .errors import (ConvergenceError, InvalidInputError, NumericalError)
-from .experiments import ALL_FILTERS, write_csv
+from .experiments import ALL_FILTERS, ESTIMATE_MODES, write_csv
 from .scenario import (Scenario, parse_scenario, scenario_hash,
                        serialize_scenario)
 
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--antennas", type=int, default=50, metavar="M")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--estimate", default="noiseless",
-                        choices=["noiseless", "noisy", "training"])
+                        choices=ESTIMATE_MODES)
     parser.add_argument("--filters", default=_DEFAULT_FILTERS,
                         help="comma-separated subset of mf,mmse,mmse-perfect "
                              "(montecarlo only)")

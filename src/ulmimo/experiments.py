@@ -17,12 +17,11 @@ from .asymptotic import det_eq_sinr_rows, to_db
 from .errors import InvalidInputError, ScenarioError
 from .fading import FadingDistribution
 from .geometry import idealized_gains
-from .montecarlo import (MODE_NOISELESS, MODE_NOISY, MODE_TRAINING,
-                         draw_channels, empirical_sinr, generate_pilot_sequences,
+from .montecarlo import (draw_channels, empirical_sinr, generate_pilot_sequences,
                          matched_filter, mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
-                         theta2_from_estimates, theta_effective,
-                         training_based_estimate, users_per_cell)
+                         theta_effective, training_based_estimate,
+                         users_per_cell)
 from .rng import seed_substream
 from .scenario import Scenario, scenario_hash
 
@@ -34,11 +33,7 @@ FILTER_MMSE = "mmse"
 FILTER_MMSE_PERFECT = "mmse-perfect"
 ALL_FILTERS = (FILTER_MF, FILTER_MMSE, FILTER_MMSE_PERFECT)
 
-ESTIMATE_MODES = {
-    "noiseless": MODE_NOISELESS,
-    "noisy": MODE_NOISY,
-    "training": MODE_TRAINING,
-}
+ESTIMATE_MODES = ("noiseless", "noisy", "training")
 
 
 @dataclass
@@ -49,10 +44,6 @@ class SweepResult:
     rows: list[tuple]
     units: dict[str, str]
     meta: dict[str, str] = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
 
 
 def _format_cell(value) -> str:
@@ -150,11 +141,11 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
 # ---------------------------------------------------------------------------
 
 def _estimate_for_mode(real, mode: str, pilot_snr: float, rng):
-    if mode == MODE_NOISELESS:
+    if mode == "noiseless":
         return pilot_estimate_noiseless(real)
-    if mode == MODE_NOISY:
+    if mode == "noisy":
         return pilot_estimate_noisy(real, pilot_snr, rng)
-    if mode == MODE_TRAINING:
+    if mode == "training":
         pilots = generate_pilot_sequences(real.K, real.B, rng, pilot_snr)
         return training_based_estimate(real, pilots, rng)
     raise InvalidInputError(f"unknown estimate mode {mode!r}")
@@ -165,13 +156,12 @@ def run_trial(scenario: Scenario, M: int, mode: str, filters,
     """One Monte Carlo trial: draw, estimate, filter, measure."""
     real = draw_channels(scenario, M, rng_channel)
     est = _estimate_for_mode(real, mode, scenario.pilot.pilot_snr, rng_pilot)
-    theta1, _ = theta_effective(real)
+    theta1, theta2 = theta_effective(real, est)
     out = {}
     for f in filters:
         if f == FILTER_MF:
             filt = matched_filter(est)
         elif f == FILTER_MMSE:
-            theta2 = theta2_from_estimates(real, est)
             filt = mmse_filter_pilot(est, real.gains, theta1, theta2,
                                      scenario.noise_var)
         elif f == FILTER_MMSE_PERFECT:
@@ -195,13 +185,12 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
     grid = _check_alpha_grid(alpha_grid)
-    mode = ESTIMATE_MODES.get(estimate_mode, estimate_mode)
-    if mode not in ESTIMATE_MODES.values():
+    if estimate_mode not in ESTIMATE_MODES:
         raise InvalidInputError(f"unknown estimate mode {estimate_mode!r}")
     filters = tuple(filters)
     if not filters:
         raise InvalidInputError("filter list must be non-empty")
-    uses_pilot_stream = mode != MODE_NOISELESS
+    uses_pilot_stream = estimate_mode != "noiseless"
     samples = {(a, f): np.empty(trials) for a in grid for f in filters}
     for ai, a in enumerate(grid):
         sc = scenario.with_alpha(a)
@@ -210,7 +199,7 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
             rng_ch = seed_substream(master_seed, channel_tag, t)
             rng_pn = (seed_substream(master_seed, pilot_tag, t)
                       if uses_pilot_stream else None)
-            out = run_trial(sc, M, mode, filters, rng_ch, rng_pn)
+            out = run_trial(sc, M, estimate_mode, filters, rng_ch, rng_pn)
             for f in filters:
                 samples[(a, f)][t] = out[f]
     return samples
@@ -274,7 +263,7 @@ def sum_rate(alpha: float, M: int, sinr: float) -> float:
 def _drop_profiles(scenario: Scenario, n_drops: int,
                    master_seed: int) -> FadingDistribution:
     rng = seed_substream(master_seed, "drops")
-    return FadingDistribution(scenario.gain_rows(n_drops, rng))
+    return FadingDistribution(scenario.gain_matrix(n_drops, rng).T)
 
 
 def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,

@@ -215,9 +215,3 @@ def idealized_gains(B: int, beta_other: float) -> FadingDistribution:
     """Point-mass law of the idealized row."""
     return FadingDistribution(idealized_row(B, beta_other))
 
-
-def cost231_gain_rows(layout: CellLayout, params: Cost231Params, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """(n, B) joint gain samples: one independent user per cell, n drops."""
-    drop = drop_users(layout, n, rng, exclusion_m=params.exclusion_radius_m)
-    return large_scale_gains(drop, params, rng).T

@@ -4,11 +4,11 @@ One realization holds the small-scale channel vectors of all B*K users to
 the receiving base station (cell 1 by convention), entrywise i.i.d.
 circularly symmetric complex Gaussian with variance 1/M, together with
 their large-scale gains. From a realization we form channel estimates
-(exact pilot-contaminated combination, its noisy counterpart, or the full
-training-matrix estimator with per-cell sequences), build the matched and
-MMSE receive filters, and measure the empirical SINR as a conditional
-power decomposition: no data symbols are ever drawn, the four powers are
-quadratic forms in the filter.
+(repeated pilots, noiseless or noisy, or per-cell training sequences),
+each with the error variances that set the MMSE regularizer, build the
+matched and MMSE receive filters, and measure the empirical SINR as a
+conditional power decomposition: no data symbols are ever drawn, the four
+powers are quadratic forms in the filter.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import (ConditioningError, InvalidInputError, NumericalError)
 from .rng import complex_gaussian
-
-MODE_NOISELESS = "noiseless-repeated"
-MODE_NOISY = "noisy-repeated"
-MODE_TRAINING = "independent-training"
 
 LINEAR_SOLVE_TOL = 1e-10
 TRAINING_COND_LIMIT = 1e12
@@ -142,36 +138,43 @@ def draw_channels(scenario, M: int, rng: np.random.Generator) -> ChannelRealizat
 # channel estimation
 # ---------------------------------------------------------------------------
 
+def _error_variances(real: ChannelRealization, inv_rho: float) -> np.ndarray:
+    """s_k = (sum_{j>=2} beta_jk + 1/rho) / (beta^(k) + 1/rho), 1/rho = 0 noiseless."""
+    return ((real.gains[1:].sum(axis=0) + inv_rho)
+            / (real.total_gain_per_user() + inv_rho))
+
+
+def _repeated_pilot_estimate(real: ChannelRealization, rho_p: float,
+                             rng: np.random.Generator | None) -> EstimateSet:
+    """Repeated-pilot estimate at pilot SNR rho_p; rho_p = inf draws no noise."""
+    if not rho_p > 0.0:
+        raise InvalidInputError("rho_p must be positive")
+    inv_rho = 1.0 / rho_p
+    combo = (np.sqrt(real.gains)[:, :, None] * real.small_scale).sum(axis=0)
+    if rho_p < np.inf:
+        noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
+        combo = combo + noise.T / np.sqrt(rho_p)
+    gain = np.sqrt(real.gains[0]) / (real.total_gain_per_user() + inv_rho)
+    return EstimateSet(estimates=gain[:, None] * combo,
+                       error_cov_scalars=_error_variances(real, inv_rho))
+
+
 def pilot_estimate_noiseless(real: ChannelRealization) -> EstimateSet:
     """Exact pilot-contaminated estimate (infinite pilot power limit).
 
     hhat_1k = sqrt(beta_1k)/beta^(k) * sum_j sqrt(beta_jk) h_jk.
     """
-    total = real.total_gain_per_user()
-    combo = (np.sqrt(real.gains)[:, :, None] * real.small_scale).sum(axis=0)
-    est = (np.sqrt(real.gains[0]) / total)[:, None] * combo
-    err = real.gains[1:].sum(axis=0) / total
-    return EstimateSet(estimates=est, error_cov_scalars=err)
+    return _repeated_pilot_estimate(real, np.inf, None)
 
 
 def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
                          rng: np.random.Generator) -> EstimateSet:
     """Pilot-contaminated estimate at finite pilot SNR rho_p.
 
-    The pilot-noise projections onto the K orthonormal in-cell sequences
-    are i.i.d. CN(0, I/M) vectors; they are drawn as the columns of an
-    (M, K) matrix in the same order the training estimator draws its noise
-    matrix, so identical substreams give algebraically comparable results.
+    The pilot noise is drawn as an (M, K) CN(0, I/M) matrix, as in the
+    training estimator, so identical substreams give comparable results.
     """
-    if not rho_p > 0.0:
-        raise InvalidInputError("rho_p must be positive")
-    total = real.total_gain_per_user()
-    combo = (np.sqrt(real.gains)[:, :, None] * real.small_scale).sum(axis=0)
-    noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
-    mixed = combo + noise.T / np.sqrt(rho_p)
-    est = (np.sqrt(real.gains[0]) / (total + 1.0 / rho_p))[:, None] * mixed
-    err = (real.gains[1:].sum(axis=0) + 1.0 / rho_p) / (total + 1.0 / rho_p)
-    return EstimateSet(estimates=est, error_cov_scalars=err)
+    return _repeated_pilot_estimate(real, rho_p, rng)
 
 
 def generate_pilot_sequences(K: int, B: int, rng: np.random.Generator,
@@ -213,38 +216,34 @@ def training_based_estimate(real: ChannelRealization, pilots: PilotConfig,
         Y = Y + weighted @ seq[j].conj()
         A = A + seq[j].T @ (real.gains[j][:, None] * seq[j].conj())
 
-    cond = np.linalg.cond(A)
+    # A is Hermitian: cond is the eigenvalue ratio, infinite unless A > 0
+    lam = np.linalg.eigvalsh(A)
+    cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
     if cond > TRAINING_COND_LIMIT:
         raise ConditioningError(
             f"training matrix condition number {cond:.3e} exceeds "
             f"{TRAINING_COND_LIMIT:.0e}")
     X = np.linalg.solve(A, seq[0].T)  # columns A^-1 Psi_1k
     est = (Y @ X).T * np.sqrt(real.gains[0])[:, None]
-
-    total = real.total_gain_per_user()
-    err = (real.gains[1:].sum(axis=0) + 1.0 / rho_p) / (total + 1.0 / rho_p)
-    return EstimateSet(estimates=est, error_cov_scalars=err)
+    return EstimateSet(estimates=est,
+                       error_cov_scalars=_error_variances(real, 1.0 / rho_p))
 
 
 # ---------------------------------------------------------------------------
 # effective noise constants and receive filters
 # ---------------------------------------------------------------------------
 
-def theta_effective(real: ChannelRealization) -> tuple[float, float]:
+def theta_effective(real: ChannelRealization,
+                    est: EstimateSet) -> tuple[float, float]:
     """Effective-noise constants of the contaminated-estimate MMSE filter.
 
-    theta1 absorbs the unestimated other-cell interference, theta2 the
-    in-cell estimation error in the infinite-pilot-power limit.
+    theta1 = sum_{j>=2,k} beta_jk / M absorbs the unestimated other-cell
+    interference; theta2 = sum_k beta_1k s_k / M the in-cell estimation
+    error, with s_k the estimate's error variance scalars.
     """
-    other = real.gains[1:]
-    theta1 = other.sum() / real.M
-    theta2 = (other * (real.gains[0] / real.total_gain_per_user())).sum() / real.M
+    theta1 = real.gains[1:].sum() / real.M
+    theta2 = (real.gains[0] * est.error_cov_scalars).sum() / real.M
     return float(theta1), float(theta2)
-
-
-def theta2_from_estimates(real: ChannelRealization, est: EstimateSet) -> float:
-    """theta2 consistent with a given estimate's error variances."""
-    return float((real.gains[0] * est.error_cov_scalars).sum() / real.M)
 
 
 def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,

@@ -21,11 +21,12 @@ import numpy as np
 from . import geometry
 from .errors import ScenarioError
 from .geometry import Cost231Params, hex_layout
-from .montecarlo import MODE_NOISELESS, MODE_NOISY, MODE_TRAINING
 
 SCHEMA_VERSION = 1
 
-_PILOT_MODES = (MODE_NOISELESS, MODE_NOISY, MODE_TRAINING)
+# accepted values of pilot.mode; they name the CLI's --estimate choices
+# noiseless, noisy and training, but no run reads the field
+_PILOT_MODES = ("noiseless-repeated", "noisy-repeated", "independent-training")
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class PilotSettings:
     the estimate mode as an argument.
     """
 
-    mode: str = MODE_NOISELESS
+    mode: str = _PILOT_MODES[0]
     pilot_snr_db: float = 28.0
 
     def __post_init__(self):
@@ -104,21 +105,14 @@ class Scenario:
         return hex_layout(self.cells, radius)
 
     def gain_matrix(self, K: int, rng: np.random.Generator) -> np.ndarray:
-        """(B, K) user gains for one Monte Carlo trial."""
+        """(B, K) gains of K users per cell: one Monte Carlo trial or, transposed,
+        K samples of the drop law (C-ordered, the order its mean is summed in)."""
         if self.is_idealized:
-            return np.repeat(self._idealized_row()[:, None], K, axis=1)
+            row = geometry.idealized_row(self.cells, self.gain_model.beta_other)
+            return np.repeat(row[None, :], K, axis=0).T
         drop = geometry.drop_users(self.layout, K, rng,
                                    exclusion_m=self.gain_model.exclusion_radius_m)
         return geometry.large_scale_gains(drop, self.gain_model, rng)
-
-    def gain_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, B) joint gain samples, one user per cell."""
-        if self.is_idealized:
-            return np.tile(self._idealized_row(), (n, 1))
-        return geometry.cost231_gain_rows(self.layout, self.gain_model, n, rng)
-
-    def _idealized_row(self) -> np.ndarray:
-        return geometry.idealized_row(self.cells, self.gain_model.beta_other)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def _check_single_cell(emit) -> bool:
 def _check_stieltjes(emit) -> bool:
     dist = idealized_gains(7, 0.01)
     det = la.solve_det_eq(dist, 0.5, 0.01)
-    z = -(det.theta1_bar + det.theta2_bar + det.noise_var)
+    z = -(det.noise_var + 0.5 * (det.mean_total_gain - dist.expect(dist.est_gain)))
     m = la.stieltjes_m(z, dist, 0.5)
     ok = abs(m - det.eta1) <= 1e-8 * det.eta1
     emit(f"stieltjes route agrees with eta1: {'PASS' if ok else 'FAIL'}")
@@ -64,7 +64,7 @@ def _check_solver_paths(emit) -> bool:
         small_scale=mc.draw_channel_matrix(1, 2, 3, rng),
         gains=np.array([[1.0, 0.7]]), noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    t1, t2 = mc.theta_effective(real)
+    t1, t2 = mc.theta_effective(real, est)
     low = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="lowrank")
     dense = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="dense")
     err = np.linalg.norm(low - dense) / np.linalg.norm(dense)

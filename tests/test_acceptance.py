@@ -29,7 +29,7 @@ def cost231():
 @pytest.fixture(scope="module")
 def drop_rows(cost231):
     rng = seed_substream(SEED, "drops")
-    return cost231.gain_rows(10_000, rng)
+    return cost231.gain_matrix(10_000, rng).T
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,8 @@ def test_criterion_09e_stieltjes_route_agreement(drop_dist):
         for alpha in (0.25, 1.0):
             det = la.solve_det_eq(dist, alpha, 0.01 if dist is not drop_dist
                                   else 1.0)
-            z = -(det.theta1_bar + det.theta2_bar + det.noise_var)
+            z = -(det.noise_var + alpha * (det.mean_total_gain
+                                           - dist.expect(dist.est_gain)))
             m = la.stieltjes_m(z, dist, alpha)
             worst = max(worst, abs(m - det.eta1) / det.eta1)
     report(f"criterion 9e: Stieltjes-route vs direct eta1, worst relative "
@@ -269,7 +270,7 @@ def test_criterion_09h_dense_vs_structured_solver():
         M=3, K=2, B=7, small_scale=mc.draw_channel_matrix(7, 2, 3, rng),
         gains=np.vstack([[1.0, 0.8], np.full((6, 2), 0.01)]), noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    t1, t2 = mc.theta_effective(real)
+    t1, t2 = mc.theta_effective(real, est)
     lr = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="lowrank")
     de = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="dense")
     rel = np.linalg.norm(lr - de) / np.linalg.norm(de)
@@ -286,7 +287,7 @@ def test_criterion_09i_power_decomposition_completeness():
         gains=np.vstack([np.ones((1, 6)), np.full((6, 6), 0.01)]),
         noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    t1, t2 = mc.theta_effective(real)
+    t1, t2 = mc.theta_effective(real, est)
     filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
     out = mc.empirical_sinr(filt, real)
     cov = real.noise_var * np.eye(24, dtype=complex)

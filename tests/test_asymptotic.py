@@ -54,10 +54,12 @@ class TestEta1:
             assert resid <= 1e-10
             assert 0.0 < eta1 <= 1.0 / 0.01 + 1e-9
 
-    def test_convergence_error_carries_residual(self, seven_cell_001):
+    def test_convergence_error_carries_residual(self, seven_cell_001,
+                                                monkeypatch):
         dist = seven_cell_001
+        monkeypatch.setattr(la, "FIXED_POINT_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            la.solve_eta1(dist, 0.5, 0.01, max_iter=2)
+            la.solve_eta1(dist, 0.5, 0.01)
         assert err.value.residual > 0.0
 
     def test_invalid_inputs(self, seven_cell_001):
@@ -104,7 +106,7 @@ class TestTraceOracles:
         dist = seven_cell_001
         real = self._realization(400, 0.5)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         V = est.estimates[1:].T
         S = (V * real.gains[0, 1:]) @ V.conj().T
         S[np.diag_indices(400)] += t1 + t2 + 0.01
@@ -117,7 +119,7 @@ class TestTraceOracles:
     def test_eta1_perfect_vs_trace(self, seven_cell_001):
         dist = seven_cell_001
         real = self._realization(400, 0.5, seed=12)
-        t1, _ = mc.theta_effective(real)
+        t1, _ = mc.theta_effective(real, mc.pilot_estimate_noiseless(real))
         V = real.small_scale[0].T
         S = (V * real.gains[0]) @ V.conj().T
         S[np.diag_indices(400)] += t1 + 0.01
@@ -131,7 +133,7 @@ class TestTraceOracles:
         dist = seven_cell_001
         real = self._realization(M, alpha, seed=13)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         V = est.estimates[1:].T
         S = (V * real.gains[0, 1:]) @ V.conj().T
         S[np.diag_indices(M)] += t1 + t2 + 0.01
@@ -146,7 +148,7 @@ class TestTraceOracles:
             # realized regularizer, K-1 interferer directions
             z = -(t1 + t2 + 0.01)
             eta1 = la.stieltjes_m(z, dist, (real.K - 1) / real.M)
-            eta2 = la.stieltjes_m_derivative(z, dist, (real.K - 1) / real.M, eta1)
+            eta2 = la.solve_eta2(dist, (real.K - 1) / real.M, eta1)
         assert np.mean(1.0 / lam) == pytest.approx(eta1, rel=0.02)
         assert np.mean(1.0 / lam**2) == pytest.approx(eta2, rel=0.02)
 
@@ -353,18 +355,19 @@ class TestStieltjes:
         dist = seven_cell_001
         z = -0.7
         h = 1e-5 * abs(z)
-        fd = (la.stieltjes_m(z + h, dist, 0.5, tol=1e-14)
-              - la.stieltjes_m(z - h, dist, 0.5, tol=1e-14)) / (2 * h)
-        assert la.stieltjes_m_derivative(z, dist, 0.5) == pytest.approx(
-            fd, rel=1e-5)
+        fd = (la.stieltjes_m(z + h, dist, 0.5)
+              - la.stieltjes_m(z - h, dist, 0.5)) / (2 * h)
+        assert la.solve_eta2(dist, 0.5, la.stieltjes_m(z, dist, 0.5)) == (
+            pytest.approx(fd, rel=1e-5))
 
     def test_route_agreement_with_eta1(self, seven_cell_001, seven_cell_01):
         for dist in (seven_cell_001, seven_cell_01):
             for alpha in (0.25, 0.5, 1.0):
                 det = la.solve_det_eq(dist, alpha, 0.01)
-                z = -(det.theta1_bar + det.theta2_bar + 0.01)
+                z = -(0.01 + alpha * (det.mean_total_gain
+                                      - dist.expect(dist.est_gain)))
                 m = la.stieltjes_m(z, dist, alpha)
                 assert abs(m - det.eta1) <= 1e-8 * det.eta1
                 # the derivative route reproduces the second trace limit
-                m2 = la.stieltjes_m_derivative(z, dist, alpha, m)
+                m2 = la.solve_eta2(dist, alpha, m)
                 assert m2 == pytest.approx(det.eta2, rel=1e-8)

@@ -38,6 +38,19 @@ GOLDEN_MC_RUNS = {
         ("percentile", "--scenario", "cost231-7cell") + _GOLDEN_MC,
         "percentile.csv",
         "006357193ae6d162930caf5661995c8d334ea5ef6a7a79ac271d35831f67f4e2"),
+    # The drop-law runners, recorded before the drop law moved onto
+    # Scenario.gain_matrix: the idealized rows feed mean_gains, whose sum
+    # depends on the memory layout of the (n, B) gain array.
+    "percentile-idealized-1": (
+        ("percentile", "--scenario", "idealized-1") + _GOLDEN_MC,
+        "percentile.csv",
+        "3f41fda47a4ae53cf110a0adb4e8069019839e2704e6c74bb267c1600bb1d6c8"),
+    "rates-idealized-01": (
+        ("rates", "--scenario", "idealized-01"), "rates.csv",
+        "0bd31ea5d842729b24c15da29732ef6dbff40ca4179a2c422c0017e8a313aa12"),
+    "rates-cost231": (
+        ("rates", "--scenario", "cost231-7cell"), "rates.csv",
+        "540b943e5f7edcad461efd4bbb2c12d9fddfe833996d00713751062da52334de"),
 }
 
 

@@ -45,9 +45,7 @@ class TestScalarReductions:
 class TestAsymptoticSweep:
     def test_mmse_between_mf_and_perfect(self, idealized_01):
         res = ex.asymptotic_sweep(idealized_01, [0.1, 0.3, 0.5, 0.8, 1.0, 1.3])
-        mf = res.column("sinr_mf_pilot_db")
-        mmse = res.column("sinr_mmse_pilot_db")
-        per = res.column("sinr_mmse_perfect_db")
+        _, mf, mmse, per = np.array(res.rows).T
         assert (mf <= mmse + 1e-9).all()
         assert (mmse <= per + 1e-9).all()
 
@@ -74,9 +72,8 @@ class TestSumRateCurve:
     def test_interior_maximum(self, idealized_01):
         grid = [round(0.05 * i, 2) for i in range(1, 25)]  # (0, 1.2]
         res = ex.asymptotic_sweep(idealized_01, grid)
-        rates = [ex.sum_rate(a, 50, la.from_db(db))
-                 for a, db in zip(res.column("alpha"),
-                                  res.column("sinr_mmse_pilot_db"))]
+        rates = [ex.sum_rate(a, 50, 10.0 ** (db / 10.0))
+                 for a, _, db, _ in res.rows]
         peak = int(np.argmax(rates))
         assert 0 < peak < len(rates) - 1
 
@@ -189,8 +186,7 @@ class TestDropRunners:
     def test_rate_table_theory_columns(self):
         sc = parse_scenario("cost231-7cell")
         res = ex.rate_table(sc, [0.5, 1.0], master_seed=6, n_drops=2000)
-        pilot = res.column("rate_pilot")
-        perfect = res.column("rate_perfect")
+        _, pilot, perfect = np.array(res.rows).T
         assert (perfect > pilot).all()
         assert (np.diff(pilot) < 0).all()  # more load, less rate per user
 
@@ -211,7 +207,8 @@ class TestDropRunners:
         sc = parse_scenario("cost231-7cell")
         from ulmimo.fading import FadingDistribution
         from ulmimo.rng import seed_substream
-        dist = FadingDistribution(sc.gain_rows(8000, seed_substream(1, "drops")))
+        dist = FadingDistribution(
+            sc.gain_matrix(8000, seed_substream(1, "drops")).T)
         _, pilot_det, _ = ex.det_eq_sinr_rows(dist, 0.5, sc.noise_var)
         theory = la.to_db(ex.five_percentile(pilot_det))
         samples = ex.monte_carlo_sweep(sc, 50, [0.5], 1200, ("mmse",),
@@ -225,8 +222,7 @@ class TestDropRunners:
         sc = parse_scenario("cost231-7cell")
         res = ex.rate_table(sc, [0.5], master_seed=7, n_drops=2000, M=10,
                             trials=800)
-        pilot_mc = res.column("rate_pilot_mc")[0]
-        perfect_mc = res.column("rate_perfect_mc")[0]
+        *_, pilot_mc, perfect_mc = res.rows[0]
         assert abs(pilot_mc - 2.9) <= 0.5
         assert abs(perfect_mc - 3.6) <= 0.5
 

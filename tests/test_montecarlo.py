@@ -226,7 +226,7 @@ class TestTrainingEstimate:
 class TestThetaEffective:
     def test_single_cell_zero(self):
         real = idealized_realization(8, 4, B=1, seed=19)
-        assert mc.theta_effective(real) == (0.0, 0.0)
+        assert mc.theta_effective(real, mc.pilot_estimate_noiseless(real)) == (0.0, 0.0)
 
     def test_two_cell_unit_gains(self):
         rng = seed_substream(20, "theta")
@@ -234,14 +234,14 @@ class TestThetaEffective:
         real = mc.ChannelRealization(
             M=M, K=M, B=2, small_scale=mc.draw_channel_matrix(2, M, M, rng),
             gains=np.ones((2, M)), noise_var=0.01)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, mc.pilot_estimate_noiseless(real))
         assert t1 == pytest.approx(1.0)
         assert t2 == pytest.approx(0.5)
 
     def test_seven_cell_idealized(self):
         M = 32
         real = idealized_realization(M, M, seed=21)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, mc.pilot_estimate_noiseless(real))
         assert t1 == pytest.approx(0.06)
         assert t2 == pytest.approx(0.06 / 1.06)
 
@@ -250,7 +250,7 @@ class TestFilters:
     def test_single_user_mmse_degenerates_to_matched(self):
         real = idealized_realization(16, 1, seed=22)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
         cosine = np.abs(np.vdot(filt, est.estimates[0])) / (
             np.linalg.norm(filt) * np.linalg.norm(est.estimates[0]))
@@ -259,7 +259,7 @@ class TestFilters:
     def test_small_instance_dense_inverse_oracle(self):
         real = idealized_realization(3, 2, seed=23)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
         S = (real.gains[0, 1] * np.outer(est.estimates[1],
                                          est.estimates[1].conj())
@@ -271,7 +271,7 @@ class TestFilters:
         for M, K in ((3, 2), (40, 9), (64, 33)):
             real = idealized_realization(M, K, seed=24)
             est = mc.pilot_estimate_noiseless(real)
-            t1, t2 = mc.theta_effective(real)
+            t1, t2 = mc.theta_effective(real, est)
             lr = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
                                       method="lowrank")
             de = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
@@ -282,7 +282,7 @@ class TestFilters:
     def test_dense_path_matches_scipy_cholesky_reference(self):
         real = idealized_realization(12, 8, seed=32)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
                                     method="dense")
         V = est.estimates[1:].T
@@ -295,7 +295,7 @@ class TestFilters:
     def test_filter_residual_contract(self):
         real = idealized_realization(50, 25, seed=25)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
         V = est.estimates[1:].T
         S = (V * real.gains[0, 1:]) @ V.conj().T + (t1 + t2 + 0.01) * np.eye(50)
@@ -308,7 +308,7 @@ class TestFilters:
         real = idealized_realization(16, 4, seed=30)
         est = mc.pilot_estimate_noiseless(real)
         est.estimates[0, 3] = np.nan
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         with pytest.raises(NumericalError, match="residual"):
             mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method=method)
 
@@ -316,7 +316,7 @@ class TestFilters:
         real = idealized_realization(16, 4, seed=31)
         est = mc.pilot_estimate_noiseless(real)
         est.estimates[0] = 0.0
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         for method in ("lowrank", "dense"):
             filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01,
                                         method=method)
@@ -338,7 +338,7 @@ class TestFilters:
 
     def test_perfect_filter_dense_oracle(self):
         real = idealized_realization(3, 2, seed=28)
-        t1, _ = mc.theta_effective(real)
+        t1, _ = mc.theta_effective(real, mc.pilot_estimate_noiseless(real))
         filt = mc.mmse_filter_perfect(real, t1, 0.01)
         H = real.small_scale[0]
         S = sum(real.gains[0, k] * np.outer(H[k], H[k].conj()) for k in range(2))
@@ -361,7 +361,7 @@ class TestFilters:
         for t in range(200):
             real = idealized_realization(50, 25, seed=30, tag=f"dom{t}")
             est = mc.pilot_estimate_noiseless(real)
-            t1, t2 = mc.theta_effective(real)
+            t1, t2 = mc.theta_effective(real, est)
             filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
             sinr_mmse.append(mc.empirical_sinr(filt, real).sinr)
             sinr_mf.append(mc.empirical_sinr(mc.matched_filter(est), real).sinr)
@@ -372,7 +372,7 @@ class TestFilters:
         vals = []
         for t in range(300):
             real = idealized_realization(50, 25, seed=31, tag=f"per{t}")
-            t1, _ = mc.theta_effective(real)
+            t1, _ = mc.theta_effective(real, mc.pilot_estimate_noiseless(real))
             filt = mc.mmse_filter_perfect(real, t1, 0.01)
             vals.append(mc.empirical_sinr(filt, real).sinr)
         assert abs(la.to_db(np.median(vals)) - limit) < 1.0
@@ -401,7 +401,7 @@ class TestEmpiricalSinr:
         # the four powers must reassemble c^H E[yy^H | channels] c exactly
         real = idealized_realization(24, 6, seed=34)
         est = mc.pilot_estimate_noiseless(real)
-        t1, t2 = mc.theta_effective(real)
+        t1, t2 = mc.theta_effective(real, est)
         filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
         out = mc.empirical_sinr(filt, real)
         cov = real.noise_var * np.eye(24, dtype=complex)
@@ -510,8 +510,7 @@ class TestDeterminism:
         def run():
             real = idealized_realization(32, 16, seed=37)
             est = mc.pilot_estimate_noisy(real, 100.0, seed_substream(37, "pn"))
-            t1, _ = mc.theta_effective(real)
-            t2 = mc.theta2_from_estimates(real, est)
+            t1, t2 = mc.theta_effective(real, est)
             filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
             out = mc.empirical_sinr(filt, real)
             return (out.p_signal, out.p_noise, out.p_contam, out.p_inter)

@@ -119,8 +119,8 @@ class TestRoundTrip:
     def test_roundtrip_gains_identical(self):
         sc = parse_scenario("cost231-7cell")
         again = scenario_from_dict(scenario_to_dict(sc))
-        g1 = sc.gain_rows(20, seed_substream(3, "rt"))
-        g2 = again.gain_rows(20, seed_substream(3, "rt"))
+        g1 = sc.gain_matrix(20, seed_substream(3, "rt")).T
+        g2 = again.gain_matrix(20, seed_substream(3, "rt")).T
         assert np.array_equal(g1, g2)
 
 
@@ -130,8 +130,10 @@ class TestScenarioBehaviour:
         g = sc.gain_matrix(4, seed_substream(0, "gm"))
         assert g.shape == (7, 4)
         assert (g[0] == 1.0).all() and (g[1:] == 0.1).all()
-        assert g.flags.c_contiguous
-        assert np.array_equal(g, sc.gain_rows(4, None).T)
+        # the drop law's (n, B) samples are the transpose, summed in memory
+        # order by FadingDistribution.mean_gains
+        assert g.T.flags.c_contiguous
+        assert np.array_equal(g, sc.gain_matrix(4, None))
 
     def test_layout_built_once(self, monkeypatch):
         from ulmimo import scenario as scenario_module
@@ -145,7 +147,7 @@ class TestScenarioBehaviour:
         sc = parse_scenario("cost231-7cell")
         for t in range(3):
             sc.gain_matrix(4, seed_substream(t, "gm"))
-        sc.gain_rows(10, seed_substream(0, "rows"))
+        sc.gain_matrix(10, seed_substream(0, "rows"))
         assert calls == [(7, 1000.0)]
 
     def test_with_alpha(self):

@@ -1,8 +1,13 @@
-"""Every layer the benchmark tracer wraps must still exist in ulmimo.
+"""The benchmark's contract with ulmimo, checked inside the test suite.
 
 The tracer (``bench/tracer.py``) fails at trace time when a wrapped name
-stops resolving; this check moves that failure into the test suite. The
-tracer module is loaded read-only: nothing is wrapped or patched.
+stops resolving or a layer a workload runs records no calls, and the gate
+(``bench/gate.py``) fails a call whose outputs drift from ``bench/refs``.
+These checks move both failures into the test suite: every traced name
+must resolve, and one traced CLI call per workload at the default seed
+must exercise its layers and match its stored references. The benchmark
+modules are loaded read-only; the trace wraps and then restores the
+package's functions exactly as a traced benchmark call does.
 """
 
 import importlib
@@ -12,19 +17,28 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from ulmimo import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _targets():
-    name = "_ulmimo_bench_tracer"
-    spec = importlib.util.spec_from_file_location(name, TRACER)
+def _load(stem):
+    name = f"_ulmimo_bench_{stem}"
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up by name
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[name]
-    return sorted({(mod, attr) for _, mod, attr, _, _ in module.TARGETS})
+    return module
+
+
+tracer, gate, workloads = _load("tracer"), _load("gate"), _load("workloads")
+
+
+def _targets():
+    return sorted({(mod, attr) for _, mod, attr, _, _ in tracer.TARGETS})
 
 
 @pytest.mark.parametrize("module, attr", _targets())
@@ -34,3 +48,17 @@ def test_traced_name_resolves(module, attr):
     if cls_name:
         owner = getattr(owner, cls_name)
     assert callable(vars(owner).get(name)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_workload_matches_references(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    seed = workloads.DEFAULT_SEED
+    out = tmp_path / "out"
+    trace = tracer.Trace()
+    with trace.installed():
+        assert cli.main(workload.cli_args(seed, out)) == 0
+    tracer.check_exercised(trace, workload.exercised)
+    refs = gate.load_references(BENCH / "refs", name)
+    problems, _ = gate.Gate(refs).check(out, seed)
+    assert problems == []
