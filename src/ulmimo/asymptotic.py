@@ -57,7 +57,6 @@ class DetEqSolution:
     eta2: float
     suppression: float
     mean_total_gain: float
-    alpha: float
     noise_var: float
 
     @property
@@ -150,8 +149,7 @@ def solve_det_eq(dist: FadingDistribution, alpha: float,
     supp = interference_suppression(dist, alpha, eta1, eta2)
     e_total, _ = expect_total_gain(dist)
     return DetEqSolution(eta1=eta1, eta2=eta2, suppression=supp,
-                         mean_total_gain=e_total, alpha=alpha,
-                         noise_var=noise_var)
+                         mean_total_gain=e_total, noise_var=noise_var)
 
 
 def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,

@@ -20,7 +20,9 @@ is the multiplier that re-anchors it (1.0 means "total as stated").
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +83,12 @@ class Cost231Params:
     exclusion_radius_m: float = 35.0
 
     def __post_init__(self):
-        if self.cell_radius_m <= 0.0:
+        # every check is written so that NaN fails it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"{f.name} must be finite")
+        if not self.cell_radius_m > 0.0:
             raise InvalidInputError("cell radius must be positive")
         if not 1500.0 <= self.carrier_freq_mhz <= 2000.0:
             raise InvalidInputError("carrier frequency outside model validity")
@@ -89,18 +96,30 @@ class Cost231Params:
             raise InvalidInputError("base-station height outside model validity")
         if not 1.0 <= self.ms_height_m <= 10.0:
             raise InvalidInputError("terminal height outside model validity")
-        if self.exclusion_radius_m <= 0.0:
-            raise InvalidInputError("exclusion radius must be positive")
         # beyond the apothem the exclusion disk covers most of the cell and
         # the rejection sampler in drop_users stalls
-        if self.exclusion_radius_m > SQRT3 / 2.0 * self.cell_radius_m:
+        apothem = SQRT3 / 2.0 * self.cell_radius_m
+        if not 0.0 < self.exclusion_radius_m <= apothem:
             raise InvalidInputError(
-                "exclusion radius must not exceed the cell apothem "
-                f"({SQRT3 / 2.0 * self.cell_radius_m:.1f} m)")
-        if self.noise_bandwidth_hz <= 0.0:
+                "exclusion radius must be positive and not exceed the cell "
+                f"apothem ({apothem:.1f} m)")
+        if not self.noise_bandwidth_hz > 0.0:
             raise InvalidInputError("noise bandwidth multiplier must be positive")
-        if self.shadowing_sigma_db is not None and self.shadowing_sigma_db < 0.0:
+        if self.shadowing_sigma_db is not None and not self.shadowing_sigma_db >= 0.0:
             raise InvalidInputError("shadowing sigma must be nonnegative")
+
+    @cached_property
+    def pathloss_intercept_db(self) -> float:
+        """Path loss at 1 km: the distance-free terms of the urban formula."""
+        f = self.carrier_freq_mhz
+        # medium-city mobile antenna correction, 0 dB area correction
+        a_hm = (1.1 * np.log10(f) - 0.7) * self.ms_height_m - (1.56 * np.log10(f) - 0.8)
+        return 46.3 + 33.9 * np.log10(f) - 13.82 * np.log10(self.bs_height_m) - a_hm
+
+    @cached_property
+    def pathloss_slope_db(self) -> float:
+        """Path loss increase per decade of distance."""
+        return 44.9 - 6.55 * np.log10(self.bs_height_m)
 
     @property
     def noise_power_mw(self) -> float:
@@ -113,8 +132,8 @@ class Cost231Params:
 
 def hex_layout(B: int = 7, radius_m: float = 1000.0) -> CellLayout:
     """Center cell alone (B=1) or with its first interfering ring (B=7)."""
-    if radius_m <= 0.0:
-        raise InvalidInputError("radius must be positive")
+    if not 0.0 < radius_m < math.inf:
+        raise InvalidInputError("radius must be positive and finite")
     if B == 1:
         centers = np.zeros((1, 2))
     elif B == 7:
@@ -127,7 +146,10 @@ def hex_layout(B: int = 7, radius_m: float = 1000.0) -> CellLayout:
 
 
 def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np.ndarray:
-    """Boolean mask of points inside the hexagon (boundary counts as inside)."""
+    """Boolean mask of points inside the hexagon (boundary counts as inside).
+
+    ``center`` is one (2,) centre or one (N, 2) row per point.
+    """
     rel = np.atleast_2d(points) - center
     apothem = SQRT3 / 2.0 * radius_m
     ok = np.ones(rel.shape[0], dtype=bool)
@@ -136,29 +158,83 @@ def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np
     return ok
 
 
+# Bound on the candidate points drawn in one call of drop_users: 7 cells of
+# up to 292 users share one draw, a 4,000-user cell draws alone.
+_BLOCK_POINTS = 4096
+
+
+def _accepted(points: np.ndarray, centers: np.ndarray, radius_m: float,
+              exclusion_m: float) -> np.ndarray:
+    """Mask of (N, 2) candidates inside their cell and outside its exclusion disk."""
+    inside = points_in_hex(points, centers, radius_m)
+    rel = points - centers
+    return inside & (np.hypot(rel[:, 0], rel[:, 1]) >= exclusion_m)
+
+
 def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
                exclusion_m: float = 35.0) -> UserDrop:
     """K uniform positions per cell, outside the serving-BS exclusion disk.
 
-    Rejection sampling from the bounding square; deterministic given the
-    generator state.
+    Rejection sampling from each cell's bounding square, deterministic given
+    the generator state and bit-identical to the per-cell loop it replaces:
+    cell by cell, draw max(2(K - got), 8) candidates and keep the accepted
+    ones in draw order until K are kept. The first round of a block of
+    consecutive cells is one draw. When a cell of the block keeps fewer
+    than K, the generator is rewound to the start of the block and advanced
+    past the first rounds up to that cell, which finishes with the per-cell
+    loop; the next block starts at the next cell.
     """
     if K < 1:
         raise InvalidInputError("K must be at least 1")
     R = layout.radius_m
+    # a NaN or wider disk would leave the rejection loop spinning
+    if not 0.0 <= exclusion_m <= SQRT3 / 2.0 * R:
+        raise InvalidInputError(
+            "exclusion radius must lie between 0 and the cell apothem")
+    n = max(2 * K, 8)
+    per_block = max(1, _BLOCK_POINTS // n)
     pos = np.empty((layout.num_cells, K, 2))
-    for j, center in enumerate(layout.centers):
-        got = 0
-        while got < K:
-            n_draw = max(2 * (K - got), 8)
-            cand = center + rng.uniform(-R, R, size=(n_draw, 2))
-            keep = points_in_hex(cand, center, R)
-            keep &= np.hypot(cand[:, 0] - center[0], cand[:, 1] - center[1]) >= exclusion_m
-            cand = cand[keep]
-            take = min(K - got, cand.shape[0])
-            pos[j, got:got + take] = cand[:take]
-            got += take
+    j = 0
+    while j < layout.num_cells:
+        g = min(per_block, layout.num_cells - j)
+        centers = np.repeat(layout.centers[j:j + g], n, axis=0)
+        state = rng.bit_generator.state if g > 1 else None
+        cand = centers + rng.uniform(-R, R, size=centers.shape)
+        keep = _accepted(cand, centers, R, exclusion_m).reshape(g, n)
+        kept = np.cumsum(keep, axis=1)
+        short = np.flatnonzero(kept[:, -1] < K)
+        full = int(short[0]) if short.size else g
+        # each full cell takes its first K accepted candidates
+        take = keep & (kept <= K)
+        take[full:] = False
+        pos[j:j + full] = cand.compress(take.ravel(), axis=0).reshape(full, K, 2)
+        j += full
+        if full == g:
+            continue
+        if full + 1 < g:
+            rng.bit_generator.state = state
+            rng.uniform(-R, R, size=(full + 1) * n * 2)
+        short_cand = cand[full * n:(full + 1) * n]
+        _finish_cell(pos[j], short_cand[keep[full]], layout.centers[j], R,
+                     exclusion_m, rng)
+        j += 1
     return UserDrop(positions=pos, layout=layout)
+
+
+def _finish_cell(out: np.ndarray, kept: np.ndarray, center: np.ndarray,
+                 radius_m: float, exclusion_m: float,
+                 rng: np.random.Generator) -> None:
+    """Fill ``out`` with ``kept`` and then further rounds of the per-cell loop."""
+    K = out.shape[0]
+    got = kept.shape[0]
+    out[:got] = kept
+    while got < K:
+        cand = center + rng.uniform(-radius_m, radius_m,
+                                    size=(max(2 * (K - got), 8), 2))
+        cand = cand[_accepted(cand, center, radius_m, exclusion_m)]
+        take = min(K - got, cand.shape[0])
+        out[got:got + take] = cand[:take]
+        got += take
 
 
 def cost231_pathloss_db(distance_m, params: Cost231Params):
@@ -167,13 +243,8 @@ def cost231_pathloss_db(distance_m, params: Cost231Params):
     if np.any(d < params.exclusion_radius_m):
         raise InvalidInputError(
             f"distance below the {params.exclusion_radius_m} m exclusion disk")
-    f = params.carrier_freq_mhz
-    hb = params.bs_height_m
-    hm = params.ms_height_m
-    # medium-city mobile antenna correction, 0 dB area correction
-    a_hm = (1.1 * np.log10(f) - 0.7) * hm - (1.56 * np.log10(f) - 0.8)
-    pl = (46.3 + 33.9 * np.log10(f) - 13.82 * np.log10(hb) - a_hm
-          + (44.9 - 6.55 * np.log10(hb)) * np.log10(d / 1000.0))
+    pl = (params.pathloss_intercept_db
+          + params.pathloss_slope_db * np.log10(d / 1000.0))
     return pl if pl.ndim else float(pl)
 
 

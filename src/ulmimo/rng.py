@@ -2,11 +2,12 @@
 
 Every random quantity in a run is drawn from a substream derived from the
 64-bit master seed, a domain tag, and an index. Derivation is a SHA-256
-hash of ``tag || 0x00 || index_le8 || master_le8``; the 256-bit digest
-seeds numpy's PCG64 via SeedSequence. Substreams are therefore
-collision-resistant, independent of evaluation order, and reproducible
-from the run manifest alone. (Bit-equality of Gaussian draws across other
-language runtimes is a non-goal; the derivation scheme itself is portable.)
+hash of ``tag || 0x00 || index_le8 || master_le8``; the 256-bit digest,
+read as a little-endian integer, seeds numpy's PCG64 via SeedSequence.
+Substreams are therefore collision-resistant, independent of evaluation
+order, and reproducible from the run manifest alone. (Bit-equality of
+Gaussian draws across other language runtimes is a non-goal; the
+derivation scheme itself is portable.)
 """
 
 from __future__ import annotations
@@ -18,22 +19,31 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def substream_key(master_seed: int, tag: str, index: int = 0) -> int:
-    """256-bit integer key for the (seed, tag, index) substream."""
-    payload = (
+def _digest(master_seed: int, tag: str, index: int) -> bytes:
+    return hashlib.sha256(
         tag.encode("utf-8")
         + b"\x00"
         + int(index).to_bytes(8, "little", signed=False)
         + (int(master_seed) & _MASK64).to_bytes(8, "little", signed=False)
-    )
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest, "little")
+    ).digest()
+
+
+def substream_key(master_seed: int, tag: str, index: int = 0) -> int:
+    """256-bit integer key for the (seed, tag, index) substream."""
+    return int.from_bytes(_digest(master_seed, tag, index), "little")
 
 
 def seed_substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
-    """Independent generator for one (tag, index) domain of a run."""
-    key = substream_key(master_seed, tag, index)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    """Independent generator for one (tag, index) domain of a run.
+
+    SeedSequence gets the key as little-endian 32-bit words without the
+    high zero words, which is how it splits the integer key itself, so the
+    state is the same while the big-integer conversion is skipped.
+    """
+    words = np.frombuffer(_digest(master_seed, tag, index), "<u4")
+    if not words[-1]:
+        words = np.trim_zeros(words, "b")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ulmimo import asymptotic as la
 from ulmimo import cli
+from ulmimo import rng as rng_module
 from ulmimo.errors import (ConditioningError, ConvergenceError, ScenarioError)
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream, substream_key
+from ulmimo.scenario import parse_scenario, scenario_to_dict
 
 # frozen after the first verified run of `asymptotic` on idealized-01 with
 # the default grid (values cross-checked against the library in
@@ -53,6 +57,24 @@ GOLDEN_MC_RUNS = {
         "540b943e5f7edcad461efd4bbb2c12d9fddfe833996d00713751062da52334de"),
 }
 
+# Monte Carlo on cost231-7cell with 8 dB shadowing, recorded before the
+# block drop sampler: shadowing and channel draws follow a stream that
+# the sampler may have rewound and advanced.
+GOLDEN_SHADOWED_MC = {
+    "noiseless": "a6f073b52f8119d6b434eeb1d2dfa23db3c9b483b5238d7d9676d43e7edf819a",
+    "noisy": "d490fce9ba3226033c7ae4e4146b589152254764a80a837e68d9dd513954a473",
+    "training": "136eed28ab252b78101b5a4ea620c4b7721e94b0aaa6a20c6b530136124a6305",
+}
+
+
+def cost231_scenario_file(tmp_path, **gain_model):
+    """cost231-7cell written to a file with some gain-model fields replaced."""
+    data = scenario_to_dict(parse_scenario("cost231-7cell"))
+    data["gain_model"].update(gain_model)
+    path = tmp_path / "cost231-edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
 
 class TestSubstreams:
     def test_same_inputs_same_state(self):
@@ -75,6 +97,26 @@ class TestSubstreams:
             keys.add(substream_key(0, "trial", i))
             keys.add(substream_key(1, "trial", i))
         assert len(keys) == 1_000_000
+
+    @staticmethod
+    def integer_seeded(key):
+        return np.random.PCG64(np.random.SeedSequence(key)).state
+
+    def test_word_seeding_matches_integer_key(self):
+        for seed in (0, 1, 7, 4099, 2 ** 63, 2 ** 64 - 1):
+            for tag in ("trial", "drop-law", "x"):
+                for index in [*range(40), 2 ** 32, 2 ** 64 - 1]:
+                    expected = self.integer_seeded(substream_key(seed, tag, index))
+                    assert seed_substream(seed, tag, index).bit_generator.state \
+                        == expected, (seed, tag, index)
+
+    # about one key in 2**32 has a zero top word, which the integer key drops
+    @pytest.mark.parametrize("zero_words", [1, 2, 7])
+    def test_word_seeding_drops_high_zero_words(self, monkeypatch, zero_words):
+        digest = bytes(range(1, 33 - 4 * zero_words)) + bytes(4 * zero_words)
+        monkeypatch.setattr(rng_module, "_digest", lambda *args: digest)
+        expected = self.integer_seeded(int.from_bytes(digest, "little"))
+        assert seed_substream(0, "x").bit_generator.state == expected
 
 
 class TestExitCodes:
@@ -206,20 +248,31 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 2 ** 64 - 1
 
-    def test_exclusion_beyond_apothem_fails_fast(self, tmp_path):
-        import subprocess
-        import sys
-        from ulmimo.scenario import (parse_scenario, scenario_to_dict)
-        data = scenario_to_dict(parse_scenario("cost231-7cell"))
-        data["gain_model"]["exclusion_radius_m"] = 5000.0
-        path = tmp_path / "wide-exclusion.json"
-        path.write_text(json.dumps(data))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ulmimo", "rates", "--scenario", str(path),
-             "--out", str(tmp_path / "o")],
+    @staticmethod
+    def run_rates(tmp_path, scenario_path):
+        return subprocess.run(
+            [sys.executable, "-m", "ulmimo", "rates", "--scenario",
+             str(scenario_path), "--out", str(tmp_path / "o")],
             capture_output=True, text=True, timeout=60)
+
+    def test_exclusion_beyond_apothem_fails_fast(self, tmp_path):
+        proc = self.run_rates(
+            tmp_path, cost231_scenario_file(tmp_path, exclusion_radius_m=5000.0))
         assert proc.returncode == 2
         assert "apothem" in proc.stderr
+
+    # NaN exclusion used to hang the drop sampler, a non-finite radius to
+    # end in an OverflowError traceback, and NaN shadowing to turn it off
+    @pytest.mark.parametrize("field, value", [
+        ("exclusion_radius_m", float("nan")), ("cell_radius_m", float("nan")),
+        ("cell_radius_m", float("inf")), ("shadowing_sigma_db", float("nan"))])
+    def test_non_finite_geometry_fails_at_parse(self, tmp_path, field, value):
+        proc = self.run_rates(
+            tmp_path, cost231_scenario_file(tmp_path, **{field: value}))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestDispatch:
@@ -258,6 +311,15 @@ class TestDispatch:
         assert cli.main([*argv, "--out", str(out)]) == 0
         digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
         assert digest == expected
+
+    @pytest.mark.parametrize("estimate", sorted(GOLDEN_SHADOWED_MC))
+    def test_shadowed_cost231_monte_carlo_golden_file(self, tmp_path, estimate):
+        path = cost231_scenario_file(tmp_path, shadowing_sigma_db=8.0)
+        out = tmp_path / "run"
+        assert cli.main(["montecarlo", "--scenario", str(path), "--estimate",
+                         estimate, *_GOLDEN_MC, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "montecarlo.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHADOWED_MC[estimate]
 
     def test_reruns_byte_identical(self, tmp_path):
         args = ["montecarlo", "--scenario", "idealized-01", "--seed", "5",

@@ -21,6 +21,11 @@ class TestHexLayout:
         assert np.allclose(d, SQ3 * 1000.0)
         assert np.allclose(d, 1732.0508, atol=1e-3)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(InvalidInputError):
+            geo.hex_layout(7, radius)
+
     def test_unsupported_count(self):
         with pytest.raises(InvalidInputError):
             geo.hex_layout(3, 1000.0)
@@ -53,6 +58,12 @@ class TestDropUsers:
             d = np.linalg.norm(drop.positions[j] - center, axis=1)
             assert (d >= 35.0).all()
 
+    @pytest.mark.parametrize("exclusion_m", [np.nan, -1.0, 867.0])
+    def test_exclusion_outside_cell_refused(self, exclusion_m):
+        with pytest.raises(InvalidInputError, match="apothem"):
+            geo.drop_users(geo.hex_layout(7, 1000.0), 5, seed_substream(0, "x"),
+                           exclusion_m)
+
     def test_uniformity_chi_square_sextants(self):
         layout = geo.hex_layout(1, 1000.0)
         drop = geo.drop_users(layout, 100_000, seed_substream(7, "drop"))
@@ -60,6 +71,61 @@ class TestDropUsers:
         sextant = ((angles + np.pi) // (np.pi / 3)).astype(int).clip(0, 5)
         counts = np.bincount(sextant, minlength=6)
         assert chisquare(counts).pvalue > 0.01
+
+
+def sequential_drop(layout, K, rng, exclusion_m):
+    """The per-cell rejection loop drop_users must reproduce bit for bit."""
+    R = layout.radius_m
+    pos = np.empty((layout.num_cells, K, 2))
+    for j, center in enumerate(layout.centers):
+        got = 0
+        while got < K:
+            n_draw = max(2 * (K - got), 8)
+            cand = center + rng.uniform(-R, R, size=(n_draw, 2))
+            keep = geo.points_in_hex(cand, center, R)
+            keep &= np.hypot(cand[:, 0] - center[0],
+                             cand[:, 1] - center[1]) >= exclusion_m
+            cand = cand[keep]
+            take = min(K - got, cand.shape[0])
+            pos[j, got:got + take] = cand[:take]
+            got += take
+    return pos
+
+
+class TestDropMatchesSequentialLoop:
+    """Block draws, rewinds included, leave positions and generator state
+    exactly where the per-cell loop leaves them."""
+
+    @staticmethod
+    def check(B, K, exclusion_m, seeds):
+        layout = geo.hex_layout(B, 1000.0)
+        for seed in seeds:
+            ref_rng = seed_substream(seed, "oracle", K)
+            got_rng = seed_substream(seed, "oracle", K)
+            ref = sequential_drop(layout, K, ref_rng, exclusion_m)
+            got = geo.drop_users(layout, K, got_rng, exclusion_m).positions
+            assert got.tobytes() == ref.tobytes(), (B, K, exclusion_m, seed)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # 35 m is the frozen disk; at the apothem about 6% of candidates pass,
+    # so nearly every block has a short cell and rewinds
+    @pytest.mark.parametrize("exclusion_m", [35.0, 400.0, SQ3 / 2.0 * 1000.0])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_small_cells(self, B, exclusion_m):
+        for K in range(1, 61):
+            self.check(B, K, exclusion_m, range(K % 16, 64, 16))
+
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_frozen_disk_many_seeds(self, B):
+        for K in (1, 4, 10, 25, 50):
+            self.check(B, K, 35.0, range(60))
+
+    # K = 300 splits seven cells into blocks of six and one; K = 5000
+    # draws one cell per block
+    @pytest.mark.parametrize("exclusion_m", [35.0, 860.0])
+    @pytest.mark.parametrize("K", [300, 5000])
+    def test_multi_block(self, K, exclusion_m):
+        self.check(7, K, exclusion_m, range(3))
 
 
 class TestPathloss:
@@ -84,6 +150,18 @@ class TestPathloss:
         pl = geo.cost231_pathloss_db(d, params)
         assert (np.diff(pl) > 0).all()
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"carrier_freq_mhz": 1500.0, "bs_height_m": 200.0, "ms_height_m": 10.0},
+        {"carrier_freq_mhz": 1733.3, "bs_height_m": 47.0, "ms_height_m": 1.0}])
+    def test_cached_terms_match_inline_formula(self, kwargs):
+        params = geo.Cost231Params(**kwargs)
+        f, hb, hm = params.carrier_freq_mhz, params.bs_height_m, params.ms_height_m
+        d = np.linspace(35.0, 3000.0, 101)
+        a_hm = (1.1 * np.log10(f) - 0.7) * hm - (1.56 * np.log10(f) - 0.8)
+        inline = (46.3 + 33.9 * np.log10(f) - 13.82 * np.log10(hb) - a_hm
+                  + (44.9 - 6.55 * np.log10(hb)) * np.log10(d / 1000.0))
+        assert geo.cost231_pathloss_db(d, params).tobytes() == inline.tobytes()
+
     def test_repeatable(self):
         params = geo.Cost231Params()
         assert (geo.cost231_pathloss_db(777.0, params)
@@ -92,6 +170,15 @@ class TestPathloss:
     def test_below_exclusion_rejected(self):
         with pytest.raises(InvalidInputError):
             geo.cost231_pathloss_db(10.0, geo.Cost231Params())
+
+    @pytest.mark.parametrize("field", [
+        "cell_radius_m", "tx_power_dbm", "noise_power_dbm", "noise_bandwidth_hz",
+        "carrier_freq_mhz", "bs_height_m", "ms_height_m", "shadowing_sigma_db",
+        "exclusion_radius_m"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(InvalidInputError):
+            geo.Cost231Params(**{field: value})
 
     def test_validity_ranges_enforced(self):
         with pytest.raises(InvalidInputError):
