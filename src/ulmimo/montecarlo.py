@@ -9,6 +9,10 @@ each with the error variances that set the MMSE regularizer, build the
 matched and MMSE receive filters, and measure the empirical SINR as a
 conditional power decomposition: no data symbols are ever drawn, the four
 powers are quadratic forms in the filter.
+
+Only the dense filter solve needs scipy (LAPACK ``zpotrf``/``zpotrs``). It
+imports it on first use, so importing the package or computing the
+closed-form limits never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import (ConditioningError, InvalidInputError, NumericalError)
 from .rng import complex_gaussian
@@ -271,6 +274,8 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
         def solve(rhs):
             return (rhs - V @ np.linalg.solve(inner, Vh @ rhs)) / reg
     else:
+        # scipy is loaded here, on the first dense solve, not at import
+        from scipy.linalg.lapack import zpotrf, zpotrs
         S = (V * d) @ Vh
         S[np.diag_indices(M)] += reg
         factor, info = zpotrf(S, lower=1, overwrite_a=1, clean=0)

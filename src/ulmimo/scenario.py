@@ -1,7 +1,8 @@
 """Scenario files: strict JSON configs that pin every experiment input.
 
 A scenario fixes the cell count, loading, noise variance, gain model and
-pilot settings. Parsing is strict: unknown keys are rejected and every
+pilot settings. Parsing is strict: unknown and repeated keys, NaN and
+infinities, and values of the wrong JSON type are rejected, and every
 range is validated, so a scenario hash plus a master seed fully determines
 a run. Bundled scenarios (the idealized three and the 7-cell drop model)
 live inside the package and can be referenced by name.
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from importlib import resources
@@ -19,10 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import ScenarioError
+from .errors import InvalidInputError, ScenarioError
 from .geometry import Cost231Params, hex_layout
 
 SCHEMA_VERSION = 1
+
+# cap on cells: the idealized rate table holds a (cells, 10,000) gain array
+MAX_CELLS = 100
+
+# pilot SNR range in dB, wide enough for any link and keeping 10**(x/10) finite
+PILOT_SNR_DB_RANGE = (-100.0, 100.0)
 
 # accepted values of pilot.mode; they name the CLI's --estimate choices
 # noiseless, noisy and training, but no run reads the field
@@ -52,6 +61,9 @@ class PilotSettings:
     def __post_init__(self):
         if self.mode not in _PILOT_MODES:
             raise ScenarioError(f"unknown pilot mode {self.mode!r}")
+        lo, hi = PILOT_SNR_DB_RANGE
+        if not lo <= self.pilot_snr_db <= hi:
+            raise ScenarioError(f"pilot_snr_db must lie in [{lo:g}, {hi:g}] dB")
 
     @property
     def pilot_snr(self) -> float:
@@ -66,7 +78,7 @@ class Coherence:
     subcarriers: int = 14
 
     def __post_init__(self):
-        if self.symbols < 1 or self.subcarriers < 1:
+        if not (1 <= self.symbols and 1 <= self.subcarriers):
             raise ScenarioError("coherence block must be at least 1x1")
 
 
@@ -81,8 +93,8 @@ class Scenario:
     coherence: Coherence = field(default_factory=Coherence)
 
     def __post_init__(self):
-        if self.cells < 1:
-            raise ScenarioError("cells must be at least 1")
+        if not 1 <= self.cells <= MAX_CELLS:
+            raise ScenarioError(f"cells must lie in [1, {MAX_CELLS}]")
         if not self.alpha > 0.0:
             raise ScenarioError("alpha must be positive")
         if not self.noise_var > 0.0:
@@ -99,10 +111,11 @@ class Scenario:
 
     @cached_property
     def layout(self) -> geometry.CellLayout:
-        """Cell layout, built on first use and kept for the scenario's life."""
-        radius = (self.gain_model.cell_radius_m
-                  if isinstance(self.gain_model, Cost231Params) else 1000.0)
-        return hex_layout(self.cells, radius)
+        """Cell layout of a drop scenario, built on first use and kept for
+        the scenario's life; idealized cells have no geometry."""
+        if self.is_idealized:
+            raise ScenarioError("an idealized scenario has no cell layout")
+        return hex_layout(self.cells, self.gain_model.cell_radius_m)
 
     def gain_matrix(self, K: int, rng: np.random.Generator) -> np.ndarray:
         """(B, K) gains of K users per cell: one Monte Carlo trial or, transposed,
@@ -119,24 +132,58 @@ class Scenario:
 # strict parsing
 # ---------------------------------------------------------------------------
 
+# JSON value kinds of the fields below. A bool is not a number, an int
+# field takes only ints, and a float field takes an int or a finite float,
+# kept as written so that the scenario_sha of a valid file does not move.
+_NULLABLE_FLOAT = "float or null"
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "a JSON object", _NULLABLE_FLOAT: "a finite number or null"}
+
+
+def _has_kind(value, kind) -> bool:
+    if kind is _NULLABLE_FLOAT:
+        return value is None or _has_kind(value, float)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, kind)
+
+
 def _take(mapping: dict, where: str, known: dict):
+    """The fields of ``mapping``, checked against ``known``: key -> (required, kind)."""
     unknown = set(mapping) - set(known)
     if unknown:
         raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
     out = {}
-    for key, required in known.items():
+    for key, (required, kind) in known.items():
         if key in mapping:
-            out[key] = mapping[key]
+            value = mapping[key]
+            if not _has_kind(value, kind):
+                raise ScenarioError(
+                    f"{where}.{key} must be {_KIND_NAMES[kind]}, "
+                    f"got {reprlib.repr(value)}")
+            out[key] = value
         elif required:
             raise ScenarioError(f"missing required field {key!r} in {where}")
     return out
 
 
+_COST231_FIELDS = {f: (False, float) for f in (
+    "cell_radius_m", "tx_power_dbm", "noise_power_dbm", "noise_bandwidth_hz",
+    "carrier_freq_mhz", "bs_height_m", "ms_height_m", "exclusion_radius_m")}
+_COST231_FIELDS["shadowing_sigma_db"] = (False, _NULLABLE_FLOAT)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     top = _take(data, "scenario", {
-        "schema": True, "name": True, "cells": True, "alpha": True,
-        "noise_var": True, "gain_model": True, "pilot": False,
-        "coherence": False,
+        "schema": (True, int), "name": (True, str), "cells": (True, int),
+        "alpha": (True, float), "noise_var": (True, float),
+        "gain_model": (True, dict), "pilot": (False, dict),
+        "coherence": (False, dict),
     })
     if top["schema"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {top['schema']!r}")
@@ -145,31 +192,24 @@ def scenario_from_dict(data: dict) -> Scenario:
     kind = gm.pop("kind", None)
     try:
         if kind == "idealized":
-            fields = _take(gm, "gain_model", {"beta_other": True})
-            gain_model = IdealizedGains(**fields)
+            gain_model = IdealizedGains(
+                **_take(gm, "gain_model", {"beta_other": (True, float)}))
         elif kind == "cost231":
-            fields = _take(gm, "gain_model", {
-                "cell_radius_m": False, "tx_power_dbm": False,
-                "noise_power_dbm": False, "noise_bandwidth_hz": False,
-                "carrier_freq_mhz": False, "bs_height_m": False,
-                "ms_height_m": False, "shadowing_sigma_db": False,
-                "exclusion_radius_m": False,
-            })
-            gain_model = Cost231Params(**fields)
+            gain_model = Cost231Params(**_take(gm, "gain_model", _COST231_FIELDS))
         else:
             raise ScenarioError(f"unknown gain model kind {kind!r}")
 
         pilot = PilotSettings(**_take(top.get("pilot", {}), "pilot", {
-            "mode": False, "pilot_snr_db": False}))
+            "mode": (False, str), "pilot_snr_db": (False, float)}))
         coherence = Coherence(**_take(top.get("coherence", {}), "coherence", {
-            "symbols": False, "subcarriers": False}))
-        return Scenario(name=str(top["name"]), cells=int(top["cells"]),
+            "symbols": (False, int), "subcarriers": (False, int)}))
+        return Scenario(name=top["name"], cells=top["cells"],
                         alpha=float(top["alpha"]),
                         noise_var=float(top["noise_var"]),
                         gain_model=gain_model, pilot=pilot, coherence=coherence)
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except InvalidInputError as exc:  # the geometry's own range checks
         raise ScenarioError(str(exc)) from exc
 
 
@@ -213,19 +253,38 @@ def parse_scenario(path: str | Path) -> Scenario:
             text = bundle.read_text()
             return _parse_text(text, str(path))
         raise ScenarioError(f"scenario file not found: {path}")
-    return _parse_text(candidate.read_text(), str(path))
+    try:
+        text = candidate.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
+    return _parse_text(text, str(path))
+
+
+def _refuse_constant(name: str):
+    raise ScenarioError(f"{name} is not a number a scenario may hold")
+
+
+def _unique_keys(pairs: list) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ScenarioError(f"key {key!r} appears twice in one object")
+        seen.add(key)
+    return dict(pairs)
 
 
 def _parse_text(text: str, origin: str) -> Scenario:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_refuse_constant,
+                          object_pairs_hook=_unique_keys)
+        if not isinstance(data, dict):
+            raise ScenarioError("scenario must be a JSON object")
+        return scenario_from_dict(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{origin}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{origin}: scenario must be a JSON object")
-    try:
-        return scenario_from_dict(data)
+    except RecursionError as exc:
+        raise ScenarioError(f"{origin}: JSON nested too deeply") from exc
     except ScenarioError as exc:
         raise ScenarioError(f"{origin}: {exc}") from exc

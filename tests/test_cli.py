@@ -12,7 +12,8 @@ from ulmimo import rng as rng_module
 from ulmimo.errors import (ConditioningError, ConvergenceError, ScenarioError)
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream, substream_key
-from ulmimo.scenario import parse_scenario, scenario_to_dict
+from ulmimo.scenario import (parse_scenario, scenario_to_dict,
+                             serialize_scenario)
 
 # frozen after the first verified run of `asymptotic` on idealized-01 with
 # the default grid (values cross-checked against the library in
@@ -270,6 +271,40 @@ class TestExitCodes:
         proc = self.run_rates(
             tmp_path, cost231_scenario_file(tmp_path, **{field: value}))
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+    # each used to run with a silently coerced or substituted value, or to
+    # end in a TypeError, OverflowError or ArrayMemoryError traceback
+    @pytest.mark.parametrize("edit, command", [
+        (('"pilot_snr_db": 28.0', '"pilot_snr_db": NaN'), ("montecarlo",)),
+        (('"alpha": 0.5', '"alpha": 0.5, "alpha": 0.9'), ("rates",)),
+        (('"gain_model": {\n    "beta_other": 0.01,\n    "kind": "idealized"\n  }',
+          '"gain_model": [1, 2]'), ("rates",)),
+        (('"pilot_snr_db": 28.0', '"pilot_snr_db": 1e6'),
+         ("montecarlo", "--estimate", "noisy")),
+        (('"cells": 7', '"cells": true'), ("rates",)),
+        (('"cells": 7', '"cells": 1.5'), ("rates",)),
+        (('"cells": 7', '"cells": "7"'), ("rates",)),
+        (('"cells": 7', '"cells": 1000000'), ("rates",)),
+        (('"alpha": 0.5', '"alpha": "0.5"'), ("rates",)),
+        (('"schema": 1', '"schema": true'), ("rates",)),
+        (('"symbols": 7', '"symbols": 1.5'), ("rates",)),
+    ], ids=["nan-pilot-snr", "repeated-alpha", "gain-model-list",
+            "huge-pilot-snr", "cells-bool", "cells-float", "cells-string",
+            "cells-million", "alpha-string", "schema-bool", "symbols-float"])
+    def test_bad_scenario_value_fails_at_parse(self, tmp_path, edit, command):
+        text = serialize_scenario(parse_scenario("idealized-01"))
+        assert edit[0] in text
+        path = tmp_path / "edited.json"
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ulmimo", *command, "--scenario", str(path),
+             "--trials", "2", "--antennas", "4", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()

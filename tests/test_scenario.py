@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulmimo.errors import ScenarioError
 from ulmimo.rng import seed_substream
-from ulmimo.scenario import (Scenario, bundled_scenario_names, parse_scenario,
-                             scenario_from_dict, scenario_hash,
+from ulmimo.scenario import (MAX_CELLS, Coherence, PilotSettings, Scenario,
+                             _parse_text, bundled_scenario_names,
+                             parse_scenario, scenario_from_dict, scenario_hash,
                              scenario_to_dict, serialize_scenario)
 
 MINIMAL = {
@@ -88,11 +91,153 @@ class TestParsing:
             "exclusion_radius_m": APOTHEM_1KM}))
         assert sc.gain_matrix(5, seed_substream(4, "apothem")).shape == (7, 5)
 
+    @pytest.mark.parametrize("text", [
+        '{"alpha": NaN}', '{"alpha": Infinity}', '{"alpha": -Infinity}',
+        '{"pilot": {"pilot_snr_db": NaN}}'])
+    def test_non_finite_json_constants_rejected(self, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="not a number"):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"alpha": 0.5, "alpha": 0.9}',
+        '{"gain_model": {"kind": "idealized", "kind": "cost231"}}'])
+    def test_repeated_key_rejected(self, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="appears twice"):
+            parse_scenario(path)
+
+    def test_unreadable_file_is_scenario_error(self, tmp_path):
+        (tmp_path / "s.json").write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ScenarioError, match="cannot read"):
+            parse_scenario(tmp_path / "s.json")
+        with pytest.raises(ScenarioError, match="cannot read"):
+            parse_scenario(tmp_path)
+
+    def test_deeply_nested_json_is_scenario_error(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ScenarioError, match="nested"):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("cells", [0, MAX_CELLS + 1, 1_000_000])
+    def test_cell_count_outside_cap_rejected(self, cells):
+        with pytest.raises(ScenarioError, match="cells must lie"):
+            scenario_from_dict(dict(MINIMAL, cells=cells))
+
+    def test_cell_cap_accepted(self):
+        assert scenario_from_dict(dict(MINIMAL, cells=MAX_CELLS)).cells == MAX_CELLS
+
+    @pytest.mark.parametrize("snr_db", [-100.5, 100.5, 1e6, -1e6])
+    def test_pilot_snr_outside_range_rejected(self, snr_db):
+        with pytest.raises(ScenarioError, match="pilot_snr_db"):
+            scenario_from_dict(dict(MINIMAL, pilot={"pilot_snr_db": snr_db}))
+
+    @pytest.mark.parametrize("snr_db", [-100, 100.0])
+    def test_pilot_snr_range_ends_accepted(self, snr_db):
+        sc = scenario_from_dict(dict(MINIMAL, pilot={"pilot_snr_db": snr_db}))
+        assert 0.0 < sc.pilot.pilot_snr < float("inf")
+
+    def test_settings_checks_fail_on_nan(self):
+        with pytest.raises(ScenarioError):
+            PilotSettings(pilot_snr_db=float("nan"))
+        with pytest.raises(ScenarioError):
+            Coherence(symbols=float("nan"))
+
     def test_cost231_validity_wrapped(self):
         data = dict(MINIMAL, gain_model={"kind": "cost231",
                                          "carrier_freq_mhz": 100.0})
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
+
+
+# a JSON value of every kind but the one a field takes
+_NOT_NUMBER = st.one_of(st.booleans(), st.text(max_size=3), st.none(),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(),
+                                        max_size=1))
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_BAD_VALUES = {
+    "int": st.one_of(_NOT_NUMBER, st.floats(allow_nan=True)),
+    "float": st.one_of(_NOT_NUMBER, _NON_FINITE),
+    "nullable float": st.one_of(_NOT_NUMBER.filter(lambda v: v is not None),
+                                _NON_FINITE),
+    "str": st.one_of(st.booleans(), st.integers(), st.floats(), st.none(),
+                     st.lists(st.text(max_size=2), max_size=2)),
+    "object": st.one_of(st.booleans(), st.integers(), st.floats(), st.none(),
+                        st.text(max_size=3), st.lists(st.integers(), max_size=2)),
+}
+_COMMON_FIELDS = {
+    ("schema",): "int", ("name",): "str", ("cells",): "int",
+    ("alpha",): "float", ("noise_var",): "float", ("gain_model",): "object",
+    ("pilot",): "object", ("coherence",): "object",
+    ("pilot", "mode"): "str", ("pilot", "pilot_snr_db"): "float",
+    ("coherence", "symbols"): "int", ("coherence", "subcarriers"): "int",
+}
+
+
+def _field_kinds(data: dict) -> dict:
+    kinds = dict(_COMMON_FIELDS)
+    for key in data["gain_model"]:
+        if key != "kind":
+            kinds["gain_model", key] = ("nullable float"
+                                        if key == "shadowing_sigma_db" else "float")
+    return kinds
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A bundled scenario with one field set to a wrong type or non-finite value."""
+    data = scenario_to_dict(parse_scenario(
+        draw(st.sampled_from(["idealized-01", "cost231-7cell"]))))
+    kinds = _field_kinds(data)
+    path = draw(st.sampled_from(sorted(kinds)))
+    *parents, key = path
+    holder = data
+    for p in parents:
+        holder = holder[p]
+    holder[key] = draw(_BAD_VALUES[kinds[path]])
+    return data
+
+
+class TestTypedFields:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(fuzzed_scenarios())
+    def test_wrong_type_or_non_finite_value_rejected(self, data):
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(data)
+        # the same file as text: NaN and infinities stop at the JSON layer
+        with pytest.raises(ScenarioError):
+            _parse_text(json.dumps(data), "fuzzed")
+
+    @pytest.mark.parametrize("field, value", [
+        ("cells", True), ("cells", 1.5), ("cells", "7"), ("cells", 7.0),
+        ("alpha", "0.5"), ("alpha", True), ("schema", True), ("schema", 1.0),
+        ("name", 5), ("gain_model", [1, 2]), ("pilot", "noisy"),
+        ("coherence", None)])
+    def test_top_level_field_kinds(self, field, value):
+        with pytest.raises(ScenarioError, match=f"scenario.{field} must be"):
+            scenario_from_dict(dict(MINIMAL, **{field: value}))
+
+    def test_int_in_float_field_kept_as_written(self):
+        # scenario_sha of a valid file with integer-valued floats does not
+        # move (value recorded before the typed parser)
+        data = scenario_to_dict(parse_scenario("cost231-7cell"))
+        data.update(alpha=1, noise_var=1)
+        data["gain_model"].update(cell_radius_m=1000, bs_height_m=30,
+                                  exclusion_radius_m=35, shadowing_sigma_db=8)
+        data["pilot"]["pilot_snr_db"] = 28
+        sc = scenario_from_dict(data)
+        assert scenario_hash(sc) == "39b5effd3bd8"
+        assert '"pilot_snr_db": 28\n' in serialize_scenario(sc)
+
+    def test_bundled_hashes_unchanged(self):
+        assert {name: scenario_hash(parse_scenario(name))
+                for name in bundled_scenario_names()} == {
+            "cost231-7cell": "be87adebbf06", "idealized-001": "4dca3355b0d5",
+            "idealized-01": "4f7b885c4343", "idealized-1": "45d9b30ee2e2"}
 
 
 class TestRoundTrip:
@@ -149,6 +294,10 @@ class TestScenarioBehaviour:
             sc.gain_matrix(4, seed_substream(t, "gm"))
         sc.gain_matrix(10, seed_substream(0, "rows"))
         assert calls == [(7, 1000.0)]
+
+    def test_idealized_scenario_has_no_layout(self):
+        with pytest.raises(ScenarioError, match="no cell layout"):
+            parse_scenario("idealized-01").layout
 
     def test_with_alpha(self):
         sc = parse_scenario("idealized-01")
