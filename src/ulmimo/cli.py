@@ -10,6 +10,8 @@ error, 3 fixed-point non-convergence, 4 other numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,6 +34,23 @@ _DEFAULT_ALPHAS = {
     "rates": [round(0.1 * i, 1) for i in range(1, 11)],
     "rategap": [0.2, 0.4, 0.6, 0.8, 1.0],
 }
+# glibc's mallopt parameters (<malloc.h>) and the values main sets. A Monte
+# Carlo trial allocates and frees the same arrays, from tens of KB to about
+# 2 MB at M = 50, on every trial. Left to glibc's dynamic thresholds, some
+# of them are mapped and unmapped, or the heap top holding them is trimmed,
+# and their pages fault back in on the next trial. 32 MiB is the highest
+# value glibc's dynamic mmap threshold reaches on 64-bit hosts; it keeps in
+# the heap every per-trial array up to a (B, K, M) channel of 7 cells at
+# M = 500 and alpha = 1. The trim threshold is twice it, the ratio glibc
+# keeps when it raises the threshold itself.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+# flags without a default that a command does not read: given, they are
+# refused rather than dropped
+_UNREAD_FLAGS = {"asymptotic": ("trials",), "rategap": ("trials",),
+                 "validate": ("alpha", "trials")}
 _DEFAULT_BETA_GRID = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
 _DEFAULT_FILTERS = ",".join(ALL_FILTERS)
 
@@ -97,8 +116,10 @@ def dispatch(args) -> int:
     except OSError as exc:
         raise InvalidInputError(f"cannot create output directory: {exc}") from exc
 
-    alphas = _parse_list(args.alpha) if args.alpha else _DEFAULT_ALPHAS.get(
-        args.command, [scenario.alpha])
+    for flag in _UNREAD_FLAGS.get(args.command, ()):
+        if getattr(args, flag) is not None:
+            raise InvalidInputError(
+                f"--{flag} is not read by {args.command}")
     if args.command != "montecarlo" and args.filters != _DEFAULT_FILTERS:
         raise InvalidInputError(
             f"--filters is read only by montecarlo, not {args.command}")
@@ -112,6 +133,9 @@ def dispatch(args) -> int:
     if args.command == "validate":
         ok = run_validation()
         return EXIT_OK if ok else EXIT_NUMERICAL
+
+    alphas = (_DEFAULT_ALPHAS[args.command] if args.alpha is None
+              else _parse_list(args.alpha))
 
     if args.command == "asymptotic":
         result = experiments.asymptotic_sweep(scenario, alphas)
@@ -158,7 +182,21 @@ def run_validation() -> bool:
     return validate.run_all(print)
 
 
+@functools.cache
+def _steady_heap() -> None:
+    """Fix the C heap's mmap and trim thresholds, once per process."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return  # no mallopt: the allocator keeps its own policy
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _steady_heap()
     args = build_parser().parse_args(argv)
     try:
         code = dispatch(args)

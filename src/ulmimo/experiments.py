@@ -27,6 +27,10 @@ from .scenario import Scenario, scenario_hash
 
 CSV_SCHEMA = 1
 MIN_PERCENTILE_SAMPLES = 20
+# Cap on the B*K*M channel entries of one trial: 2**24 complex entries are
+# 256 MiB per (B, K, M) array, and a trial holds several. It admits M = 1024
+# at alpha = 1.5 in 7 cells; larger trials are refused before any draw.
+MAX_TRIAL_ENTRIES = 2 ** 24
 
 FILTER_MF = "mf"
 FILTER_MMSE = "mmse"
@@ -190,6 +194,11 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     filters = tuple(filters)
     if not filters:
         raise InvalidInputError("filter list must be non-empty")
+    entries = scenario.cells * users_per_cell(grid[-1], M) * M
+    if entries > MAX_TRIAL_ENTRIES:
+        raise InvalidInputError(
+            f"a trial at M={M}, alpha={grid[-1]} holds {entries} channel "
+            f"entries, above the cap of {MAX_TRIAL_ENTRIES}")
     uses_pilot_stream = estimate_mode != "noiseless"
     samples = {(a, f): np.empty(trials) for a in grid for f in filters}
     for ai, a in enumerate(grid):
@@ -313,7 +322,6 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
     finite-system table is not reproduced, it is refused.
     """
     grid = _check_alpha_grid(alpha_grid)
-    dist = _drop_profiles(scenario, n_drops, master_seed)
     mc = None
     if trials is not None:
         if M is None:
@@ -326,6 +334,7 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
         mc = monte_carlo_sweep(scenario, M, grid, trials,
                                (FILTER_MMSE, FILTER_MMSE_PERFECT),
                                estimate_mode, master_seed)
+    dist = _drop_profiles(scenario, n_drops, master_seed)
     rows = []
     for a in grid:
         _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)

@@ -10,14 +10,22 @@ matched and MMSE receive filters, and measure the empirical SINR as a
 conditional power decomposition: no data symbols are ever drawn, the four
 powers are quadratic forms in the filter.
 
-Only the dense filter solve needs scipy (LAPACK ``zpotrf``/``zpotrs``). It
-imports it on first use, so importing the package or computing the
-closed-form limits never loads scipy.
+Only the dense filter solve needs scipy (LAPACK ``zpotrf``/``zpotrs``). On
+its first call it loads scipy's compiled LAPACK module,
+``scipy.linalg._flapack``, by itself, which takes 24 modules and about
+3 MB; ``scipy.linalg``'s package init, about 320 modules and 23 MB, never
+runs. Importing the package or computing the closed-form limits loads no
+scipy. A trial frees and reallocates the same arrays every time; the CLI
+sets the C heap's thresholds so that they stay in the heap between trials.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from .rng import complex_gaussian
 
 LINEAR_SOLVE_TOL = 1e-10
 TRAINING_COND_LIMIT = 1e12
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass
@@ -249,6 +258,26 @@ def theta_effective(real: ChannelRealization,
     return float(theta1), float(theta2)
 
 
+def _flapack():
+    """scipy's compiled LAPACK module, without ``scipy.linalg``'s package init.
+
+    Loaded once per process: a module already in ``sys.modules`` is reused,
+    and one loaded here is registered there, so a later ``import
+    scipy.linalg`` shares it.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+        spec = importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [str(Path(scipy.__file__).parent / "linalg")])
+        if spec is None:
+            raise ImportError(f"{_FLAPACK} not found", name=_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
 def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
                             b: np.ndarray, method: str | None = None) -> np.ndarray:
     """Solve (V diag(d) V^H + reg I) c = b for tall V.
@@ -274,17 +303,16 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
         def solve(rhs):
             return (rhs - V @ np.linalg.solve(inner, Vh @ rhs)) / reg
     else:
-        # scipy is loaded here, on the first dense solve, not at import
-        from scipy.linalg.lapack import zpotrf, zpotrs
+        lapack = _flapack()
         S = (V * d) @ Vh
         S[np.diag_indices(M)] += reg
-        factor, info = zpotrf(S, lower=1, overwrite_a=1, clean=0)
+        factor, info = lapack.zpotrf(S, lower=1, overwrite_a=1, clean=0)
         if info != 0:
             raise NumericalError(
                 f"filter Gram matrix is not positive definite (info {info})")
 
         def solve(rhs):
-            return zpotrs(factor, rhs, lower=1)[0]
+            return lapack.zpotrs(factor, rhs, lower=1)[0]
 
     bnorm = np.linalg.norm(b) or 1.0  # b = 0 is solved exactly by c = 0
     c = solve(b)

@@ -216,13 +216,38 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["asymptotic", "montecarlo",
                                          "percentile", "rates", "rategap"])
-    @pytest.mark.parametrize("alpha", ["0.2,abc", ",", "0.5,0.2"])
+    @pytest.mark.parametrize("alpha", ["0.2,abc", ",", "0.5,0.2", ""])
     def test_malformed_alpha_is_config_error(self, tmp_path, capsys, command,
                                              alpha):
         out = tmp_path / "run"
         assert cli.main([command, "--alpha", alpha, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("asymptotic", ("--trials", "5")), ("rategap", ("--trials", "5")),
+        ("validate", ("--trials", "5")), ("validate", ("--alpha", "0.5"))])
+    def test_flag_the_command_does_not_read_is_config_error(
+            self, tmp_path, capsys, command, flag):
+        out = tmp_path / "run"
+        assert cli.main([command, *flag, "--out", str(out)]) == 2
+        assert f"{flag[0]} is not read by {command}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,trials", [("montecarlo", "1"),
+                                                ("percentile", "20")])
+    def test_huge_antenna_count_refused_before_any_draw(self, tmp_path,
+                                                        command, trials):
+        # a 7-cell trial at M = 100000 and alpha = 1 would need 1 TiB
+        proc = subprocess.run(
+            [sys.executable, "-m", "ulmimo", command, "--antennas", "100000",
+             "--alpha", "1.0", "--trials", trials,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "above the cap" in proc.stderr
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_unwritable_out_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -157,6 +157,20 @@ class TestMonteCarloSweep:
             ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2,
                                  estimate_mode="psychic")
 
+    def test_trial_entry_cap_checked_before_any_draw(self, idealized_01,
+                                                     monkeypatch):
+        # the largest loading sets the trial: 7 cells x K = 4 x M = 8
+        monkeypatch.setattr(ex, "MAX_TRIAL_ENTRIES", 7 * 4 * 8)
+        samples = ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2)
+        assert samples[(0.5, "mf")].shape == (2,)
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(ex, "run_trial", no_trials)
+        monkeypatch.setattr(ex, "MAX_TRIAL_ENTRIES", 7 * 4 * 8 - 1)
+        with pytest.raises(InvalidInputError, match="224 channel entries"):
+            ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2)
+
     def test_gap_to_limit_shrinks_with_antennas(self, idealized_01):
         dist = idealized_gains(7, 0.01)
         gaps = {}
