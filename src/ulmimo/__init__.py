@@ -10,9 +10,8 @@ from .fading import FadingDistribution, expect_total_gain
 from .geometry import (CellLayout, Cost231Params, UserDrop, cost231_pathloss_db,
                        drop_users, hex_layout, idealized_gains,
                        large_scale_gains)
-from .montecarlo import (ChannelRealization, EstimateSet, PilotConfig,
-                         SinrBreakdown, draw_channels, empirical_sinr,
-                         generate_pilot_sequences,
+from .montecarlo import (ChannelRealization, EstimateSet, SinrBreakdown,
+                         draw_channels, empirical_sinr, generate_pilot_sequences,
                          matched_filter, mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
                          theta_effective, training_based_estimate)

@@ -121,8 +121,8 @@ def solve_eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
     return max(1.0 / denom, eta1 * eta1)
 
 
-def interference_suppression(dist: FadingDistribution, alpha: float,
-                             eta1: float, eta2: float) -> float:
+def interference_suppression(dist: FadingDistribution, eta1: float,
+                             eta2: float) -> float:
     """Interference power removed by the MMSE receiver relative to the MF.
 
     Three expectation terms evaluated in a single pass over the samples so
@@ -146,7 +146,7 @@ def solve_det_eq(dist: FadingDistribution, alpha: float,
     """Solve eta1, eta2 and the suppression constant in one call."""
     eta1 = solve_eta1(dist, alpha, noise_var)
     eta2 = solve_eta2(dist, alpha, eta1)
-    supp = interference_suppression(dist, alpha, eta1, eta2)
+    supp = interference_suppression(dist, eta1, eta2)
     e_total, _ = expect_total_gain(dist)
     return DetEqSolution(eta1=eta1, eta2=eta2, suppression=supp,
                          mean_total_gain=e_total, noise_var=noise_var)

@@ -47,12 +47,25 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
 
-# flags without a default that a command does not read: given, they are
-# refused rather than dropped
-_UNREAD_FLAGS = {"asymptotic": ("trials",), "rategap": ("trials",),
-                 "validate": ("alpha", "trials")}
+# The run flags each command reads; --scenario, --seed and --out are read
+# by all. A run flag given to a command that does not read it is refused.
+# rates simulates, and so reads --antennas and --estimate, only with --trials.
+_RUN_FLAGS = ("alpha", "antennas", "trials", "estimate", "filters")
+FLAGS_READ = {
+    "asymptotic": ("alpha",),
+    "montecarlo": _RUN_FLAGS,
+    "percentile": ("alpha", "antennas", "trials", "estimate"),
+    "rates without --trials": ("alpha",),
+    "rates with --trials": ("alpha", "antennas", "trials", "estimate"),
+    "rategap": ("alpha",),
+    "validate": (),
+}
+# values of the run flags left out, filled in before the run and recorded
+# in the manifest; the default --alpha grids and trial count are not recorded
+_FLAG_DEFAULTS = {"antennas": 50, "estimate": "noiseless",
+                  "filters": ",".join(ALL_FILTERS)}
+_DEFAULT_TRIALS = 500
 _DEFAULT_BETA_GRID = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
-_DEFAULT_FILTERS = ",".join(ALL_FILTERS)
 
 
 def _parse_list(text: str) -> list[float]:
@@ -75,11 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--alpha", default=None,
                         help="comma-separated loading values")
-    parser.add_argument("--antennas", type=int, default=50, metavar="M")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--estimate", default="noiseless",
-                        choices=ESTIMATE_MODES)
-    parser.add_argument("--filters", default=_DEFAULT_FILTERS,
+    parser.add_argument("--antennas", type=int, metavar="M")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--estimate", choices=ESTIMATE_MODES)
+    parser.add_argument("--filters",
                         help="comma-separated subset of mf,mmse,mmse-perfect "
                              "(montecarlo only)")
     return parser
@@ -96,19 +108,27 @@ def _manifest(args, scenario: Scenario) -> dict:
         "scenario_sha": scenario_hash(scenario),
         "seed": int(args.seed),
         "out_dir": str(args.out),
-        "overrides": {
-            "alpha": args.alpha,
-            "antennas": args.antennas,
-            "trials": args.trials,
-            "estimate": args.estimate,
-            "filters": args.filters,
-        },
+        "overrides": {flag: getattr(args, flag) for flag in _RUN_FLAGS},
     }
+
+
+def _resolve_flags(args) -> None:
+    """Refuse run flags the command does not read, then fill in defaults."""
+    reader = args.command
+    if reader == "rates":
+        reader += " without --trials" if args.trials is None else " with --trials"
+    for flag in _RUN_FLAGS:
+        if getattr(args, flag) is not None and flag not in FLAGS_READ[reader]:
+            raise InvalidInputError(f"--{flag} is not read by {reader}")
+    for flag, value in _FLAG_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
 
 
 def dispatch(args) -> int:
     if not 0 <= args.seed < 2 ** 64:
         raise InvalidInputError("--seed must lie in [0, 2**64)")
+    _resolve_flags(args)
     scenario = parse_scenario(args.scenario)
     out_dir = Path(args.out)
     try:
@@ -116,13 +136,6 @@ def dispatch(args) -> int:
     except OSError as exc:
         raise InvalidInputError(f"cannot create output directory: {exc}") from exc
 
-    for flag in _UNREAD_FLAGS.get(args.command, ()):
-        if getattr(args, flag) is not None:
-            raise InvalidInputError(
-                f"--{flag} is not read by {args.command}")
-    if args.command != "montecarlo" and args.filters != _DEFAULT_FILTERS:
-        raise InvalidInputError(
-            f"--filters is read only by montecarlo, not {args.command}")
     filters = tuple(tok for tok in args.filters.split(",") if tok)
     if not filters:
         raise InvalidInputError("--filters must name at least one filter")
@@ -136,18 +149,17 @@ def dispatch(args) -> int:
 
     alphas = (_DEFAULT_ALPHAS[args.command] if args.alpha is None
               else _parse_list(args.alpha))
+    trials = _DEFAULT_TRIALS if args.trials is None else args.trials
 
     if args.command == "asymptotic":
         result = experiments.asymptotic_sweep(scenario, alphas)
         outputs = {"asymptotic.csv": result}
     elif args.command == "montecarlo":
-        trials = 500 if args.trials is None else args.trials
         result = experiments.monte_carlo_result(
             scenario, args.antennas, alphas, trials, filters,
             args.estimate, args.seed)
         outputs = {"montecarlo.csv": result}
     elif args.command == "percentile":
-        trials = 500 if args.trials is None else args.trials
         result = experiments.percentile_sweep(
             scenario, args.antennas, alphas, trials, args.seed,
             estimate_mode=args.estimate)

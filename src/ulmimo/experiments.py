@@ -39,6 +39,17 @@ ALL_FILTERS = (FILTER_MF, FILTER_MMSE, FILTER_MMSE_PERFECT)
 
 ESTIMATE_MODES = ("noiseless", "noisy", "training")
 
+# unit of every CSV column a runner emits, written into the CSV header
+COLUMN_UNITS = {
+    "alpha": "ratio", "beta_other": "ratio", "filter": "-", "trial": "count",
+    "sinr_db": "dB", "sinr_mf_pilot_db": "dB", "sinr_mmse_pilot_db": "dB",
+    "sinr_mmse_perfect_db": "dB", "five_pct_mmse_mc_db": "dB",
+    "five_pct_perfect_mc_db": "dB", "five_pct_mmse_det_db": "dB",
+    "five_pct_perfect_det_db": "dB", "rate_gap": "bits/symbol",
+    "rate_pilot": "bits/symbol", "rate_perfect": "bits/symbol",
+    "rate_pilot_mc": "bits/symbol", "rate_perfect_mc": "bits/symbol",
+}
+
 
 @dataclass
 class SweepResult:
@@ -46,7 +57,6 @@ class SweepResult:
 
     columns: list[str]
     rows: list[tuple]
-    units: dict[str, str]
     meta: dict[str, str] = field(default_factory=dict)
 
 
@@ -58,7 +68,7 @@ def _format_cell(value) -> str:
 
 def write_csv(result: SweepResult, path: str | Path) -> None:
     """One file per figure/table analog, with schema/seed/units in the header."""
-    units = ",".join(f"{c}:{result.units.get(c, '-')}" for c in result.columns)
+    units = ",".join(f"{c}:{COLUMN_UNITS[c]}" for c in result.columns)
     meta = " ".join(f"{k}={v}" for k, v in sorted(result.meta.items()))
     lines = [f"# ulmimo-csv schema={CSV_SCHEMA} {meta} units={units}"]
     lines.append(",".join(result.columns))
@@ -107,8 +117,6 @@ def asymptotic_sweep(scenario: Scenario, alpha_grid) -> SweepResult:
         columns=["alpha", "sinr_mf_pilot_db", "sinr_mmse_pilot_db",
                  "sinr_mmse_perfect_db"],
         rows=rows,
-        units={"alpha": "ratio", "sinr_mf_pilot_db": "dB",
-               "sinr_mmse_pilot_db": "dB", "sinr_mmse_perfect_db": "dB"},
         meta=_base_meta(scenario, "none"),
     )
 
@@ -134,8 +142,6 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
     return SweepResult(
         columns=["alpha", "beta_other", "rate_gap"],
         rows=rows,
-        units={"alpha": "ratio", "beta_other": "ratio",
-               "rate_gap": "bits/symbol"},
         meta=_base_meta(scenario, "none"),
     )
 
@@ -150,8 +156,8 @@ def _estimate_for_mode(real, mode: str, pilot_snr: float, rng):
     if mode == "noisy":
         return pilot_estimate_noisy(real, pilot_snr, rng)
     if mode == "training":
-        pilots = generate_pilot_sequences(real.K, real.B, rng, pilot_snr)
-        return training_based_estimate(real, pilots, rng)
+        sequences = generate_pilot_sequences(real.K, real.B, rng)
+        return training_based_estimate(real, sequences, pilot_snr, rng)
     raise InvalidInputError(f"unknown estimate mode {mode!r}")
 
 
@@ -229,8 +235,6 @@ def monte_carlo_result(scenario: Scenario, M: int, alpha_grid, trials: int,
     return SweepResult(
         columns=["alpha", "filter", "trial", "sinr_db"],
         rows=rows,
-        units={"alpha": "ratio", "filter": "-", "trial": "count",
-               "sinr_db": "dB"},
         meta=meta,
     )
 
@@ -304,9 +308,6 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
         columns=["alpha", "five_pct_mmse_mc_db", "five_pct_perfect_mc_db",
                  "five_pct_mmse_det_db", "five_pct_perfect_det_db"],
         rows=rows,
-        units={"alpha": "ratio", "five_pct_mmse_mc_db": "dB",
-               "five_pct_perfect_mc_db": "dB", "five_pct_mmse_det_db": "dB",
-               "five_pct_perfect_det_db": "dB"},
         meta=meta,
     )
 
@@ -344,15 +345,11 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
                          achievable_rate(mc[(a, FILTER_MMSE_PERFECT)]))
         rows.append(row)
     columns = ["alpha", "rate_pilot", "rate_perfect"]
-    units = {"alpha": "ratio", "rate_pilot": "bits/symbol",
-             "rate_perfect": "bits/symbol"}
     if mc is not None:
         columns += ["rate_pilot_mc", "rate_perfect_mc"]
-        units.update({"rate_pilot_mc": "bits/symbol",
-                      "rate_perfect_mc": "bits/symbol"})
     meta = _base_meta(scenario, master_seed)
     meta.update({"drops": str(n_drops)})
     if mc is not None:
         meta.update({"antennas": str(M), "trials": str(trials),
                      "estimate": estimate_mode})
-    return SweepResult(columns=columns, rows=rows, units=units, meta=meta)
+    return SweepResult(columns=columns, rows=rows, meta=meta)

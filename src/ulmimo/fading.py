@@ -3,10 +3,10 @@
 All gains are linear power ratios, constant across a base station's
 antennas. A fading sample is one joint draw ``(beta_1, ..., beta_B)`` of
 the gains from a generic user in each of the B cells to the receiving
-base station; a :class:`FadingDistribution` is a weighted collection of
-such samples and is the sole expectation operator used by the
-large-system solvers. Expectations are plain weighted averages, so they
-are deterministic given the sample order, and numpy's pairwise summation
+base station; a :class:`FadingDistribution` is an equally weighted
+collection of such samples and is the sole expectation operator used by
+the large-system solvers. Expectations are plain averages, so they are
+deterministic given the sample order, and numpy's pairwise summation
 keeps them independent of any partitioning to well below 1e-13 relative.
 """
 
@@ -18,34 +18,21 @@ from .errors import InvalidInputError
 
 
 class FadingDistribution:
-    """Weighted empirical law of the per-cell gain vector.
+    """Equally weighted empirical law of the per-cell gain vector.
 
     One row of ``gains`` per sample: a single row is the point mass of the
     idealized constant-gain cells, many rows a collection of drop samples.
-    Weights are normalized to sum to one on construction.
+    Every sample has weight 1/n.
     """
 
-    def __init__(self, gains, weights=None):
+    def __init__(self, gains):
         gains = np.atleast_2d(np.asarray(gains, dtype=float))
         if gains.size == 0:
             raise InvalidInputError("distribution needs at least one sample")
         if not np.all(np.isfinite(gains)) or not np.all(gains > 0.0):
             raise InvalidInputError("all gains must be finite and positive")
-        if weights is None:
-            weights = np.full(gains.shape[0], 1.0 / gains.shape[0])
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (gains.shape[0],):
-                raise InvalidInputError("one weight per sample required")
-            if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-                raise InvalidInputError("weights must be finite and nonnegative")
-            total = weights.sum()
-            if total <= 0.0:
-                raise InvalidInputError("weights must not all be zero")
-            weights = weights / total
-
         self.gains = gains
-        self.weights = weights
+        self.weights = np.full(gains.shape[0], 1.0 / gains.shape[0])
         # Per-sample derived quantities reused by every solver:
         #   total:    B        = sum_j beta_j
         #   own:      beta_1
@@ -59,7 +46,7 @@ class FadingDistribution:
         self.own = gains[:, 0]
         self.est_gain = self.own**2 / self.total
         self.cross_est_gain = (gains[:, 1:] ** 2).sum(axis=1) / self.total
-        self.mean_gains = weights @ gains
+        self.mean_gains = self.weights @ gains
 
     @property
     def num_cells(self) -> int:
@@ -70,7 +57,7 @@ class FadingDistribution:
         return self.gains.shape[0]
 
     def expect(self, values: np.ndarray) -> float:
-        """Weighted average of a per-sample array."""
+        """Average of a per-sample array."""
         values = np.asarray(values, dtype=float)
         if values.shape[0] != self.num_samples:
             raise InvalidInputError("per-sample values must match sample count")

@@ -130,7 +130,7 @@ class Cost231Params:
         return 10.0 ** (self.tx_power_dbm / 10.0)
 
 
-def hex_layout(B: int = 7, radius_m: float = 1000.0) -> CellLayout:
+def hex_layout(B: int, radius_m: float) -> CellLayout:
     """Center cell alone (B=1) or with its first interfering ring (B=7)."""
     if not 0.0 < radius_m < math.inf:
         raise InvalidInputError("radius must be positive and finite")
@@ -172,7 +172,7 @@ def _accepted(points: np.ndarray, centers: np.ndarray, radius_m: float,
 
 
 def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
-               exclusion_m: float = 35.0) -> UserDrop:
+               exclusion_m: float) -> UserDrop:
     """K uniform positions per cell, outside the serving-BS exclusion disk.
 
     Rejection sampling from each cell's bounding square, deterministic given

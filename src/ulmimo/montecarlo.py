@@ -64,33 +64,6 @@ class ChannelRealization:
 
 
 @dataclass
-class PilotConfig:
-    """Per-cell sequences and pilot SNR of independent training.
-
-    ``sequences[j, k]`` is the length-K training sequence of user k in
-    cell j; within a cell the K sequences are orthonormal. The repeated
-    pilot modes need no sequences (they are implicitly identical across
-    cells) and take their pilot SNR directly.
-    """
-
-    sequences: np.ndarray
-    pilot_snr: float
-
-    def __post_init__(self):
-        if not self.pilot_snr > 0.0:
-            raise InvalidInputError("pilot_snr must be positive")
-        seq = np.asarray(self.sequences)
-        if seq.ndim != 3 or seq.shape[1] != seq.shape[2]:
-            raise InvalidInputError("sequences must be (B, K, K)")
-        gram = seq @ np.swapaxes(seq.conj(), 1, 2)
-        err = np.abs(gram - np.eye(seq.shape[1])).max(axis=(1, 2))
-        bad = np.flatnonzero(~(err <= 1e-12))
-        if bad.size:
-            raise InvalidInputError(
-                f"cell {bad[0]} training sequences are not orthonormal")
-
-
-@dataclass
 class EstimateSet:
     """Channel estimates of the K in-cell users and their error variances.
 
@@ -118,6 +91,8 @@ class SinrBreakdown:
 
 def users_per_cell(alpha: float, M: int) -> int:
     """K = round(alpha * M); the limit treats alpha as exact, finite M rounds."""
+    if M < 1:
+        raise InvalidInputError(f"the antenna count must be at least 1, got {M}")
     K = int(round(alpha * M))
     if K < 1:
         raise InvalidInputError(
@@ -137,8 +112,6 @@ def draw_channels(scenario, M: int, rng: np.random.Generator) -> ChannelRealizat
     run from identical substreams see identical channels (paired
     comparisons); pilot-noise draws live on a separate stream.
     """
-    if M < 1:
-        raise InvalidInputError("M must be at least 1")
     K = users_per_cell(scenario.alpha, M)
     gains = scenario.gain_matrix(K, rng)
     h = draw_channel_matrix(scenario.cells, K, M, rng)
@@ -156,9 +129,21 @@ def _error_variances(real: ChannelRealization, inv_rho: float) -> np.ndarray:
             / (real.total_gain_per_user() + inv_rho))
 
 
-def _repeated_pilot_estimate(real: ChannelRealization, rho_p: float,
-                             rng: np.random.Generator | None) -> EstimateSet:
-    """Repeated-pilot estimate at pilot SNR rho_p; rho_p = inf draws no noise."""
+def pilot_estimate_noiseless(real: ChannelRealization) -> EstimateSet:
+    """Exact pilot-contaminated estimate (infinite pilot power limit).
+
+    hhat_1k = sqrt(beta_1k)/beta^(k) * sum_j sqrt(beta_jk) h_jk.
+    """
+    return pilot_estimate_noisy(real, np.inf, None)
+
+
+def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
+                         rng: np.random.Generator | None) -> EstimateSet:
+    """Pilot-contaminated estimate at pilot SNR rho_p; rho_p = inf draws no noise.
+
+    The pilot noise is drawn as an (M, K) CN(0, I/M) matrix, as in the
+    training estimator, so identical substreams give comparable results.
+    """
     if not rho_p > 0.0:
         raise InvalidInputError("rho_p must be positive")
     inv_rho = 1.0 / rho_p
@@ -171,27 +156,14 @@ def _repeated_pilot_estimate(real: ChannelRealization, rho_p: float,
                        error_cov_scalars=_error_variances(real, inv_rho))
 
 
-def pilot_estimate_noiseless(real: ChannelRealization) -> EstimateSet:
-    """Exact pilot-contaminated estimate (infinite pilot power limit).
+def generate_pilot_sequences(K: int, B: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Independent per-cell training: a Haar-random unitary basis per cell.
 
-    hhat_1k = sqrt(beta_1k)/beta^(k) * sum_j sqrt(beta_jk) h_jk.
+    Returns the (B, K, K) sequences: row k of cell j is the length-K
+    training sequence of user k in cell j, and within a cell the K
+    sequences are orthonormal.
     """
-    return _repeated_pilot_estimate(real, np.inf, None)
-
-
-def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
-                         rng: np.random.Generator) -> EstimateSet:
-    """Pilot-contaminated estimate at finite pilot SNR rho_p.
-
-    The pilot noise is drawn as an (M, K) CN(0, I/M) matrix, as in the
-    training estimator, so identical substreams give comparable results.
-    """
-    return _repeated_pilot_estimate(real, rho_p, rng)
-
-
-def generate_pilot_sequences(K: int, B: int, rng: np.random.Generator,
-                             pilot_snr: float = 10.0 ** 2.8) -> PilotConfig:
-    """Independent per-cell training: a Haar-random unitary basis per cell."""
     if K < 1 or B < 1:
         raise InvalidInputError("K and B must be at least 1")
     z = np.stack([complex_gaussian(rng, (K, K), 1.0) for _ in range(B)])
@@ -199,34 +171,35 @@ def generate_pilot_sequences(K: int, B: int, rng: np.random.Generator,
     # fix the phase ambiguity so the law is exactly Haar
     diag = np.diagonal(r, axis1=1, axis2=2)
     phases = diag / np.abs(diag)
-    # row k of cell j = sequence of user k
-    seqs = np.ascontiguousarray(np.swapaxes(q * phases[:, None, :], 1, 2))
-    return PilotConfig(sequences=seqs, pilot_snr=pilot_snr)
+    return np.ascontiguousarray(np.swapaxes(q * phases[:, None, :], 1, 2))
 
 
-def training_based_estimate(real: ChannelRealization, pilots: PilotConfig,
+def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
+                            pilot_snr: float,
                             rng: np.random.Generator) -> EstimateSet:
     """Full linear MMSE estimate from the K-symbol training observation.
 
-    Forms the (M, K) pilot observation with fresh noise, then applies the
+    ``sequences`` are the (B, K, K) per-cell sequences of
+    :func:`generate_pilot_sequences` and ``pilot_snr`` the linear pilot
+    SNR. Forms the (M, K) pilot observation with fresh noise, then applies the
     regularized K x K inverse. Error variances are reported with the
     repeated-pilot formula, which the filter uses as its regularizer; the
     exact covariance under non-orthogonal cross-cell sequences depends on
     the realized sequence crosstalk and is not worth tracking for that
     purpose.
     """
-    seq = pilots.sequences
-    if seq.shape[0] != real.B or seq.shape[1] != real.K:
+    if sequences.shape != (real.B, real.K, real.K):
         raise InvalidInputError("sequence shape does not match realization")
-    rho_p = pilots.pilot_snr
+    if not pilot_snr > 0.0:
+        raise InvalidInputError("pilot_snr must be positive")
 
     noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
-    Y = noise / np.sqrt(rho_p)
-    A = np.eye(real.K, dtype=complex) / rho_p
-    for j in range(real.B):
+    Y = noise / np.sqrt(pilot_snr)
+    A = np.eye(real.K, dtype=complex) / pilot_snr
+    for j, seq in enumerate(sequences):
         weighted = real.small_scale[j].T * np.sqrt(real.gains[j])  # (M, K)
-        Y = Y + weighted @ seq[j].conj()
-        A = A + seq[j].T @ (real.gains[j][:, None] * seq[j].conj())
+        Y = Y + weighted @ seq.conj()
+        A = A + seq.T @ (real.gains[j][:, None] * seq.conj())
 
     # A is Hermitian: cond is the eigenvalue ratio, infinite unless A > 0
     lam = np.linalg.eigvalsh(A)
@@ -235,10 +208,10 @@ def training_based_estimate(real: ChannelRealization, pilots: PilotConfig,
         raise ConditioningError(
             f"training matrix condition number {cond:.3e} exceeds "
             f"{TRAINING_COND_LIMIT:.0e}")
-    X = np.linalg.solve(A, seq[0].T)  # columns A^-1 Psi_1k
+    X = np.linalg.solve(A, sequences[0].T)  # columns A^-1 Psi_1k
     est = (Y @ X).T * np.sqrt(real.gains[0])[:, None]
     return EstimateSet(estimates=est,
-                       error_cov_scalars=_error_variances(real, 1.0 / rho_p))
+                       error_cov_scalars=_error_variances(real, 1.0 / pilot_snr))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def _check_fixed_points(emit) -> bool:
             eta1 = la.solve_eta1(dist, alpha, 0.01)
             resid = abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1) / eta1
             eta2 = la.solve_eta2(dist, alpha, eta1)
-            supp = la.interference_suppression(dist, alpha, eta1, eta2)
+            supp = la.interference_suppression(dist, eta1, eta2)
             e_total = dist.expect(dist.total)
             ok &= resid <= 1e-10
             ok &= eta2 >= eta1 * eta1

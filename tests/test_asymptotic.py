@@ -158,7 +158,7 @@ class TestSuppression:
         dist = single_cell
         eta1 = la.solve_eta1(dist, 0.5, 0.01)
         eta2 = la.solve_eta2(dist, 0.5, eta1)
-        got = la.interference_suppression(dist, 0.5, eta1, eta2)
+        got = la.interference_suppression(dist, eta1, eta2)
         # B=1: cross terms vanish, C = E[B1^2 eta1/(1 + B1 eta1)]
         assert got == pytest.approx(eta1 / (1.0 + eta1), rel=1e-12)
 

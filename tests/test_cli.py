@@ -169,13 +169,16 @@ class TestExitCodes:
         assert "--filters" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    # a given flag is told apart from its default, so spelling the default
+    # out to a command that does not read it is refused too
     @pytest.mark.parametrize("command", ["asymptotic", "rategap"])
-    def test_default_filters_spelled_out_are_accepted(self, tmp_path, command):
+    def test_default_filters_spelled_out_are_refused(self, tmp_path, capsys,
+                                                     command):
         out = tmp_path / "run"
         assert cli.main([command, "--filters", "mf,mmse,mmse-perfect",
-                         "--alpha", "0.5", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["overrides"]["filters"] == "mf,mmse,mmse-perfect"
+                         "--alpha", "0.5", "--out", str(out)]) == 2
+        assert f"--filters is not read by {command}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rategap_refuses_drop_scenario(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -211,7 +214,9 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert cli.main([command, "--antennas", antennas, "--trials", "20",
                          "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "antenna count must be at least 1" in err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["asymptotic", "montecarlo",
@@ -233,6 +238,41 @@ class TestExitCodes:
         assert cli.main([command, *flag, "--out", str(out)]) == 2
         assert f"{flag[0]} is not read by {command}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    # each of these used to exit 0 and record the unread flag in the manifest
+    @pytest.mark.parametrize("argv", [
+        ("asymptotic", "--antennas", "7"),
+        ("asymptotic", "--estimate", "training"),
+        ("asymptotic", "--antennas", "7", "--estimate", "training"),
+        ("rategap", "--antennas", "7"),
+        ("rategap", "--estimate", "noisy"),
+        ("validate", "--estimate", "noisy"),
+        ("validate", "--antennas", "7"),
+        ("rates", "--scenario", "cost231-7cell", "--antennas", "7"),
+        ("rates", "--scenario", "cost231-7cell", "--estimate", "training"),
+    ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_unread_flag_refused_in_a_fresh_process(self, tmp_path, argv):
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ulmimo", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert " is not read by " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_rates_with_trials_reads_antennas(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["rates", "--scenario", "cost231-7cell", "--alpha",
+                         "0.5", "--trials", "5", "--antennas", "10",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["overrides"] == {
+            "alpha": "0.5", "antennas": 10, "trials": 5,
+            "estimate": "noiseless", "filters": "mf,mmse,mmse-perfect"}
+        header = (out / "rates.csv").read_text().splitlines()[0]
+        assert "antennas=10" in header and "trials=5" in header
 
     @pytest.mark.parametrize("command,trials", [("montecarlo", "1"),
                                                 ("percentile", "20")])

@@ -27,28 +27,19 @@ class TestFadingDistribution:
         e_total, _ = expect_total_gain(dist)
         assert e_total == pytest.approx(0.75, abs=1e-9)
 
-    def test_weights_normalize(self):
-        dist = FadingDistribution(np.array([[1.0], [2.0]]), weights=[2.0, 6.0])
-        assert np.allclose(dist.weights, [0.25, 0.75])
-        assert dist.expect(dist.own) == pytest.approx(1.75)
-
     def test_from_samples_matches_direct(self):
         # a list of per-sample gain rows builds the same law as the stacked array
         rows = [[1.0, 0.2], [0.5, 0.1]]
-        dist = FadingDistribution(rows, weights=[1.0, 3.0])
-        direct = FadingDistribution(np.array(rows), weights=np.array([1.0, 3.0]))
-        assert np.allclose(dist.weights, [0.25, 0.75])
+        dist = FadingDistribution(rows)
+        direct = FadingDistribution(np.array(rows))
+        assert np.array_equal(dist.weights, [0.5, 0.5])
         assert np.array_equal(dist.gains, direct.gains)
         assert np.array_equal(dist.weights, direct.weights)
-        assert np.allclose(dist.mean_gains, [0.625, 0.125])
+        assert np.allclose(dist.mean_gains, [0.75, 0.15])
 
     def test_rejects_nonpositive_gain(self):
         with pytest.raises(InvalidInputError):
             FadingDistribution(np.array([1.0, 0.0]))
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidInputError):
-            FadingDistribution(np.array([[1.0], [2.0]]), weights=[-0.5, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

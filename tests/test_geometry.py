@@ -46,13 +46,13 @@ class TestHexLayout:
 class TestDropUsers:
     def test_deterministic(self):
         layout = geo.hex_layout(7, 1000.0)
-        a = geo.drop_users(layout, 13, seed_substream(5, "drop"))
-        b = geo.drop_users(layout, 13, seed_substream(5, "drop"))
+        a = geo.drop_users(layout, 13, seed_substream(5, "drop"), 35.0)
+        b = geo.drop_users(layout, 13, seed_substream(5, "drop"), 35.0)
         assert np.array_equal(a.positions, b.positions)
 
     def test_positions_inside_cells_and_outside_exclusion(self):
         layout = geo.hex_layout(7, 1000.0)
-        drop = geo.drop_users(layout, 200, seed_substream(6, "drop"))
+        drop = geo.drop_users(layout, 200, seed_substream(6, "drop"), 35.0)
         for j, center in enumerate(layout.centers):
             assert geo.points_in_hex(drop.positions[j], center, 1000.0).all()
             d = np.linalg.norm(drop.positions[j] - center, axis=1)
@@ -66,7 +66,8 @@ class TestDropUsers:
 
     def test_uniformity_chi_square_sextants(self):
         layout = geo.hex_layout(1, 1000.0)
-        drop = geo.drop_users(layout, 100_000, seed_substream(7, "drop"))
+        drop = geo.drop_users(layout, 100_000, seed_substream(7, "drop"),
+                              35.0)
         angles = np.arctan2(drop.positions[0, :, 1], drop.positions[0, :, 0])
         sextant = ((angles + np.pi) // (np.pi / 3)).astype(int).clip(0, 5)
         counts = np.bincount(sextant, minlength=6)

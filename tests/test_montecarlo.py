@@ -34,6 +34,12 @@ class TestDrawChannels:
         with pytest.raises(InvalidInputError):
             mc.draw_channels(sc, 10, seed_substream(0, "ch"))
 
+    @pytest.mark.parametrize("M", [0, -5])
+    def test_antenna_count_below_one_rejected(self, M):
+        with pytest.raises(InvalidInputError,
+                           match="antenna count must be at least 1"):
+            mc.users_per_cell(0.5, M)
+
     def test_unit_mean_norm(self):
         real = idealized_realization(1000, 40, seed=2)
         norms = np.linalg.norm(real.small_scale, axis=2) ** 2
@@ -130,40 +136,42 @@ class TestNoisyEstimate:
         real = idealized_realization(8, 2, seed=12)
         with pytest.raises(InvalidInputError):
             mc.pilot_estimate_noisy(real, 0.0, seed_substream(12, "pn"))
+        seqs = mc.generate_pilot_sequences(2, 7, seed_substream(12, "seq"))
+        with pytest.raises(InvalidInputError, match="pilot_snr"):
+            mc.training_based_estimate(real, seqs, 0.0, seed_substream(12, "pn"))
 
 
 class TestPilotSequences:
     def test_orthonormal_within_cells(self):
-        cfg = mc.generate_pilot_sequences(16, 3, seed_substream(13, "seq"))
+        seqs = mc.generate_pilot_sequences(16, 3, seed_substream(13, "seq"))
         for j in range(3):
-            gram = cfg.sequences[j] @ cfg.sequences[j].conj().T
+            gram = seqs[j] @ seqs[j].conj().T
             assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
+    # the training runs use the sequences unchecked: every cell's Gram
+    # matrix must be the identity to 1e-12 at every size they draw
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("K", [1, 2, 10, 25, 50])
+    def test_orthonormal_at_every_run_size(self, K, B):
+        for seed in range(20):
+            seqs = mc.generate_pilot_sequences(K, B, seed_substream(seed, "seq"))
+            assert seqs.shape == (B, K, K)
+            gram = seqs @ np.swapaxes(seqs.conj(), 1, 2)
+            assert np.abs(gram - np.eye(K)).max() <= 1e-12, seed
+
     def test_matches_per_cell_reference(self):
-        cfg = mc.generate_pilot_sequences(5, 3, seed_substream(17, "seq"))
+        seqs = mc.generate_pilot_sequences(5, 3, seed_substream(17, "seq"))
         rng = seed_substream(17, "seq")
         for j in range(3):
             q, r = np.linalg.qr(complex_gaussian(rng, (5, 5), 1.0))
             ref = (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).T
-            assert np.array_equal(cfg.sequences[j], ref)
+            assert np.array_equal(seqs[j], ref)
 
     def test_cross_cell_coherence_media(self):
-        cfg = mc.generate_pilot_sequences(64, 2, seed_substream(14, "seq"))
-        cross = np.abs(cfg.sequences[0] @ cfg.sequences[1].conj().T)
+        seqs = mc.generate_pilot_sequences(64, 2, seed_substream(14, "seq"))
+        cross = np.abs(seqs[0] @ seqs[1].conj().T)
         med = np.median(cross)
         assert 0.06 <= med <= 0.20  # concentrates near 1/sqrt(K) = 0.125
-
-    def test_nonfinite_sequences_rejected(self):
-        cfg = mc.generate_pilot_sequences(4, 3, seed_substream(16, "seq"))
-        seqs = cfg.sequences.copy()
-        seqs[2, 1, 1] = np.nan
-        with pytest.raises(InvalidInputError, match="cell 2"):
-            mc.PilotConfig(sequences=seqs, pilot_snr=10.0)
-
-    def test_nonorthonormal_rejected(self):
-        bad = np.ones((1, 2, 2), dtype=complex)
-        with pytest.raises(InvalidInputError):
-            mc.PilotConfig(sequences=bad, pilot_snr=10.0)
 
 
 class TestTrainingEstimate:
@@ -174,8 +182,7 @@ class TestTrainingEstimate:
         M, K, rho = 16, 4, 25.0
         real = idealized_realization(M, K, B=1, seed=15)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (1, K, K)).copy()
-        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=rho)
-        est = mc.training_based_estimate(real, cfg, seed_substream(15, "tn"))
+        est = mc.training_based_estimate(real, seqs, rho, seed_substream(15, "tn"))
         noise = complex_gaussian(seed_substream(15, "tn"), (M, K), 1.0 / M)
         beta = real.gains[0]
         expected = ((real.small_scale[0] + noise.T / np.sqrt(rho))
@@ -188,8 +195,8 @@ class TestTrainingEstimate:
         M, K, B, rho = 24, 5, 7, 10 ** 2.8
         real = idealized_realization(M, K, B=B, seed=16)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (B, K, K)).copy()
-        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=rho)
-        trained = mc.training_based_estimate(real, cfg, seed_substream(16, "tn"))
+        trained = mc.training_based_estimate(real, seqs, rho,
+                                             seed_substream(16, "tn"))
         noisy = mc.pilot_estimate_noisy(real, rho, seed_substream(16, "tn"))
         rel = (np.linalg.norm(trained.estimates - noisy.estimates)
                / np.linalg.norm(noisy.estimates))
@@ -199,9 +206,8 @@ class TestTrainingEstimate:
         M, K, B, rho = 12, 4, 3, 50.0
         real = idealized_realization(M, K, B=B, seed=17)
         one_cell = mc.generate_pilot_sequences(K, 1, seed_substream(17, "u"))
-        seqs = np.broadcast_to(one_cell.sequences[0], (B, K, K)).copy()
-        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=rho)
-        est = mc.training_based_estimate(real, cfg, seed_substream(17, "tn"))
+        seqs = np.broadcast_to(one_cell[0], (B, K, K)).copy()
+        est = mc.training_based_estimate(real, seqs, rho, seed_substream(17, "tn"))
         noise = complex_gaussian(seed_substream(17, "tn"), (M, K), 1.0 / M)
         combo = np.einsum("jk,jkm->km", np.sqrt(real.gains), real.small_scale)
         proj = (noise @ seqs[0].T).T   # row k: the noise seen through user k's sequence
@@ -218,9 +224,8 @@ class TestTrainingEstimate:
             M=M, K=K, B=1, small_scale=mc.draw_channel_matrix(1, K, M, rng),
             gains=gains, noise_var=0.01)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (1, K, K)).copy()
-        cfg = mc.PilotConfig(sequences=seqs, pilot_snr=1e6)
         with pytest.raises(ConditioningError):
-            mc.training_based_estimate(real, cfg, seed_substream(18, "tn"))
+            mc.training_based_estimate(real, seqs, 1e6, seed_substream(18, "tn"))
 
 
 class TestThetaEffective:
@@ -352,7 +357,8 @@ class TestFilters:
         for est in (mc.pilot_estimate_noiseless(real),
                     mc.pilot_estimate_noisy(real, 100.0, rng),
                     mc.training_based_estimate(
-                        real, mc.generate_pilot_sequences(4, 7, rng), rng)):
+                        real, mc.generate_pilot_sequences(4, 7, rng), 100.0,
+                        rng)):
             filt = mc.matched_filter(est)
             assert np.array_equal(filt, est.estimates[0])
 

@@ -1,7 +1,8 @@
 """Invariants of the large-system solvers that hold for any gain law.
 
 Hypothesis draws point-mass and empirical laws (1-7 cells, gains spread
-over six decades, optional unequal weights), loadings in (0, 1.5] and
+over six decades, optionally with repeated samples, the equally weighted
+form of unequal integer weights), loadings in (0, 1.5] and
 positive noise variances. Examples are derandomized, so every run checks
 the same laws.
 """
@@ -26,11 +27,11 @@ def gain_laws(draw):
     exponents = draw(st.lists(log_gains, min_size=cells * samples,
                               max_size=cells * samples))
     gains = 10.0 ** np.reshape(exponents, (samples, cells))
-    weights = None
     if samples > 1 and draw(st.booleans()):
-        weights = draw(st.lists(st.floats(min_value=0.1, max_value=10.0),
+        repeats = draw(st.lists(st.integers(min_value=1, max_value=10),
                                 min_size=samples, max_size=samples))
-    return FadingDistribution(gains, weights)
+        gains = np.repeat(gains, repeats, axis=0)
+    return FadingDistribution(gains)
 
 
 alphas = st.floats(min_value=0.0, max_value=1.5, exclude_min=True)
