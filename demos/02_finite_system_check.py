@@ -9,7 +9,7 @@ closed-form limits. Medians land within a few tenths of a dB at M = 50.
 import numpy as np
 
 from ulmimo import asymptotic as la
-from ulmimo.experiments import monte_carlo_sweep
+from ulmimo.experiments import ALL_FILTERS, monte_carlo_sweep
 from ulmimo.geometry import idealized_gains
 from ulmimo.scenario import parse_scenario
 
@@ -24,7 +24,7 @@ for mode in ("noiseless", "noisy", "training"):
     print(f"\nestimate mode: {mode}")
     print(f"{'alpha':>6} {'filter':>14} {'median sim':>11} {'limit':>8} {'gap':>7}")
     samples = monte_carlo_sweep(scenario, M, [0.2, 0.5, 1.0], TRIALS,
-                                estimate_mode=mode, master_seed=SEED)
+                                ALL_FILTERS, mode, SEED)
     for alpha in (0.2, 0.5, 1.0):
         sinrs = la.det_eq_sinr_rows(dist, alpha, scenario.noise_var)
         limits = {filt: la.to_db(x[0])

@@ -10,7 +10,8 @@ simulation, and the per-user achievable-rate table.
 import numpy as np
 
 from ulmimo import asymptotic as la
-from ulmimo.experiments import (five_percentile, monte_carlo_sweep, rate_table)
+from ulmimo.experiments import (RATE_DROPS, five_percentile, monte_carlo_sweep,
+                                rate_table)
 from ulmimo.fading import FadingDistribution
 from ulmimo.rng import seed_substream
 from ulmimo.scenario import parse_scenario
@@ -18,7 +19,7 @@ from ulmimo.scenario import parse_scenario
 SEED = 2024
 scenario = parse_scenario("cost231-7cell")
 
-rows = scenario.gain_matrix(10_000, seed_substream(SEED, "drops")).T
+rows = scenario.gain_matrix(RATE_DROPS, seed_substream(SEED, "drops")).T
 dist = FadingDistribution(rows)
 
 det = la.solve_det_eq(dist, 1.0, scenario.noise_var)
@@ -40,7 +41,8 @@ for alpha in (0.2, 0.5, 1.0):
     print(f"{alpha:>6.1f} {p:>10.1f}  {q:>12.1f}  {q - p:>5.1f}")
 
 print("\nper-user achievable rate (bits/symbol), limit values:")
-table = rate_table(scenario, [0.1, 0.3, 0.5, 0.7, 1.0], SEED)
+table = rate_table(scenario, M=None, alpha_grid=[0.1, 0.3, 0.5, 0.7, 1.0],
+                   trials=None, estimate_mode=None, master_seed=SEED)
 print(f"{'alpha':>6} {'pilot':>7} {'perfect':>8}")
 for alpha, pilot, perfect in table.rows:
     print(f"{alpha:>6.1f} {pilot:>7.2f} {perfect:>8.2f}")

@@ -13,10 +13,11 @@ import argparse
 import ctypes
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
-from . import __version__, experiments
+from . import __version__, experiments, validate
 from .errors import (ConvergenceError, InvalidInputError, NumericalError)
 from .experiments import ALL_FILTERS, ESTIMATE_MODES, write_csv
 from .scenario import (Scenario, parse_scenario, scenario_hash,
@@ -47,8 +48,8 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
 
-# The run flags each command reads; --scenario, --seed and --out are read
-# by all. A run flag given to a command that does not read it is refused.
+# The run flags each command reads (--scenario, --seed and --out are not run
+# flags). A run flag given to a command that does not read it is refused.
 # rates simulates, and so reads --antennas and --estimate, only with --trials.
 _RUN_FLAGS = ("alpha", "antennas", "trials", "estimate", "filters")
 FLAGS_READ = {
@@ -125,27 +126,34 @@ def _resolve_flags(args) -> None:
             setattr(args, flag, value)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse, without making it, a directory mkdir could not make."""
+    ancestor = out_dir.absolute()
+    try:
+        # a dangling symlink stops the walk: mkdir could not make it
+        while not (ancestor.exists() or ancestor.is_symlink()):
+            ancestor = ancestor.parent
+        if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise OSError(f"{ancestor} is not a writable directory")
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def dispatch(args) -> int:
+    """Check every input, run, and only then create the output directory."""
     if not 0 <= args.seed < 2 ** 64:
         raise InvalidInputError("--seed must lie in [0, 2**64)")
     _resolve_flags(args)
     scenario = parse_scenario(args.scenario)
+    if args.command == "validate":
+        return EXIT_OK if validate.run_all(print) else EXIT_NUMERICAL
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot create output directory: {exc}") from exc
+    _check_out_dir(out_dir)
 
     filters = tuple(tok for tok in args.filters.split(",") if tok)
     if not filters:
         raise InvalidInputError("--filters must name at least one filter")
-    for f in filters:
-        if f not in ALL_FILTERS:
-            raise InvalidInputError(f"unknown filter {f!r}")
-
-    if args.command == "validate":
-        ok = run_validation()
-        return EXIT_OK if ok else EXIT_NUMERICAL
 
     alphas = (_DEFAULT_ALPHAS[args.command] if args.alpha is None
               else _parse_list(args.alpha))
@@ -161,13 +169,12 @@ def dispatch(args) -> int:
         outputs = {"montecarlo.csv": result}
     elif args.command == "percentile":
         result = experiments.percentile_sweep(
-            scenario, args.antennas, alphas, trials, args.seed,
-            estimate_mode=args.estimate)
+            scenario, args.antennas, alphas, trials, args.estimate, args.seed)
         outputs = {"percentile.csv": result}
     elif args.command == "rates":
         result = experiments.rate_table(
-            scenario, alphas, args.seed, M=args.antennas,
-            trials=args.trials, estimate_mode=args.estimate)
+            scenario, args.antennas, alphas, args.trials, args.estimate,
+            args.seed)
         outputs = {"rates.csv": result}
     elif args.command == "rategap":
         result = experiments.rate_gap_sweep(scenario, alphas,
@@ -177,6 +184,7 @@ def dispatch(args) -> int:
         raise InvalidInputError(f"unknown command {args.command!r}")
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for fname, res in outputs.items():
             write_csv(res, out_dir / fname)
         (out_dir / "manifest.json").write_text(
@@ -186,12 +194,6 @@ def dispatch(args) -> int:
     except OSError as exc:
         raise InvalidInputError(f"cannot write outputs: {exc}") from exc
     return EXIT_OK
-
-
-def run_validation() -> bool:
-    """Fast self-check of the package's core invariants."""
-    from . import validate
-    return validate.run_all(print)
 
 
 @functools.cache

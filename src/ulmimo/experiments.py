@@ -1,14 +1,14 @@
 """Experiment runners: sweeps over loading, percentiles, rates, CSV output.
 
-Every runner is a pure function of (scenario, master seed, knobs); trial
-randomness comes from per-(point, trial) substreams so results do not
-depend on evaluation order and any emitted row can be recomputed from the
-metadata in its CSV header.
+Every runner is a pure function of (scenario, master seed, knobs), each
+passed explicitly; trial randomness comes from per-(point, trial)
+substreams so results do not depend on evaluation order and any emitted
+row can be recomputed from the metadata in its CSV header.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,9 @@ MIN_PERCENTILE_SAMPLES = 20
 # 256 MiB per (B, K, M) array, and a trial holds several. It admits M = 1024
 # at alpha = 1.5 in 7 cells; larger trials are refused before any draw.
 MAX_TRIAL_ENTRIES = 2 ** 24
+# drops in the drop law of the percentile and rate runners
+PERCENTILE_DROPS = 4000
+RATE_DROPS = 10_000
 
 FILTER_MF = "mf"
 FILTER_MMSE = "mmse"
@@ -57,7 +60,7 @@ class SweepResult:
 
     columns: list[str]
     rows: list[tuple]
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, str]
 
 
 def _format_cell(value) -> str:
@@ -80,6 +83,11 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
 def _base_meta(scenario: Scenario, seed) -> dict[str, str]:
     return {"scenario": scenario.name, "scenario_sha": scenario_hash(scenario),
             "seed": str(seed)}
+
+
+def _simulation_meta(M: int, trials: int, estimate_mode: str) -> dict[str, str]:
+    return {"antennas": str(M), "trials": str(trials),
+            "estimate": estimate_mode}
 
 
 def _check_alpha_grid(alpha_grid) -> list[float]:
@@ -155,16 +163,15 @@ def _estimate_for_mode(real, mode: str, pilot_snr: float, rng):
         return pilot_estimate_noiseless(real)
     if mode == "noisy":
         return pilot_estimate_noisy(real, pilot_snr, rng)
-    if mode == "training":
-        sequences = generate_pilot_sequences(real.K, real.B, rng)
-        return training_based_estimate(real, sequences, pilot_snr, rng)
-    raise InvalidInputError(f"unknown estimate mode {mode!r}")
+    # "training"; monte_carlo_sweep checks the mode before any trial
+    sequences = generate_pilot_sequences(real.K, real.B, rng)
+    return training_based_estimate(real, sequences, pilot_snr, rng)
 
 
-def run_trial(scenario: Scenario, M: int, mode: str, filters,
+def run_trial(scenario: Scenario, K: int, M: int, mode: str, filters,
               rng_channel, rng_pilot) -> dict[str, float]:
-    """One Monte Carlo trial: draw, estimate, filter, measure."""
-    real = draw_channels(scenario, M, rng_channel)
+    """One trial of K users per cell: draw, estimate, filter, measure."""
+    real = draw_channels(scenario, K, M, rng_channel)
     est = _estimate_for_mode(real, mode, scenario.pilot.pilot_snr, rng_pilot)
     theta1, theta2 = theta_effective(real, est)
     out = {}
@@ -174,17 +181,15 @@ def run_trial(scenario: Scenario, M: int, mode: str, filters,
         elif f == FILTER_MMSE:
             filt = mmse_filter_pilot(est, real.gains, theta1, theta2,
                                      scenario.noise_var)
-        elif f == FILTER_MMSE_PERFECT:
+        else:  # FILTER_MMSE_PERFECT; monte_carlo_sweep checks the names
             filt = mmse_filter_perfect(real, theta1, scenario.noise_var)
-        else:
-            raise InvalidInputError(f"unknown filter {f!r}")
         out[f] = empirical_sinr(filt, real).sinr
     return out
 
 
 def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
-                      filters=ALL_FILTERS, estimate_mode: str = "noiseless",
-                      master_seed: int = 0) -> dict[tuple[float, str], np.ndarray]:
+                      filters, estimate_mode: str,
+                      master_seed: int) -> dict[tuple[float, str], np.ndarray]:
     """Empirical SINR samples per (alpha, filter).
 
     Channel and gain draws for a trial come from one substream, pilot
@@ -200,6 +205,9 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     filters = tuple(filters)
     if not filters:
         raise InvalidInputError("filter list must be non-empty")
+    for f in filters:
+        if f not in ALL_FILTERS:
+            raise InvalidInputError(f"unknown filter {f!r}")
     entries = scenario.cells * users_per_cell(grid[-1], M) * M
     if entries > MAX_TRIAL_ENTRIES:
         raise InvalidInputError(
@@ -208,34 +216,33 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     uses_pilot_stream = estimate_mode != "noiseless"
     samples = {(a, f): np.empty(trials) for a in grid for f in filters}
     for ai, a in enumerate(grid):
-        sc = scenario.with_alpha(a)
+        K = users_per_cell(a, M)
         channel_tag, pilot_tag = f"mc.channel.a{ai}", f"mc.pilot.a{ai}"
         for t in range(trials):
             rng_ch = seed_substream(master_seed, channel_tag, t)
             rng_pn = (seed_substream(master_seed, pilot_tag, t)
                       if uses_pilot_stream else None)
-            out = run_trial(sc, M, estimate_mode, filters, rng_ch, rng_pn)
+            out = run_trial(scenario, K, M, estimate_mode, filters, rng_ch,
+                            rng_pn)
             for f in filters:
                 samples[(a, f)][t] = out[f]
     return samples
 
 
 def monte_carlo_result(scenario: Scenario, M: int, alpha_grid, trials: int,
-                       filters=ALL_FILTERS, estimate_mode: str = "noiseless",
-                       master_seed: int = 0) -> SweepResult:
+                       filters, estimate_mode: str,
+                       master_seed: int) -> SweepResult:
     """Monte Carlo sweep as rows of raw per-trial SINRs."""
     samples = monte_carlo_sweep(scenario, M, alpha_grid, trials, filters,
                                 estimate_mode, master_seed)
     rows = [(a, f, t, to_db(vals[t]))
             for (a, f), vals in sorted(samples.items())
             for t in range(len(vals))]
-    meta = _base_meta(scenario, master_seed)
-    meta.update({"antennas": str(M), "trials": str(trials),
-                 "estimate": estimate_mode})
     return SweepResult(
         columns=["alpha", "filter", "trial", "sinr_db"],
         rows=rows,
-        meta=meta,
+        meta=_base_meta(scenario, master_seed)
+        | _simulation_meta(M, trials, estimate_mode),
     )
 
 
@@ -280,8 +287,7 @@ def _drop_profiles(scenario: Scenario, n_drops: int,
 
 
 def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
-                     master_seed: int = 0, n_drops: int = 4000,
-                     estimate_mode: str = "noiseless") -> SweepResult:
+                     estimate_mode: str, master_seed: int) -> SweepResult:
     """Five-percentile SINR versus loading: simulation and limit side by side."""
     grid = _check_alpha_grid(alpha_grid)
     if trials < MIN_PERCENTILE_SAMPLES:
@@ -290,7 +296,7 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     samples = monte_carlo_sweep(scenario, M, grid, trials,
                                 (FILTER_MMSE, FILTER_MMSE_PERFECT),
                                 estimate_mode, master_seed)
-    dist = _drop_profiles(scenario, n_drops, master_seed)
+    dist = _drop_profiles(scenario, PERCENTILE_DROPS, master_seed)
     rows = []
     for a in grid:
         _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)
@@ -301,32 +307,29 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
             to_db(five_percentile(pilot_det)),
             to_db(five_percentile(perfect_det)),
         ))
-    meta = _base_meta(scenario, master_seed)
-    meta.update({"antennas": str(M), "trials": str(trials),
-                 "drops": str(n_drops), "estimate": estimate_mode})
     return SweepResult(
         columns=["alpha", "five_pct_mmse_mc_db", "five_pct_perfect_mc_db",
                  "five_pct_mmse_det_db", "five_pct_perfect_det_db"],
         rows=rows,
-        meta=meta,
+        meta=_base_meta(scenario, master_seed)
+        | _simulation_meta(M, trials, estimate_mode)
+        | {"drops": str(PERCENTILE_DROPS)},
     )
 
 
-def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
-               n_drops: int = 10_000, M: int | None = None,
-               trials: int | None = None,
-               estimate_mode: str = "noiseless") -> SweepResult:
+def rate_table(scenario: Scenario, M: int | None, alpha_grid,
+               trials: int | None, estimate_mode: str | None,
+               master_seed: int) -> SweepResult:
     """Achievable rate per user: limit values, plus simulation when asked.
 
     The limit columns average instantaneous rates over the drop profiles.
-    Simulation columns need K = round(alpha*M) >= 3; below that the
-    finite-system table is not reproduced, it is refused.
+    With ``trials=None`` nothing is simulated and M and the estimate mode
+    are not read. Simulation columns need K = round(alpha*M) >= 3; below
+    that the finite-system table is not reproduced, it is refused.
     """
     grid = _check_alpha_grid(alpha_grid)
     mc = None
     if trials is not None:
-        if M is None:
-            raise InvalidInputError("simulation rates need an antenna count")
         for a in grid:
             if users_per_cell(a, M) < 3:
                 raise ScenarioError(
@@ -335,7 +338,7 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
         mc = monte_carlo_sweep(scenario, M, grid, trials,
                                (FILTER_MMSE, FILTER_MMSE_PERFECT),
                                estimate_mode, master_seed)
-    dist = _drop_profiles(scenario, n_drops, master_seed)
+    dist = _drop_profiles(scenario, RATE_DROPS, master_seed)
     rows = []
     for a in grid:
         _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)
@@ -345,11 +348,8 @@ def rate_table(scenario: Scenario, alpha_grid, master_seed: int = 0,
                          achievable_rate(mc[(a, FILTER_MMSE_PERFECT)]))
         rows.append(row)
     columns = ["alpha", "rate_pilot", "rate_perfect"]
+    meta = _base_meta(scenario, master_seed) | {"drops": str(RATE_DROPS)}
     if mc is not None:
         columns += ["rate_pilot_mc", "rate_perfect_mc"]
-    meta = _base_meta(scenario, master_seed)
-    meta.update({"drops": str(n_drops)})
-    if mc is not None:
-        meta.update({"antennas": str(M), "trials": str(trials),
-                     "estimate": estimate_mode})
+        meta |= _simulation_meta(M, trials, estimate_mode)
     return SweepResult(columns=columns, rows=rows, meta=meta)

@@ -105,14 +105,14 @@ def draw_channel_matrix(B: int, K: int, M: int, rng: np.random.Generator) -> np.
     return complex_gaussian(rng, (B, K, M), 1.0 / M)
 
 
-def draw_channels(scenario, M: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization for a scenario: gains first, then channels.
+def draw_channels(scenario, K: int, M: int,
+                  rng: np.random.Generator) -> ChannelRealization:
+    """Draw one realization of K users per cell: gains first, then channels.
 
     Both consume the same stream in a fixed order, so two estimate modes
     run from identical substreams see identical channels (paired
     comparisons); pilot-noise draws live on a separate stream.
     """
-    K = users_per_cell(scenario.alpha, M)
     gains = scenario.gain_matrix(K, rng)
     h = draw_channel_matrix(scenario.cells, K, M, rng)
     return ChannelRealization(M=M, K=K, B=scenario.cells, small_scale=h,

@@ -1,7 +1,7 @@
 """Scenario files: strict JSON configs that pin every experiment input.
 
-A scenario fixes the cell count, loading, noise variance, gain model and
-pilot settings. Parsing is strict: unknown and repeated keys, NaN and
+A scenario fixes the cell count, noise variance, gain model and pilot
+settings. Parsing is strict: unknown and repeated keys, NaN and
 infinities, and values of the wrong JSON type are rejected, and every
 range is validated, so a scenario hash plus a master seed fully determines
 a run. Bundled scenarios (the idealized three and the 7-cell drop model)
@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -86,7 +86,7 @@ class Coherence:
 class Scenario:
     name: str
     cells: int
-    alpha: float
+    alpha: float  # parsed and hashed, read by no run: runners take a grid
     noise_var: float
     gain_model: IdealizedGains | Cost231Params
     pilot: PilotSettings = field(default_factory=PilotSettings)
@@ -105,9 +105,6 @@ class Scenario:
     @property
     def is_idealized(self) -> bool:
         return isinstance(self.gain_model, IdealizedGains)
-
-    def with_alpha(self, alpha: float) -> "Scenario":
-        return replace(self, alpha=alpha)
 
     @cached_property
     def layout(self) -> geometry.CellLayout:

@@ -74,11 +74,11 @@ def _check_solver_paths(emit) -> bool:
 
 
 def _check_determinism(emit) -> bool:
-    from .experiments import monte_carlo_sweep
+    from .experiments import ALL_FILTERS, monte_carlo_sweep
     from .scenario import parse_scenario
     sc = parse_scenario("idealized-01")
-    a = monte_carlo_sweep(sc, 8, [0.5], 3, master_seed=42)
-    b = monte_carlo_sweep(sc, 8, [0.5], 3, master_seed=42)
+    a = monte_carlo_sweep(sc, 8, [0.5], 3, ALL_FILTERS, "noiseless", 42)
+    b = monte_carlo_sweep(sc, 8, [0.5], 3, ALL_FILTERS, "noiseless", 42)
     ok = all(np.array_equal(a[k], b[k]) for k in a)
     emit(f"seeded rerun determinism: {'PASS' if ok else 'FAIL'}")
     return ok

@@ -114,7 +114,7 @@ def test_criterion_05_theory_simulation_agreement():
 
 
 def test_criterion_06_rate_table_reproduction(cost231):
-    res = rate_table(cost231, [0.1, 0.5, 1.0], SEED)
+    res = rate_table(cost231, None, [0.1, 0.5, 1.0], None, None, SEED)
     targets = {0.1: (4.7, 6.0), 0.5: (2.7, 3.4), 1.0: (1.9, 2.2)}
     ok = True
     for a, pilot, perfect in res.rows:

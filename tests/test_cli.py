@@ -137,12 +137,23 @@ class TestExitCodes:
         assert self._run(monkeypatch, ConditioningError("singular")) == 4
 
     def test_missing_scenario_is_config_error(self, tmp_path):
+        out = tmp_path / "run"
         assert cli.main(["asymptotic", "--scenario", "nope",
-                         "--out", str(tmp_path)]) == 2
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
-    def test_unknown_filter_is_config_error(self, tmp_path):
+    def test_validate_parses_the_scenario(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["validate", "--scenario", "nope",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_filter_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
         assert cli.main(["montecarlo", "--filters", "zf",
-                         "--out", str(tmp_path)]) == 2
+                         "--out", str(out)]) == 2
+        assert "error: unknown filter 'zf'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_filters_refused_before_any_trial(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -156,7 +167,7 @@ class TestExitCodes:
                          "--antennas", "8", "--alpha", "0.5",
                          "--out", str(out)]) == 2
         assert "--filters" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["asymptotic", "percentile", "rates",
                                          "rategap"])
@@ -167,7 +178,7 @@ class TestExitCodes:
         assert cli.main([command, "--filters", filters,
                          "--out", str(out)]) == 2
         assert "--filters" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     # a given flag is told apart from its default, so spelling the default
     # out to a command that does not read it is refused too
@@ -185,14 +196,14 @@ class TestExitCodes:
         assert cli.main(["rategap", "--scenario", "cost231-7cell",
                          "--out", str(out)]) == 2
         assert "idealized scenario" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["montecarlo", "percentile"])
     def test_zero_trials_is_config_error(self, tmp_path, capsys, command):
         out = tmp_path / "run"
         assert cli.main([command, "--trials", "0", "--out", str(out)]) == 2
         assert "trials" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_percentile_refuses_too_few_trials_before_work(
             self, tmp_path, capsys, monkeypatch):
@@ -205,7 +216,7 @@ class TestExitCodes:
         assert cli.main(["percentile", "--scenario", "cost231-7cell",
                          "--trials", "19", "--out", str(out)]) == 2
         assert "20 trials" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["montecarlo", "percentile"])
     @pytest.mark.parametrize("antennas", ["0", "-3"])
@@ -217,7 +228,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "antenna count must be at least 1" in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["asymptotic", "montecarlo",
                                          "percentile", "rates", "rategap"])
@@ -227,7 +238,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert cli.main([command, "--alpha", alpha, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
         ("asymptotic", ("--trials", "5")), ("rategap", ("--trials", "5")),
@@ -237,7 +248,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert cli.main([command, *flag, "--out", str(out)]) == 2
         assert f"{flag[0]} is not read by {command}" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     # each of these used to exit 0 and record the unread flag in the manifest
     @pytest.mark.parametrize("argv", [
@@ -287,15 +298,70 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "above the cap" in proc.stderr
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
 
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+    # --out is checked before any compute, and without being created
+    @staticmethod
+    def assert_out_refused(tmp_path, capsys, monkeypatch, below):
+        from ulmimo import experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(experiments, "run_trial", no_trials)
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        code = cli.main(["asymptotic", "--alpha", "0.5",
-                         "--out", str(blocker / "run")])
+        code = cli.main(["montecarlo", "--alpha", "0.5", "--trials", "2",
+                         "--antennas", "8", "--out", str(blocker / below)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert f"{blocker} is not a writable directory" in err
+        assert blocker.read_text() == "not a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        self.assert_out_refused(tmp_path, capsys, monkeypatch, "run")
+
+    @pytest.mark.parametrize("below", ["", "run/deeper"])
+    def test_out_on_or_deeper_below_a_file_is_config_error(
+            self, tmp_path, capsys, monkeypatch, below):
+        self.assert_out_refused(tmp_path, capsys, monkeypatch, below)
+
+    def test_out_at_a_dangling_symlink_is_config_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from ulmimo import experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(experiments, "run_trial", no_trials)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        code = cli.main(["montecarlo", "--alpha", "0.5", "--trials", "2",
+                         "--antennas", "8", "--out", str(link)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    def test_out_with_an_overlong_name_is_config_error(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / ("x" * 300) / "run"
+        code = cli.main(["montecarlo", "--alpha", "0.5", "--trials", "2",
+                         "--antennas", "8", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_below_missing_directories_is_made_after_the_run(
+            self, tmp_path):
+        out = tmp_path / "a" / "b" / "run"
+        assert cli.main(["asymptotic", "--alpha", "0.5",
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "asymptotic.csv", "manifest.json", "scenario.json"]
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys,
@@ -305,7 +371,7 @@ class TestExitCodes:
                          "--out", str(out)])
         assert code == 2
         assert "seed" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "run"
@@ -326,6 +392,7 @@ class TestExitCodes:
             tmp_path, cost231_scenario_file(tmp_path, exclusion_radius_m=5000.0))
         assert proc.returncode == 2
         assert "apothem" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     # NaN exclusion used to hang the drop sampler, a non-finite radius to
     # end in an OverflowError traceback, and NaN shadowing to turn it off
@@ -454,9 +521,12 @@ class TestDispatch:
         assert code == 0
         assert (out / "rategap.csv").exists()
 
-    def test_validate_passes(self, capsys):
+    def test_validate_passes(self, capsys, tmp_path, monkeypatch):
+        # validate writes nothing, so it creates no directory either
+        monkeypatch.chdir(tmp_path)
         assert cli.main(["validate"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -107,16 +107,19 @@ class TestRateGap:
             ex.rate_gap_sweep(idealized_01, [0.5], [0.2])
 
 
+ALL = ex.ALL_FILTERS
+
+
 class TestMonteCarloSweep:
     def test_exact_rerun_determinism(self, idealized_01):
-        a = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 5, master_seed=9)
-        b = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 5, master_seed=9)
+        a = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 5, ALL, "noiseless", 9)
+        b = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 5, ALL, "noiseless", 9)
         for key in a:
             assert np.array_equal(a[key], b[key])
 
     def test_single_trial_reproducible(self, idealized_01):
-        a = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 1, master_seed=3)
-        b = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 1, master_seed=3)
+        a = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 1, ALL, "noiseless", 3)
+        b = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 1, ALL, "noiseless", 3)
         assert a[(0.5, "mf")][0] == b[(0.5, "mf")][0]
 
     def test_channels_paired_across_estimate_modes(self, idealized_01):
@@ -144,24 +147,33 @@ class TestMonteCarloSweep:
             tags.append(tag)
             return real_seed_substream(seed, tag, index)
         monkeypatch.setattr(ex, "seed_substream", recording)
-        ex.monte_carlo_sweep(idealized_01, 8, [0.5], 3, estimate_mode=mode)
+        ex.monte_carlo_sweep(idealized_01, 8, [0.5], 3, ALL, mode, 0)
         assert tags.count("mc.channel.a0") == 3
         assert tags.count("mc.pilot.a0") == pilot_streams
 
     def test_empty_filter_tuple_rejected(self, idealized_01):
         with pytest.raises(InvalidInputError, match="filter"):
-            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, filters=())
+            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, (), "noiseless", 0)
+
+    def test_unknown_filter_rejected_before_any_trial(self, idealized_01,
+                                                      monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(ex, "run_trial", no_trials)
+        with pytest.raises(InvalidInputError, match="unknown filter 'zf'"):
+            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, ("zf",),
+                                 "noiseless", 0)
 
     def test_unknown_mode_rejected(self, idealized_01):
         with pytest.raises(InvalidInputError):
-            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2,
-                                 estimate_mode="psychic")
+            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, ALL, "psychic", 0)
 
     def test_trial_entry_cap_checked_before_any_draw(self, idealized_01,
                                                      monkeypatch):
         # the largest loading sets the trial: 7 cells x K = 4 x M = 8
         monkeypatch.setattr(ex, "MAX_TRIAL_ENTRIES", 7 * 4 * 8)
-        samples = ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2)
+        samples = ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2, ALL,
+                                       "noiseless", 0)
         assert samples[(0.5, "mf")].shape == (2,)
 
         def no_trials(*args, **kwargs):
@@ -169,14 +181,15 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(ex, "run_trial", no_trials)
         monkeypatch.setattr(ex, "MAX_TRIAL_ENTRIES", 7 * 4 * 8 - 1)
         with pytest.raises(InvalidInputError, match="224 channel entries"):
-            ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2)
+            ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2, ALL,
+                                 "noiseless", 0)
 
     def test_gap_to_limit_shrinks_with_antennas(self, idealized_01):
         dist = idealized_gains(7, 0.01)
         gaps = {}
         for M in (20, 200):
-            samples = ex.monte_carlo_sweep(idealized_01, M, [0.5], 200,
-                                           master_seed=11)
+            samples = ex.monte_carlo_sweep(idealized_01, M, [0.5], 200, ALL,
+                                           "noiseless", 11)
             theory = {f: la.to_db(x[0]) for f, x in zip(
                 ("mf", "mmse", "mmse-perfect"),
                 la.det_eq_sinr_rows(dist, 0.5, 0.01))}
@@ -189,8 +202,7 @@ class TestMonteCarloSweep:
 class TestDropRunners:
     def test_percentile_sweep_structure(self):
         sc = parse_scenario("cost231-7cell")
-        res = ex.percentile_sweep(sc, 20, [0.5], trials=60, master_seed=5,
-                                  n_drops=400)
+        res = ex.percentile_sweep(sc, 20, [0.5], 60, "noiseless", 5)
         assert res.columns[0] == "alpha"
         row = res.rows[0]
         # Monte Carlo and limit five-percentiles in the same ballpark
@@ -199,13 +211,13 @@ class TestDropRunners:
 
     def test_rate_table_theory_columns(self):
         sc = parse_scenario("cost231-7cell")
-        res = ex.rate_table(sc, [0.5, 1.0], master_seed=6, n_drops=2000)
+        res = ex.rate_table(sc, None, [0.5, 1.0], None, None, 6)
         _, pilot, perfect = np.array(res.rows).T
         assert (perfect > pilot).all()
         assert (np.diff(pilot) < 0).all()  # more load, less rate per user
 
     def test_rate_table_idealized_is_deterministic_rate(self, idealized_01):
-        res = ex.rate_table(idealized_01, [0.5], master_seed=0, n_drops=10)
+        res = ex.rate_table(idealized_01, None, [0.5], None, None, 0)
         _, pilot, _ = la.det_eq_sinr_rows(idealized_gains(7, 0.01), 0.5, 0.01)
         expected = np.log2(1.0 + pilot[0])
         assert res.rows[0][1] == pytest.approx(expected, rel=1e-12)
@@ -213,7 +225,7 @@ class TestDropRunners:
     def test_rate_table_refuses_tiny_cells(self):
         sc = parse_scenario("cost231-7cell")
         with pytest.raises(ScenarioError, match="fewer than 3"):
-            ex.rate_table(sc, [0.1], master_seed=0, n_drops=100, M=10, trials=5)
+            ex.rate_table(sc, 10, [0.1], 5, "noiseless", 0)
 
     def test_training_five_percentile_tracks_repeated_pilot_theory(self):
         # full per-cell training at M=50 stays within half a dB of the
@@ -234,8 +246,7 @@ class TestDropRunners:
         # small-system simulation stays near the reference table at alpha=0.5:
         # per-user rates (pilot, perfect) close to (2.9, 3.6) within +-0.5
         sc = parse_scenario("cost231-7cell")
-        res = ex.rate_table(sc, [0.5], master_seed=7, n_drops=2000, M=10,
-                            trials=800)
+        res = ex.rate_table(sc, 10, [0.5], 800, "noiseless", 7)
         *_, pilot_mc, perfect_mc = res.rows[0]
         assert abs(pilot_mc - 2.9) <= 0.5
         assert abs(perfect_mc - 3.6) <= 0.5

@@ -24,15 +24,18 @@ def idealized_realization(M, K, B=7, beta=0.01, noise_var=0.01, seed=0,
 class TestDrawChannels:
     def test_deterministic_given_seed(self):
         sc = parse_scenario("idealized-01")
-        a = mc.draw_channels(sc, 8, seed_substream(1, "ch"))
-        b = mc.draw_channels(sc, 8, seed_substream(1, "ch"))
+        a = mc.draw_channels(sc, 4, 8, seed_substream(1, "ch"))
+        b = mc.draw_channels(sc, 4, 8, seed_substream(1, "ch"))
         assert np.array_equal(a.small_scale, b.small_scale)
         assert np.array_equal(a.gains, b.gains)
 
     def test_zero_users_rejected(self):
-        sc = parse_scenario("idealized-01").with_alpha(0.01)
-        with pytest.raises(InvalidInputError):
-            mc.draw_channels(sc, 10, seed_substream(0, "ch"))
+        from ulmimo.experiments import ALL_FILTERS, monte_carlo_sweep
+        with pytest.raises(InvalidInputError, match="zero users"):
+            mc.users_per_cell(0.01, 10)
+        with pytest.raises(InvalidInputError, match="zero users"):
+            monte_carlo_sweep(parse_scenario("idealized-01"), 10, [0.01], 1,
+                              ALL_FILTERS, "noiseless", 0)
 
     @pytest.mark.parametrize("M", [0, -5])
     def test_antenna_count_below_one_rejected(self, M):

@@ -298,8 +298,3 @@ class TestScenarioBehaviour:
     def test_idealized_scenario_has_no_layout(self):
         with pytest.raises(ScenarioError, match="no cell layout"):
             parse_scenario("idealized-01").layout
-
-    def test_with_alpha(self):
-        sc = parse_scenario("idealized-01")
-        assert sc.with_alpha(0.7).alpha == 0.7
-        assert sc.alpha == 0.5

@@ -1,10 +1,16 @@
-"""Every parameter of every function in the package is read by its body.
+"""Every parameter of every function in the package is read by its body,
+and no experiment runner has a parameter default.
 
 A parameter no code path reads is a knob that changes nothing; callers
-still pass it and readers still wonder what it does. The check parses the
-package's sources, so it covers private helpers, methods, nested
+still pass it and readers still wonder what it does. The checks parse the
+package's sources, so they cover private helpers, methods, nested
 functions and lambdas alike. A read inside a nested function or lambda
 counts, since the closure uses the value.
+
+The CLI holds the one copy of every run default (``cli._FLAG_DEFAULTS``,
+the default alpha grids and trial count). A default in
+``experiments.py`` would be a second copy that can drift from it, and a
+caller that leaves the argument out would get whichever copy it reaches.
 """
 
 import ast
@@ -37,8 +43,25 @@ def unread_parameters(source: str) -> list[str]:
     return unread
 
 
+def defaulted_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter that has a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        params = positional[len(positional) - len(a.defaults):]
+        params += [p for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}({p.arg}) at line {node.lineno}" for p in params]
+    return found
+
+
 def test_sources_found():
-    assert {"asymptotic.py", "cli.py", "montecarlo.py"} <= {
+    assert {"asymptotic.py", "cli.py", "experiments.py",
+            "montecarlo.py"} <= {
         p.name for p in SOURCES}
 
 
@@ -53,3 +76,15 @@ def test_detects_an_unread_parameter():
     assert unread_parameters(source) == [
         "f(b) at line 1", "f(args) at line 1", "f(kw) at line 1",
         "<lambda>(x) at line 2"]
+
+
+def test_no_runner_parameter_has_a_default():
+    assert defaulted_parameters((PACKAGE / "experiments.py").read_text()) == []
+
+
+def test_detects_a_default():
+    source = ("def f(a, b=1, /, c=2, *args, d, e=3):\n"
+              "    return g(lambda x, y=0: x)\n")
+    assert defaulted_parameters(source) == [
+        "f(b) at line 1", "f(c) at line 1", "f(e) at line 1",
+        "<lambda>(y) at line 2"]
