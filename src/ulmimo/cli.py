@@ -28,13 +28,6 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
-_DEFAULT_ALPHAS = {
-    "asymptotic": [round(0.05 * i, 2) for i in range(1, 31)],
-    "montecarlo": [0.2, 0.5, 1.0],
-    "percentile": [0.2, 0.5, 1.0],
-    "rates": [round(0.1 * i, 1) for i in range(1, 11)],
-    "rategap": [0.2, 0.4, 0.6, 0.8, 1.0],
-}
 # glibc's mallopt parameters (<malloc.h>) and the values main sets. A Monte
 # Carlo trial allocates and frees the same arrays, from tens of KB to about
 # 2 MB at M = 50, on every trial. Left to glibc's dynamic thresholds, some
@@ -48,47 +41,77 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
 
-# The run flags each command reads (--scenario, --seed and --out are not run
-# flags). A run flag given to a command that does not read it is refused.
-# rates simulates, and so reads --antennas and --estimate, only with --trials.
+# --scenario, --seed and --out have manifest fields of their own; the run
+# flags sit under "overrides". Every argparse default is None: a flag left
+# out takes its value here before the manifest is written, but --alpha and
+# --trials stay None there and the command's grid and _DEFAULT_TRIALS run.
+_BASE = ("scenario", "seed", "out")
 _RUN_FLAGS = ("alpha", "antennas", "trials", "estimate", "filters")
-FLAGS_READ = {
-    "asymptotic": ("alpha",),
-    "montecarlo": _RUN_FLAGS,
-    "percentile": ("alpha", "antennas", "trials", "estimate"),
-    "rates without --trials": ("alpha",),
-    "rates with --trials": ("alpha", "antennas", "trials", "estimate"),
-    "rategap": ("alpha",),
-    "validate": (),
-}
-# values of the run flags left out, filled in before the run and recorded
-# in the manifest; the default --alpha grids and trial count are not recorded
-_FLAG_DEFAULTS = {"antennas": 50, "estimate": "noiseless",
+_FLAG_DEFAULTS = {"scenario": "idealized-01", "seed": 0, "out": "out",
+                  "antennas": 50, "estimate": "noiseless",
                   "filters": ",".join(ALL_FILTERS)}
 _DEFAULT_TRIALS = 500
-_DEFAULT_BETA_GRID = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
+
+# One entry per command: the flags it reads (any other flag given exits 2),
+# the --alpha grid it runs when --alpha is left out, and its runner, called
+# with the arguments (the grid resolved into args.grid) and the scenario to
+# give the rows of <command>.csv. rates simulates, and so reads --antennas
+# and --estimate, only with --trials (see _resolve_flags). validate reads no
+# flag, runs its fixed checks and writes nothing.
+_SIMULATION = ("antennas", "trials", "estimate")
+COMMANDS = {
+    "asymptotic": (
+        (*_BASE, "alpha"), [round(0.05 * i, 2) for i in range(1, 31)],
+        lambda args, sc: experiments.asymptotic_sweep(sc, args.grid)),
+    "montecarlo": (
+        (*_BASE, "alpha", *_SIMULATION, "filters"), [0.2, 0.5, 1.0],
+        lambda args, sc: experiments.monte_carlo_result(
+            sc, args.antennas, args.grid, _trials(args),
+            _split_list("filters", args.filters, str), args.estimate,
+            args.seed)),
+    "percentile": (
+        (*_BASE, "alpha", *_SIMULATION), [0.2, 0.5, 1.0],
+        lambda args, sc: experiments.percentile_sweep(
+            sc, args.antennas, args.grid, _trials(args), args.estimate,
+            args.seed)),
+    "rates": (
+        (*_BASE, "alpha", "trials"), [round(0.1 * i, 1) for i in range(1, 11)],
+        lambda args, sc: experiments.rate_table(
+            sc, args.antennas, args.grid, args.trials, args.estimate,
+            args.seed)),
+    "rategap": (
+        (*_BASE, "alpha"), [0.2, 0.4, 0.6, 0.8, 1.0],
+        lambda args, sc: experiments.rate_gap_sweep(
+            sc, args.grid, [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1])),
+    "validate": ((), None, None),
+}
 
 
-def _parse_list(text: str) -> list[float]:
+def _split_list(flag: str, text: str, parse) -> list:
+    """The comma-separated entries of ``--flag``; an empty entry is refused."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise InvalidInputError(f"--{flag} has an empty entry in {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [parse(tok) for tok in tokens]
     except ValueError as exc:
         raise InvalidInputError(f"could not parse list {text!r}") from exc
+
+
+def _trials(args) -> int:
+    return _DEFAULT_TRIALS if args.trials is None else args.trials
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulmimo",
         description="Uplink multi-cell MIMO: large-system SINR and Monte Carlo")
-    parser.add_argument("command",
-                        choices=["asymptotic", "montecarlo", "percentile",
-                                 "rates", "rategap", "validate"])
-    parser.add_argument("--scenario", default="idealized-01",
+    parser.add_argument("command", choices=list(COMMANDS))
+    parser.add_argument("--scenario",
                         help="scenario file path or bundled scenario name")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--alpha", default=None,
-                        help="comma-separated loading values")
+    parser.add_argument("--seed", type=int, help="64-bit master seed")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--alpha", help="comma-separated loading values")
     parser.add_argument("--antennas", type=int, metavar="M")
     parser.add_argument("--trials", type=int)
     parser.add_argument("--estimate", choices=ESTIMATE_MODES)
@@ -114,12 +137,14 @@ def _manifest(args, scenario: Scenario) -> dict:
 
 
 def _resolve_flags(args) -> None:
-    """Refuse run flags the command does not read, then fill in defaults."""
-    reader = args.command
+    """Refuse flags the command does not read, then fill in defaults."""
+    reader, reads = args.command, COMMANDS[args.command][0]
     if reader == "rates":
-        reader += " without --trials" if args.trials is None else " with --trials"
-    for flag in _RUN_FLAGS:
-        if getattr(args, flag) is not None and flag not in FLAGS_READ[reader]:
+        simulates = args.trials is not None
+        reader += " with --trials" if simulates else " without --trials"
+        reads += ("antennas", "estimate") if simulates else ()
+    for flag in (*_BASE, *_RUN_FLAGS):
+        if getattr(args, flag) is not None and flag not in reads:
             raise InvalidInputError(f"--{flag} is not read by {reader}")
     for flag, value in _FLAG_DEFAULTS.items():
         if getattr(args, flag) is None:
@@ -142,51 +167,21 @@ def _check_out_dir(out_dir: Path) -> None:
 
 def dispatch(args) -> int:
     """Check every input, run, and only then create the output directory."""
+    _resolve_flags(args)
+    _, alphas, run = COMMANDS[args.command]
     if not 0 <= args.seed < 2 ** 64:
         raise InvalidInputError("--seed must lie in [0, 2**64)")
-    _resolve_flags(args)
-    scenario = parse_scenario(args.scenario)
-    if args.command == "validate":
+    if run is None:  # validate
         return EXIT_OK if validate.run_all(print) else EXIT_NUMERICAL
+    scenario = parse_scenario(args.scenario)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
-
-    filters = tuple(tok for tok in args.filters.split(",") if tok)
-    if not filters:
-        raise InvalidInputError("--filters must name at least one filter")
-
-    alphas = (_DEFAULT_ALPHAS[args.command] if args.alpha is None
-              else _parse_list(args.alpha))
-    trials = _DEFAULT_TRIALS if args.trials is None else args.trials
-
-    if args.command == "asymptotic":
-        result = experiments.asymptotic_sweep(scenario, alphas)
-        outputs = {"asymptotic.csv": result}
-    elif args.command == "montecarlo":
-        result = experiments.monte_carlo_result(
-            scenario, args.antennas, alphas, trials, filters,
-            args.estimate, args.seed)
-        outputs = {"montecarlo.csv": result}
-    elif args.command == "percentile":
-        result = experiments.percentile_sweep(
-            scenario, args.antennas, alphas, trials, args.estimate, args.seed)
-        outputs = {"percentile.csv": result}
-    elif args.command == "rates":
-        result = experiments.rate_table(
-            scenario, args.antennas, alphas, args.trials, args.estimate,
-            args.seed)
-        outputs = {"rates.csv": result}
-    elif args.command == "rategap":
-        result = experiments.rate_gap_sweep(scenario, alphas,
-                                            _DEFAULT_BETA_GRID)
-        outputs = {"rategap.csv": result}
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown command {args.command!r}")
-
+    args.grid = (alphas if args.alpha is None
+                 else _split_list("alpha", args.alpha, float))
+    result = run(args, scenario)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for fname, res in outputs.items():
-            write_csv(res, out_dir / fname)
+        write_csv(result, out_dir / f"{args.command}.csv")
         (out_dir / "manifest.json").write_text(
             json.dumps(_manifest(args, scenario), indent=2, sort_keys=True)
             + "\n")

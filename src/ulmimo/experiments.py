@@ -205,9 +205,11 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     filters = tuple(filters)
     if not filters:
         raise InvalidInputError("filter list must be non-empty")
-    for f in filters:
+    for i, f in enumerate(filters):
         if f not in ALL_FILTERS:
             raise InvalidInputError(f"unknown filter {f!r}")
+        if f in filters[:i]:
+            raise InvalidInputError(f"filter {f!r} is named twice")
     entries = scenario.cells * users_per_cell(grid[-1], M) * M
     if entries > MAX_TRIAL_ENTRIES:
         raise InvalidInputError(

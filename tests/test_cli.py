@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,58 @@ GOLDEN_SHADOWED_MC = {
     "noisy": "d490fce9ba3226033c7ae4e4146b589152254764a80a837e68d9dd513954a473",
     "training": "136eed28ab252b78101b5a4ea620c4b7721e94b0aaa6a20c6b530136124a6305",
 }
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a value for each flag, for the cells of the README's flag table
+FLAG_VALUES = {"scenario": "idealized-01", "seed": "3", "out": "run",
+               "alpha": "0.5", "antennas": "7", "trials": "5",
+               "estimate": "noisy", "filters": "mf"}
+
+
+def flag_table() -> list[tuple[str, str, bool]]:
+    """(row, flag, marked) for each cell of the README's flag table."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("| command "))
+    table = itertools.takewhile(lambda line: line.startswith("|"),
+                                lines[start:])
+    header, _, *rows = [[cell.strip().replace("`", "")
+                         for cell in line.strip("|").split("|")]
+                        for line in table]
+    flags = [name.removeprefix("--") for name in header[1:]]
+    return [(row[0], flag, cell == "x")
+            for row in rows for flag, cell in zip(flags, row[1:])]
+
+
+def cell_argv(row: str, flag: str) -> list[str]:
+    """The command of a table row given only ``--flag``, plus --trials for
+    the row of rates with --trials."""
+    argv = [row.split()[0]]
+    if row.endswith(" with --trials") and flag != "trials":
+        argv += ["--trials", FLAG_VALUES["trials"]]
+    return argv + [f"--{flag}", FLAG_VALUES[flag]]
+
+
+# giving --trials to rates selects the row of rates with --trials instead
+BLANK_CELLS = [(row, flag) for row, flag, marked in flag_table()
+               if not marked and (row, flag) != ("rates without --trials",
+                                                 "trials")]
+MARKED_CELLS = [(row, flag) for row, flag, marked in flag_table() if marked]
+
+
+def cell_ids(cells) -> list[str]:
+    return ["-".join(cell).replace(" ", "_") for cell in cells]
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if any Monte Carlo trial runs."""
+    from ulmimo import experiments
+
+    def fail(*args, **kwargs):
+        raise AssertionError("run_trial called")
+    monkeypatch.setattr(experiments, "run_trial", fail)
 
 
 def cost231_scenario_file(tmp_path, **gain_model):
@@ -142,11 +196,13 @@ class TestExitCodes:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_validate_parses_the_scenario(self, tmp_path):
-        out = tmp_path / "run"
-        assert cli.main(["validate", "--scenario", "nope",
-                         "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_validate_refuses_the_scenario_flag(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["validate", "--scenario", "nope"]) == 2
+        assert ("error: --scenario is not read by validate"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_filter_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -156,17 +212,24 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_empty_filters_refused_before_any_trial(self, tmp_path, capsys,
-                                                    monkeypatch):
-        from ulmimo import experiments
-
-        def no_trials(*args, **kwargs):
-            raise AssertionError("run_trial called")
-        monkeypatch.setattr(experiments, "run_trial", no_trials)
+                                                    no_trials):
         out = tmp_path / "run"
-        assert cli.main(["montecarlo", "--filters", ",", "--trials", "3",
-                         "--antennas", "8", "--alpha", "0.5",
+        for filters in (",", "mf,,mmse"):
+            assert cli.main(["montecarlo", "--filters", filters, "--trials",
+                             "3", "--antennas", "8", "--alpha", "0.5",
+                             "--out", str(out)]) == 2, filters
+            assert "--filters" in capsys.readouterr().err
+            assert not out.exists()
+
+    # a repeated filter used to run twice per trial and be written once
+    def test_repeated_filter_refused_before_any_trial(self, tmp_path, capsys,
+                                                      no_trials):
+        out = tmp_path / "run"
+        assert cli.main(["montecarlo", "--filters", "mf,mmse,mf", "--trials",
+                         "2", "--antennas", "8", "--alpha", "0.5",
                          "--out", str(out)]) == 2
-        assert "--filters" in capsys.readouterr().err
+        assert ("error: filter 'mf' is named twice"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["asymptotic", "percentile", "rates",
@@ -206,12 +269,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_percentile_refuses_too_few_trials_before_work(
-            self, tmp_path, capsys, monkeypatch):
-        from ulmimo import experiments
-
-        def no_trials(*args, **kwargs):
-            raise AssertionError("run_trial called")
-        monkeypatch.setattr(experiments, "run_trial", no_trials)
+            self, tmp_path, capsys, no_trials):
         out = tmp_path / "run"
         assert cli.main(["percentile", "--scenario", "cost231-7cell",
                          "--trials", "19", "--out", str(out)]) == 2
@@ -232,7 +290,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["asymptotic", "montecarlo",
                                          "percentile", "rates", "rategap"])
-    @pytest.mark.parametrize("alpha", ["0.2,abc", ",", "0.5,0.2", ""])
+    @pytest.mark.parametrize("alpha", ["0.2,abc", ",", "0.5,0.2", "",
+                                       "0.2,,0.5", "0.2,0.5,"])
     def test_malformed_alpha_is_config_error(self, tmp_path, capsys, command,
                                              alpha):
         out = tmp_path / "run"
@@ -240,15 +299,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,flag", [
-        ("asymptotic", ("--trials", "5")), ("rategap", ("--trials", "5")),
-        ("validate", ("--trials", "5")), ("validate", ("--alpha", "0.5"))])
+    # every blank cell of the README's flag table; --out is given only as
+    # the flag under test, so the default ./out must not appear either
+    @pytest.mark.parametrize("row,flag", BLANK_CELLS,
+                             ids=cell_ids(BLANK_CELLS))
     def test_flag_the_command_does_not_read_is_config_error(
-            self, tmp_path, capsys, command, flag):
-        out = tmp_path / "run"
-        assert cli.main([command, *flag, "--out", str(out)]) == 2
-        assert f"{flag[0]} is not read by {command}" in capsys.readouterr().err
-        assert not out.exists()
+            self, tmp_path, capsys, monkeypatch, row, flag):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(cell_argv(row, flag)) == 2
+        assert (f"error: --{flag} is not read by {row}\n"
+                == capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    # every marked cell: the flag passes the check and keeps its value
+    @pytest.mark.parametrize("row,flag", MARKED_CELLS,
+                             ids=cell_ids(MARKED_CELLS))
+    def test_flag_the_command_reads_is_kept(self, row, flag):
+        args = cli.build_parser().parse_args(cell_argv(row, flag))
+        cli._resolve_flags(args)
+        assert str(getattr(args, flag)) == FLAG_VALUES[flag]
+
+    def test_flag_table_lists_every_command(self):
+        rows = dict.fromkeys(row.split()[0] for row, _, _ in flag_table())
+        assert list(rows) == list(cli.COMMANDS)
 
     # each of these used to exit 0 and record the unread flag in the manifest
     @pytest.mark.parametrize("argv", [
@@ -302,12 +375,7 @@ class TestExitCodes:
 
     # --out is checked before any compute, and without being created
     @staticmethod
-    def assert_out_refused(tmp_path, capsys, monkeypatch, below):
-        from ulmimo import experiments
-
-        def no_trials(*args, **kwargs):
-            raise AssertionError("run_trial called")
-        monkeypatch.setattr(experiments, "run_trial", no_trials)
+    def assert_out_refused(tmp_path, capsys, below):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         code = cli.main(["montecarlo", "--alpha", "0.5", "--trials", "2",
@@ -320,21 +388,16 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_unwritable_out_is_config_error(self, tmp_path, capsys,
-                                            monkeypatch):
-        self.assert_out_refused(tmp_path, capsys, monkeypatch, "run")
+                                            no_trials):
+        self.assert_out_refused(tmp_path, capsys, "run")
 
     @pytest.mark.parametrize("below", ["", "run/deeper"])
     def test_out_on_or_deeper_below_a_file_is_config_error(
-            self, tmp_path, capsys, monkeypatch, below):
-        self.assert_out_refused(tmp_path, capsys, monkeypatch, below)
+            self, tmp_path, capsys, no_trials, below):
+        self.assert_out_refused(tmp_path, capsys, below)
 
     def test_out_at_a_dangling_symlink_is_config_error(self, tmp_path, capsys,
-                                                      monkeypatch):
-        from ulmimo import experiments
-
-        def no_trials(*args, **kwargs):
-            raise AssertionError("run_trial called")
-        monkeypatch.setattr(experiments, "run_trial", no_trials)
+                                                      no_trials):
         link = tmp_path / "link"
         link.symlink_to(tmp_path / "missing")
         code = cli.main(["montecarlo", "--alpha", "0.5", "--trials", "2",

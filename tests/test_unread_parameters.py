@@ -8,9 +8,11 @@ functions and lambdas alike. A read inside a nested function or lambda
 counts, since the closure uses the value.
 
 The CLI holds the one copy of every run default (``cli._FLAG_DEFAULTS``,
-the default alpha grids and trial count). A default in
+the alpha grids in ``cli.COMMANDS`` and the trial count). A default in
 ``experiments.py`` would be a second copy that can drift from it, and a
 caller that leaves the argument out would get whichever copy it reaches.
+An argparse ``default=`` would be another: the CLI tells a flag left out
+from one given by its argparse default of None.
 """
 
 import ast
@@ -59,6 +61,22 @@ def defaulted_parameters(source: str) -> list[str]:
     return found
 
 
+def argparse_defaults(source: str) -> list[str]:
+    """``add_argument`` and ``set_defaults`` calls that set a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        call = node.func.attr
+        if call == "set_defaults":
+            found.append(f"set_defaults at line {node.lineno}")
+        elif call == "add_argument" and any(k.arg == "default"
+                                            for k in node.keywords):
+            found.append(f"{ast.unparse(node.args[0])} at line {node.lineno}")
+    return found
+
+
 def test_sources_found():
     assert {"asymptotic.py", "cli.py", "experiments.py",
             "montecarlo.py"} <= {
@@ -88,3 +106,15 @@ def test_detects_a_default():
     assert defaulted_parameters(source) == [
         "f(b) at line 1", "f(c) at line 1", "f(e) at line 1",
         "<lambda>(y) at line 2"]
+
+
+def test_no_argparse_default():
+    assert argparse_defaults((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_detects_an_argparse_default():
+    source = ("p.add_argument('--a', type=int, default=0)\n"
+              "p.add_argument('--b', help='no default')\n"
+              "p.set_defaults(c=1)\n")
+    assert argparse_defaults(source) == ["'--a' at line 1",
+                                         "set_defaults at line 3"]
