@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, experiments, validate
-from .errors import (ConvergenceError, InvalidInputError, NumericalError)
+from .errors import ConvergenceError, InvalidInputError, NumericalError
 from .experiments import ALL_FILTERS, ESTIMATE_MODES, write_csv
 from .scenario import (Scenario, parse_scenario, scenario_hash,
                        serialize_scenario)
@@ -27,6 +27,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
+# exit code of each error class main catches, the first that matches wins:
+# a ConvergenceError is also a NumericalError
+_EXIT_CODES = ((ConvergenceError, EXIT_CONVERGENCE),
+               (InvalidInputError, EXIT_CONFIG),
+               (NumericalError, EXIT_NUMERICAL))
 
 # glibc's mallopt parameters (<malloc.h>) and the values main sets. A Monte
 # Carlo trial allocates and frees the same arrays, from tens of KB to about
@@ -56,12 +61,14 @@ _DEFAULT_TRIALS = 500
 # the --alpha grid it runs when --alpha is left out, and its runner, called
 # with the arguments (the grid resolved into args.grid) and the scenario to
 # give the rows of <command>.csv. rates simulates, and so reads --antennas
-# and --estimate, only with --trials (see _resolve_flags). validate reads no
-# flag, runs its fixed checks and writes nothing.
+# and --estimate, only with --trials (see _resolve_flags). asymptotic and
+# rategap draw nothing and so read no --seed. validate reads no flag, runs
+# its fixed checks and writes nothing.
 _SIMULATION = ("antennas", "trials", "estimate")
 COMMANDS = {
     "asymptotic": (
-        (*_BASE, "alpha"), [round(0.05 * i, 2) for i in range(1, 31)],
+        ("scenario", "out", "alpha"),
+        [round(0.05 * i, 2) for i in range(1, 31)],
         lambda args, sc: experiments.asymptotic_sweep(sc, args.grid)),
     "montecarlo": (
         (*_BASE, "alpha", *_SIMULATION, "filters"), [0.2, 0.5, 1.0],
@@ -80,7 +87,7 @@ COMMANDS = {
             sc, args.antennas, args.grid, args.trials, args.estimate,
             args.seed)),
     "rategap": (
-        (*_BASE, "alpha"), [0.2, 0.4, 0.6, 0.8, 1.0],
+        ("scenario", "out", "alpha"), [0.2, 0.4, 0.6, 0.8, 1.0],
         lambda args, sc: experiments.rate_gap_sweep(
             sc, args.grid, [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1])),
     "validate": ((), None, None),
@@ -208,17 +215,10 @@ def main(argv=None) -> int:
     _steady_heap()
     args = build_parser().parse_args(argv)
     try:
-        code = dispatch(args)
-    except ConvergenceError as exc:
+        return dispatch(args)
+    except (InvalidInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_CONVERGENCE
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_NUMERICAL
-    return code
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -282,10 +282,24 @@ def sum_rate(alpha: float, M: int, sinr: float) -> float:
 # drop-based runners
 # ---------------------------------------------------------------------------
 
-def _drop_profiles(scenario: Scenario, n_drops: int,
-                   master_seed: int) -> FadingDistribution:
+def _simulation_and_limit(scenario: Scenario, M: int | None, grid,
+                          trials: int | None, estimate_mode: str | None,
+                          master_seed: int, n_drops: int,
+                          reduce) -> list[tuple]:
+    """(alpha, simulated, limit) per loading: ``reduce`` of the pilot- and
+    perfect-estimate MMSE SINRs, simulated (an empty pair when ``trials`` is
+    None) and in the limit over a law of ``n_drops`` drops."""
+    pair = (FILTER_MMSE, FILTER_MMSE_PERFECT)
+    mc = {} if trials is None else monte_carlo_sweep(
+        scenario, M, grid, trials, pair, estimate_mode, master_seed)
     rng = seed_substream(master_seed, "drops")
-    return FadingDistribution(scenario.gain_matrix(n_drops, rng).T)
+    dist = FadingDistribution(scenario.gain_matrix(n_drops, rng).T)
+    rows = []
+    for a in grid:
+        _, *limits = det_eq_sinr_rows(dist, a, scenario.noise_var)
+        simulated = tuple(reduce(mc[(a, f)]) for f in pair) if mc else ()
+        rows.append((a, simulated, tuple(reduce(x) for x in limits)))
+    return rows
 
 
 def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
@@ -295,24 +309,13 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     if trials < MIN_PERCENTILE_SAMPLES:
         raise InvalidInputError(
             f"percentile sweeps need at least {MIN_PERCENTILE_SAMPLES} trials")
-    samples = monte_carlo_sweep(scenario, M, grid, trials,
-                                (FILTER_MMSE, FILTER_MMSE_PERFECT),
-                                estimate_mode, master_seed)
-    dist = _drop_profiles(scenario, PERCENTILE_DROPS, master_seed)
-    rows = []
-    for a in grid:
-        _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)
-        rows.append((
-            a,
-            to_db(five_percentile(samples[(a, FILTER_MMSE)])),
-            to_db(five_percentile(samples[(a, FILTER_MMSE_PERFECT)])),
-            to_db(five_percentile(pilot_det)),
-            to_db(five_percentile(perfect_det)),
-        ))
+    rows = _simulation_and_limit(
+        scenario, M, grid, trials, estimate_mode, master_seed,
+        PERCENTILE_DROPS, lambda x: to_db(five_percentile(x)))
     return SweepResult(
         columns=["alpha", "five_pct_mmse_mc_db", "five_pct_perfect_mc_db",
                  "five_pct_mmse_det_db", "five_pct_perfect_det_db"],
-        rows=rows,
+        rows=[(a, *simulated, *limit) for a, simulated, limit in rows],
         meta=_base_meta(scenario, master_seed)
         | _simulation_meta(M, trials, estimate_mode)
         | {"drops": str(PERCENTILE_DROPS)},
@@ -330,28 +333,19 @@ def rate_table(scenario: Scenario, M: int | None, alpha_grid,
     that the finite-system table is not reproduced, it is refused.
     """
     grid = _check_alpha_grid(alpha_grid)
-    mc = None
+    columns = ["alpha", "rate_pilot", "rate_perfect"]
+    meta = _base_meta(scenario, master_seed) | {"drops": str(RATE_DROPS)}
     if trials is not None:
         for a in grid:
             if users_per_cell(a, M) < 3:
                 raise ScenarioError(
                     f"alpha={a}, M={M} gives fewer than 3 users per cell; "
                     "refusing to extrapolate the rate table")
-        mc = monte_carlo_sweep(scenario, M, grid, trials,
-                               (FILTER_MMSE, FILTER_MMSE_PERFECT),
-                               estimate_mode, master_seed)
-    dist = _drop_profiles(scenario, RATE_DROPS, master_seed)
-    rows = []
-    for a in grid:
-        _, pilot_det, perfect_det = det_eq_sinr_rows(dist, a, scenario.noise_var)
-        row = (a, achievable_rate(pilot_det), achievable_rate(perfect_det))
-        if mc is not None:
-            row = row + (achievable_rate(mc[(a, FILTER_MMSE)]),
-                         achievable_rate(mc[(a, FILTER_MMSE_PERFECT)]))
-        rows.append(row)
-    columns = ["alpha", "rate_pilot", "rate_perfect"]
-    meta = _base_meta(scenario, master_seed) | {"drops": str(RATE_DROPS)}
-    if mc is not None:
         columns += ["rate_pilot_mc", "rate_perfect_mc"]
         meta |= _simulation_meta(M, trials, estimate_mode)
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    rows = _simulation_and_limit(scenario, M, grid, trials, estimate_mode,
+                                 master_seed, RATE_DROPS, achievable_rate)
+    return SweepResult(
+        columns=columns,
+        rows=[(a, *limit, *simulated) for a, simulated, limit in rows],
+        meta=meta)

@@ -430,7 +430,7 @@ class TestExitCodes:
     def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys,
                                                   seed):
         out = tmp_path / "run"
-        code = cli.main(["asymptotic", "--alpha", "0.5", "--seed", seed,
+        code = cli.main(["rates", "--alpha", "0.5", "--seed", seed,
                          "--out", str(out)])
         assert code == 2
         assert "seed" in capsys.readouterr().err
@@ -438,7 +438,7 @@ class TestExitCodes:
 
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "run"
-        assert cli.main(["asymptotic", "--alpha", "0.5",
+        assert cli.main(["rates", "--alpha", "0.5",
                          "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 2 ** 64 - 1
@@ -509,7 +509,7 @@ class TestDispatch:
     def test_asymptotic_outputs(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main(["asymptotic", "--scenario", "idealized-01",
-                         "--seed", "0", "--out", str(out)])
+                         "--out", str(out)])
         assert code == 0
         assert (out / "asymptotic.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -530,7 +530,7 @@ class TestDispatch:
     def test_asymptotic_golden_file(self, tmp_path):
         out = tmp_path / "run"
         cli.main(["asymptotic", "--scenario", "idealized-01",
-                  "--seed", "0", "--out", str(out)])
+                  "--out", str(out)])
         digest = hashlib.sha256((out / "asymptotic.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_ASYMPTOTIC_SHA
 

@@ -4,7 +4,9 @@ import pytest
 from ulmimo import asymptotic as la
 from ulmimo import experiments as ex
 from ulmimo.errors import InvalidInputError, ScenarioError
+from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import idealized_gains
+from ulmimo.rng import seed_substream
 from ulmimo.scenario import parse_scenario
 
 
@@ -231,8 +233,6 @@ class TestDropRunners:
         # full per-cell training at M=50 stays within half a dB of the
         # repeated-pilot deterministic equivalent at the fifth percentile
         sc = parse_scenario("cost231-7cell")
-        from ulmimo.fading import FadingDistribution
-        from ulmimo.rng import seed_substream
         dist = FadingDistribution(
             sc.gain_matrix(8000, seed_substream(1, "drops")).T)
         _, pilot_det, _ = ex.det_eq_sinr_rows(dist, 0.5, sc.noise_var)
@@ -250,6 +250,38 @@ class TestDropRunners:
         *_, pilot_mc, perfect_mc = res.rows[0]
         assert abs(pilot_mc - 2.9) <= 0.5
         assert abs(perfect_mc - 3.6) <= 0.5
+
+    @pytest.mark.parametrize("mode", ["noiseless", "training"])
+    def test_runners_reduce_one_simulation_and_limit(self, mode):
+        # every cell of percentile.csv and rates.csv is a reduction of the
+        # pilot- and perfect-MMSE samples of one monte_carlo_sweep and of
+        # the det-eq SINRs over the seed's drop law, in the runner's order
+        sc = parse_scenario("cost231-7cell")
+        M, grid, trials, seed = 10, [0.3, 0.5], 30, 11
+        pair = ("mmse", "mmse-perfect")
+        sim = ex.monte_carlo_sweep(sc, M, grid, trials, pair, mode, seed)
+
+        def cells(reduce, n_drops):
+            dist = FadingDistribution(
+                sc.gain_matrix(n_drops, seed_substream(seed, "drops")).T)
+            return {a: ([reduce(sim[(a, f)]) for f in pair],
+                        [reduce(x) for x in ex.det_eq_sinr_rows(
+                            dist, a, sc.noise_var)[1:]]) for a in grid}
+
+        pct = cells(lambda x: la.to_db(ex.five_percentile(x)),
+                    ex.PERCENTILE_DROPS)
+        res = ex.percentile_sweep(sc, M, grid, trials, mode, seed)
+        assert res.columns[1:] == [
+            "five_pct_mmse_mc_db", "five_pct_perfect_mc_db",
+            "five_pct_mmse_det_db", "five_pct_perfect_det_db"]
+        assert res.rows == [(a, *pct[a][0], *pct[a][1]) for a in grid]
+        rate = cells(ex.achievable_rate, ex.RATE_DROPS)
+        res = ex.rate_table(sc, M, grid, trials, mode, seed)
+        assert res.columns[1:] == ["rate_pilot", "rate_perfect",
+                                   "rate_pilot_mc", "rate_perfect_mc"]
+        assert res.rows == [(a, *rate[a][1], *rate[a][0]) for a in grid]
+        res = ex.rate_table(sc, None, grid, None, None, seed)
+        assert res.rows == [(a, *rate[a][1]) for a in grid]
 
 
 class TestCsv:

@@ -1,0 +1,79 @@
+"""Every call signature README.md shows for a package function matches it.
+
+A backticked ``name(a, b, ...)`` whose name resolves to a function of a
+``ulmimo`` module, or to a ``Scenario`` method, must list that function's
+parameter names in order (``self`` left out). A trailing ``...`` stands
+for any remaining parameters. Spans whose name resolves to nothing in the
+package, such as the maths ``I(c)``, are not signatures and are skipped.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import ulmimo
+from ulmimo import (asymptotic, cli, experiments, fading, geometry,
+                    montecarlo, rng, scenario, validate)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = (asymptotic, cli, experiments, fading, geometry, montecarlo, rng,
+           scenario, validate)
+CALL = re.compile(r"([A-Za-z_][\w.]*)\((.*)\)")
+
+
+def package_function(name: str):
+    """The ulmimo function or Scenario method ``name`` names, else None."""
+    owner, _, attr = name.rpartition(".")
+    if owner == "Scenario":
+        found = getattr(scenario.Scenario, attr, None)
+        return found if inspect.isfunction(found) else None
+    if owner:
+        return None
+    for module in MODULES:
+        found = vars(module).get(name)
+        if (inspect.isfunction(found)
+                and found.__module__.startswith(ulmimo.__name__)):
+            return found
+    return None
+
+
+def signature_drift(text: str) -> tuple[list[str], list[str]]:
+    """(names checked, mismatches) over the inline code spans of ``text``."""
+    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)  # fenced blocks
+    checked, drift = [], []
+    for span in re.findall(r"`([^`]+)`", text):
+        match = CALL.fullmatch(" ".join(span.split()))
+        if match is None:
+            continue
+        name, params = match.groups()
+        function = package_function(name)
+        if function is None:
+            continue
+        shown = [p.strip() for p in params.split(",")]
+        actual = [p for p in inspect.signature(function).parameters
+                  if p != "self"]
+        if shown[-1] == "...":
+            shown, actual = shown[:-1], actual[:len(shown) - 1]
+        checked.append(name)
+        if shown != actual:
+            drift.append(f"{name}({params}) but the function takes "
+                         f"({', '.join(inspect.signature(function).parameters)})")
+    return checked, drift
+
+
+def test_readme_signatures_match_the_package():
+    checked, drift = signature_drift(README.read_text())
+    assert drift == []
+    # spans that break across lines are checked too
+    assert {"Scenario.gain_matrix", "monte_carlo_sweep", "percentile_sweep",
+            "rate_table", "run_trial"} <= set(checked)
+
+
+def test_detects_a_renamed_parameter():
+    text = ("`percentile_sweep(scenario, M, alpha_grid, trials, mode,\n"
+            "master_seed)` over `I(c)` with `run_trial(scenario, K, M, ...)`"
+            " and `Scenario.gain_matrix(K, generator)`")
+    checked, drift = signature_drift(text)
+    assert checked == ["percentile_sweep", "run_trial", "Scenario.gain_matrix"]
+    assert [d.split("(")[0] for d in drift] == ["percentile_sweep",
+                                               "Scenario.gain_matrix"]
