@@ -20,17 +20,18 @@ from .geometry import idealized_gains
 from .montecarlo import (draw_channels, empirical_sinr, generate_pilot_sequences,
                          matched_filter, mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
-                         theta_effective, training_based_estimate,
-                         users_per_cell)
+                         training_based_estimate, users_per_cell)
 from .rng import seed_substream
 from .scenario import Scenario, scenario_hash
 
 CSV_SCHEMA = 1
 MIN_PERCENTILE_SAMPLES = 20
-# Cap on the B*K*M channel entries of one trial: 2**24 complex entries are
-# 256 MiB per (B, K, M) array, and a trial holds several. It admits M = 1024
-# at alpha = 1.5 in 7 cells; larger trials are refused before any draw.
+# Caps checked before any draw. The B*K*M channel entries of one trial: 2**24
+# complex entries are 256 MiB per (B, K, M) array, and a trial holds several;
+# it admits M = 1024 at alpha = 1.5 in 7 cells. The SINR samples of one sweep,
+# loadings x filters x trials: 2**24 float64 samples are 128 MiB.
 MAX_TRIAL_ENTRIES = 2 ** 24
+MAX_SWEEP_SAMPLES = 2 ** 24
 # drops in the drop law of the percentile and rate runners
 PERCENTILE_DROPS = 4000
 RATE_DROPS = 10_000
@@ -173,16 +174,14 @@ def run_trial(scenario: Scenario, K: int, M: int, mode: str, filters,
     """One trial of K users per cell: draw, estimate, filter, measure."""
     real = draw_channels(scenario, K, M, rng_channel)
     est = _estimate_for_mode(real, mode, scenario.pilot.pilot_snr, rng_pilot)
-    theta1, theta2 = theta_effective(real, est)
     out = {}
     for f in filters:
         if f == FILTER_MF:
             filt = matched_filter(est)
         elif f == FILTER_MMSE:
-            filt = mmse_filter_pilot(est, real.gains, theta1, theta2,
-                                     scenario.noise_var)
+            filt = mmse_filter_pilot(est, real)
         else:  # FILTER_MMSE_PERFECT; monte_carlo_sweep checks the names
-            filt = mmse_filter_perfect(real, theta1, scenario.noise_var)
+            filt = mmse_filter_perfect(real)
         out[f] = empirical_sinr(filt, real).sinr
     return out
 
@@ -215,6 +214,10 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
         raise InvalidInputError(
             f"a trial at M={M}, alpha={grid[-1]} holds {entries} channel "
             f"entries, above the cap of {MAX_TRIAL_ENTRIES}")
+    if len(grid) * len(filters) * trials > MAX_SWEEP_SAMPLES:
+        raise InvalidInputError(
+            f"{len(grid)} loadings x {len(filters)} filters x {trials} trials "
+            f"exceed the cap of {MAX_SWEEP_SAMPLES} SINR samples")
     uses_pilot_stream = estimate_mode != "noiseless"
     samples = {(a, f): np.empty(trials) for a in grid for f in filters}
     for ai, a in enumerate(grid):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +41,19 @@ _FLAPACK = "scipy.linalg._flapack"
 class ChannelRealization:
     """One finite-M draw of the whole system, seen from base station 1."""
 
-    M: int
-    K: int
-    B: int
     small_scale: np.ndarray  # (B, K, M) complex, i.i.d. CN(0, 1/M) entries
     gains: np.ndarray        # (B, K) linear large-scale gains to BS 1
     noise_var: float
+    B: int = field(init=False)  # B, K and M are read from small_scale.shape
+    K: int = field(init=False)
+    M: int = field(init=False)
 
     def __post_init__(self):
-        if self.small_scale.shape != (self.B, self.K, self.M):
-            raise InvalidInputError("small_scale must be (B, K, M)")
-        if self.gains.shape != (self.B, self.K):
-            raise InvalidInputError("gains must be (B, K)")
+        if (self.small_scale.ndim != 3
+                or self.gains.shape != self.small_scale.shape[:2]):
+            raise InvalidInputError(
+                "small_scale must be (B, K, M) and gains (B, K)")
+        self.B, self.K, self.M = self.small_scale.shape
         if not np.all(self.gains > 0.0):
             raise InvalidInputError("large-scale gains must be positive")
         if self.noise_var <= 0.0:
@@ -115,8 +116,8 @@ def draw_channels(scenario, K: int, M: int,
     """
     gains = scenario.gain_matrix(K, rng)
     h = draw_channel_matrix(scenario.cells, K, M, rng)
-    return ChannelRealization(M=M, K=K, B=scenario.cells, small_scale=h,
-                              gains=gains, noise_var=scenario.noise_var)
+    return ChannelRealization(small_scale=h, gains=gains,
+                              noise_var=scenario.noise_var)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +219,18 @@ def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
 # effective noise constants and receive filters
 # ---------------------------------------------------------------------------
 
+def _theta1(real: ChannelRealization) -> float:
+    """theta1 = sum_{j>=2,k} beta_jk / M, the unestimated other-cell load."""
+    return float(real.gains[1:].sum() / real.M)
+
+
 def theta_effective(real: ChannelRealization,
                     est: EstimateSet) -> tuple[float, float]:
-    """Effective-noise constants of the contaminated-estimate MMSE filter.
-
-    theta1 = sum_{j>=2,k} beta_jk / M absorbs the unestimated other-cell
-    interference; theta2 = sum_k beta_1k s_k / M the in-cell estimation
-    error, with s_k the estimate's error variance scalars.
-    """
-    theta1 = real.gains[1:].sum() / real.M
+    """Effective-noise constants (theta1, theta2) of the pilot MMSE filter:
+    theta1 of :func:`_theta1`, and theta2 = sum_k beta_1k s_k / M the in-cell
+    estimation error, s_k the estimate's error variance scalars."""
     theta2 = (real.gains[0] * est.error_cov_scalars).sum() / real.M
-    return float(theta1), float(theta2)
+    return _theta1(real), float(theta2)
 
 
 def _flapack():
@@ -299,34 +301,29 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
     return c
 
 
-def mmse_filter_pilot(est: EstimateSet, gains: np.ndarray, theta1: float,
-                      theta2: float, noise_var: float,
+def mmse_filter_pilot(est: EstimateSet, real: ChannelRealization,
                       method: str | None = None) -> np.ndarray:
     """MMSE receiver (M,) for user 1 built from contaminated estimates.
 
     Solves (sum_{k>=2} beta_1k hhat_1k hhat_1k^H + (theta1+theta2+s2) I) c
-    = sqrt(beta_11) hhat_11. User 1's own estimate is excluded from the
-    interference sum.
+    = sqrt(beta_11) hhat_11, with the thetas of :func:`theta_effective`.
+    User 1's own estimate is excluded from the interference sum.
     """
-    reg = theta1 + theta2 + noise_var
-    if reg <= 0.0:
-        raise InvalidInputError("theta1 + theta2 + noise_var must be positive")
-    own = np.asarray(gains)[0]
+    theta1, theta2 = theta_effective(real, est)
+    reg = theta1 + theta2 + real.noise_var
     V = est.estimates[1:].T
-    b = np.sqrt(own[0]) * est.estimates[0]
-    return _solve_regularized_gram(V, own[1:], reg, b, method)
+    b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
+    return _solve_regularized_gram(V, real.gains[0, 1:], reg, b, method)
 
 
-def mmse_filter_perfect(real: ChannelRealization, theta1: float,
-                        noise_var: float, method: str | None = None) -> np.ndarray:
+def mmse_filter_perfect(real: ChannelRealization,
+                        method: str | None = None) -> np.ndarray:
     """MMSE receiver (M,) with error-free in-cell channel knowledge.
 
     The interference sum runs over all K in-cell users and the regularizer
-    drops the estimation-error term.
+    theta1 + s2 drops the estimation-error term.
     """
-    reg = theta1 + noise_var
-    if reg <= 0.0:
-        raise InvalidInputError("theta1 + noise_var must be positive")
+    reg = _theta1(real) + real.noise_var
     V = real.small_scale[0].T
     b = np.sqrt(real.gains[0, 0]) * real.small_scale[0, 0]
     return _solve_regularized_gram(V, real.gains[0], reg, b, method)

@@ -60,13 +60,11 @@ def _check_stieltjes(emit) -> bool:
 def _check_solver_paths(emit) -> bool:
     rng = seed_substream(0, "validate.solver")
     real = mc.ChannelRealization(
-        M=3, K=2, B=1,
         small_scale=mc.draw_channel_matrix(1, 2, 3, rng),
         gains=np.array([[1.0, 0.7]]), noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    t1, t2 = mc.theta_effective(real, est)
-    low = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="lowrank")
-    dense = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="dense")
+    low = mc.mmse_filter_pilot(est, real, method="lowrank")
+    dense = mc.mmse_filter_pilot(est, real, method="dense")
     err = np.linalg.norm(low - dense) / np.linalg.norm(dense)
     ok = err <= 1e-12
     emit(f"structured vs dense filter solve at M=3: {'PASS' if ok else 'FAIL'}")

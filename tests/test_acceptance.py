@@ -267,12 +267,11 @@ def test_criterion_09g_channel_gram_identity():
 def test_criterion_09h_dense_vs_structured_solver():
     rng = seed_substream(SEED, "acc.solver")
     real = mc.ChannelRealization(
-        M=3, K=2, B=7, small_scale=mc.draw_channel_matrix(7, 2, 3, rng),
+        small_scale=mc.draw_channel_matrix(7, 2, 3, rng),
         gains=np.vstack([[1.0, 0.8], np.full((6, 2), 0.01)]), noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    t1, t2 = mc.theta_effective(real, est)
-    lr = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="lowrank")
-    de = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01, method="dense")
+    lr = mc.mmse_filter_pilot(est, real, method="lowrank")
+    de = mc.mmse_filter_pilot(est, real, method="dense")
     rel = np.linalg.norm(lr - de) / np.linalg.norm(de)
     report(f"criterion 9h: structured vs dense filter solve at M=3, relative "
            f"difference {rel:.2e} <= 1e-12 -> "
@@ -283,12 +282,11 @@ def test_criterion_09h_dense_vs_structured_solver():
 def test_criterion_09i_power_decomposition_completeness():
     rng = seed_substream(SEED, "acc.power")
     real = mc.ChannelRealization(
-        M=24, K=6, B=7, small_scale=mc.draw_channel_matrix(7, 6, 24, rng),
+        small_scale=mc.draw_channel_matrix(7, 6, 24, rng),
         gains=np.vstack([np.ones((1, 6)), np.full((6, 6), 0.01)]),
         noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    t1, t2 = mc.theta_effective(real, est)
-    filt = mc.mmse_filter_pilot(est, real.gains, t1, t2, 0.01)
+    filt = mc.mmse_filter_pilot(est, real)
     out = mc.empirical_sinr(filt, real)
     cov = real.noise_var * np.eye(24, dtype=complex)
     for j in range(7):

@@ -99,8 +99,7 @@ class TestTraceOracles:
         gains = np.full((7, K), 0.01)
         gains[0] = 1.0
         h = mc.draw_channel_matrix(7, K, M, rng)
-        return mc.ChannelRealization(M=M, K=K, B=7, small_scale=h, gains=gains,
-                                     noise_var=0.01)
+        return mc.ChannelRealization(small_scale=h, gains=gains, noise_var=0.01)
 
     def test_eta1_eta2_vs_filter_matrix_traces(self, seven_cell_001):
         dist = seven_cell_001

@@ -268,6 +268,20 @@ class TestExitCodes:
         assert "trials" in capsys.readouterr().err
         assert not out.exists()
 
+    # the sample arrays of these runs would need terabytes (montecarlo) or
+    # exceed numpy's largest dimension (rates)
+    @pytest.mark.parametrize("command,trials", [
+        ("montecarlo", "1000000000000"), ("rates", "100000000000000000000")])
+    def test_trials_above_sample_cap_is_config_error(self, tmp_path, capsys,
+                                                     no_trials, command,
+                                                     trials):
+        out = tmp_path / "run"
+        assert cli.main([command, "--trials", trials, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "SINR samples" in err
+        assert not out.exists()
+
     def test_percentile_refuses_too_few_trials_before_work(
             self, tmp_path, capsys, no_trials):
         out = tmp_path / "run"

@@ -186,6 +186,23 @@ class TestMonteCarloSweep:
             ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2, ALL,
                                  "noiseless", 0)
 
+    def test_sweep_sample_cap_checked_before_any_draw(self, idealized_01,
+                                                      monkeypatch):
+        # 2 loadings x 3 filters x 2 trials = 12 SINR samples
+        monkeypatch.setattr(ex, "MAX_SWEEP_SAMPLES", 12)
+        samples = ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2, ALL,
+                                       "noiseless", 0)
+        assert len(samples) * samples[(0.5, "mf")].size == 12
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trial called")
+        monkeypatch.setattr(ex, "run_trial", no_trials)
+        monkeypatch.setattr(ex, "MAX_SWEEP_SAMPLES", 11)
+        with pytest.raises(InvalidInputError,
+                           match="2 loadings x 3 filters x 2 trials"):
+            ex.monte_carlo_sweep(idealized_01, 8, [0.25, 0.5], 2, ALL,
+                                 "noiseless", 0)
+
     def test_gap_to_limit_shrinks_with_antennas(self, idealized_01):
         dist = idealized_gains(7, 0.01)
         gaps = {}

@@ -2,9 +2,11 @@
 
 A backticked ``name(a, b, ...)`` whose name resolves to a function of a
 ``ulmimo`` module, or to a ``Scenario`` method, must list that function's
-parameter names in order (``self`` left out). A trailing ``...`` stands
-for any remaining parameters. Spans whose name resolves to nothing in the
-package, such as the maths ``I(c)``, are not signatures and are skipped.
+parameter names in order (``self`` left out); a parameter shown as
+``name=value`` must have that default, spelled as its ``repr``. A
+trailing ``...`` stands for any remaining parameters. Spans whose name
+resolves to nothing in the package, such as the maths ``I(c)``, are not
+signatures and are skipped.
 """
 
 import inspect
@@ -50,8 +52,10 @@ def signature_drift(text: str) -> tuple[list[str], list[str]]:
         if function is None:
             continue
         shown = [p.strip() for p in params.split(",")]
-        actual = [p for p in inspect.signature(function).parameters
-                  if p != "self"]
+        defaulted = {p.partition("=")[0] for p in shown if "=" in p}
+        actual = [f"{p.name}={p.default!r}" if p.name in defaulted else p.name
+                  for p in inspect.signature(function).parameters.values()
+                  if p.name != "self"]
         if shown[-1] == "...":
             shown, actual = shown[:-1], actual[:len(shown) - 1]
         checked.append(name)
@@ -66,7 +70,8 @@ def test_readme_signatures_match_the_package():
     assert drift == []
     # spans that break across lines are checked too
     assert {"Scenario.gain_matrix", "monte_carlo_sweep", "percentile_sweep",
-            "rate_table", "run_trial"} <= set(checked)
+            "rate_table", "run_trial", "mmse_filter_pilot",
+            "mmse_filter_perfect"} <= set(checked)
 
 
 def test_detects_a_renamed_parameter():
@@ -77,3 +82,11 @@ def test_detects_a_renamed_parameter():
     assert checked == ["percentile_sweep", "run_trial", "Scenario.gain_matrix"]
     assert [d.split("(")[0] for d in drift] == ["percentile_sweep",
                                                "Scenario.gain_matrix"]
+
+
+def test_detects_a_wrong_default():
+    text = ("`mmse_filter_perfect(real, method=None)` and "
+            "`mmse_filter_pilot(est, real, method='dense')`")
+    checked, drift = signature_drift(text)
+    assert checked == ["mmse_filter_perfect", "mmse_filter_pilot"]
+    assert [d.split("(")[0] for d in drift] == ["mmse_filter_pilot"]
