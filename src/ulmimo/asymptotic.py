@@ -23,11 +23,12 @@ eta1* the trace limit of its own filter matrix. :func:`det_eq_sinr_rows`
 is the one place these three limits are evaluated, for every sample of
 any law: a point mass (the idealized cells) or a set of drops.
 
-All fixed points are solved by damped Picard iteration started from the
-matched-filter-style lower bound 1/(noise_var + alpha E[B]); the maps are
-monotone and bounded on (0, 1/noise_var], and the damping guards
-pathological sample sets. Damping, relative step tolerance and iteration
-cap are the module constants below, shared by every solve.
+Both fixed points (eta1 and eta1*) are solved by one kernel, damped
+Picard iteration started from the matched-filter-style lower bound
+1/(noise_var + alpha E[B]); the maps are monotone and bounded on
+(0, 1/noise_var], and the damping guards pathological sample sets.
+Damping, relative step tolerance and iteration cap are the module
+constants below, read at every solve.
 """
 
 from __future__ import annotations
@@ -57,30 +58,28 @@ class DetEqSolution:
     eta2: float
     suppression: float
     mean_total_gain: float
-    noise_var: float
 
     @property
     def inter_mmse(self) -> float:
         return self.mean_total_gain - self.suppression
 
 
-def _check_alpha_noise(alpha: float, noise_var: float) -> None:
+def _solve(fmap, dist: FadingDistribution, alpha: float, noise_var: float,
+           what: str) -> float:
+    """Fixed point of ``fmap(dist, alpha, noise_var, x)`` by damped Picard."""
     if alpha < 0.0 or not np.isfinite(alpha):
         raise InvalidInputError("alpha must be a finite nonnegative real")
     if noise_var <= 0.0 or not np.isfinite(noise_var):
         raise InvalidInputError("noise_var must be a finite positive real")
-
-
-def _damped_fixed_point(fmap, x0: float, what: str) -> float:
-    x = x0
+    e_total, _ = expect_total_gain(dist)
+    x = 1.0 / (noise_var + alpha * e_total)
     residual = np.inf
-    damping = FIXED_POINT_DAMPING
     for _ in range(FIXED_POINT_MAX_ITER):
-        fx = fmap(x)
+        fx = fmap(dist, alpha, noise_var, x)
         residual = abs(fx - x) / abs(x)
         if residual <= FIXED_POINT_TOL:
             return x
-        x = (1.0 - damping) * x + damping * fx
+        x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
     raise ConvergenceError(f"{what} fixed point did not converge", residual)
 
 
@@ -90,15 +89,6 @@ def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float)
     p = dist.est_gain
     shrink = dist.expect(p * p * x / (1.0 + p * x))
     return 1.0 / (noise_var + alpha * e_total - alpha * shrink)
-
-
-def solve_eta1(dist: FadingDistribution, alpha: float, noise_var: float) -> float:
-    """Limiting normalized trace of the inverse filter matrix, (1/M) tr S^-1."""
-    _check_alpha_noise(alpha, noise_var)
-    e_total, _ = expect_total_gain(dist)
-    x0 = 1.0 / (noise_var + alpha * e_total)
-    return _damped_fixed_point(
-        lambda x: eta1_map(dist, alpha, noise_var, x), x0, "eta1")
 
 
 def solve_eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
@@ -121,35 +111,26 @@ def solve_eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
     return max(1.0 / denom, eta1 * eta1)
 
 
-def interference_suppression(dist: FadingDistribution, eta1: float,
-                             eta2: float) -> float:
-    """Interference power removed by the MMSE receiver relative to the MF.
+def solve_det_eq(dist: FadingDistribution, alpha: float,
+                 noise_var: float) -> DetEqSolution:
+    """Solve eta1, eta2 and the suppression constant C in one call.
 
-    Three expectation terms evaluated in a single pass over the samples so
+    C, the interference power the MMSE receiver removes relative to the
+    MF, sums three expectation terms in a single pass over the samples so
     every term sees the identical weighting.
     """
-    if eta1 <= 0.0 or eta2 <= 0.0:
-        raise InvalidInputError("trace limits must be positive")
+    eta1 = _solve(eta1_map, dist, alpha, noise_var, "eta1")
+    eta2 = solve_eta2(dist, alpha, eta1)
     p = dist.est_gain
     q = dist.cross_est_gain
     ratio = eta2 / eta1
-    per_sample = (
+    supp = dist.expect(
         p * p * eta1 / (1.0 + p * eta1)
         + ratio * p * q / (1.0 + p * eta1)
-        + ratio * p * q / (1.0 + p * eta1) ** 2
-    )
-    return dist.expect(per_sample)
-
-
-def solve_det_eq(dist: FadingDistribution, alpha: float,
-                 noise_var: float) -> DetEqSolution:
-    """Solve eta1, eta2 and the suppression constant in one call."""
-    eta1 = solve_eta1(dist, alpha, noise_var)
-    eta2 = solve_eta2(dist, alpha, eta1)
-    supp = interference_suppression(dist, eta1, eta2)
+        + ratio * p * q / (1.0 + p * eta1) ** 2)
     e_total, _ = expect_total_gain(dist)
     return DetEqSolution(eta1=eta1, eta2=eta2, suppression=supp,
-                         mean_total_gain=e_total, noise_var=noise_var)
+                         mean_total_gain=e_total)
 
 
 def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,
@@ -164,12 +145,8 @@ def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,
 def solve_eta1_perfect(dist: FadingDistribution, alpha: float,
                        noise_var: float) -> float:
     """Trace limit of the inverse perfect-estimate filter matrix."""
-    _check_alpha_noise(alpha, noise_var)
-    e_total, _ = expect_total_gain(dist)
-    x0 = 1.0 / (noise_var + alpha * e_total)
-    return _damped_fixed_point(
-        lambda x: eta1_perfect_map(dist, alpha, noise_var, x), x0,
-        "perfect-estimate eta1")
+    return _solve(eta1_perfect_map, dist, alpha, noise_var,
+                  "perfect-estimate eta1")
 
 
 def perfect_suppression(dist: FadingDistribution, alpha: float,
@@ -201,21 +178,4 @@ def det_eq_sinr_rows(dist: FadingDistribution, alpha: float, noise_var: float
         dist.est_gain / (noise_var + dist.cross_est_gain + alpha * inter)
         for inter in (det.mean_total_gain, det.inter_mmse))
     return mf, mmse_pilot, dist.own * eta1_star
-
-
-def stieltjes_m(z: float, dist: FadingDistribution, alpha: float) -> float:
-    """Stieltjes transform of the limiting estimate-Gram spectrum, z < 0.
-
-    Evaluated on the negative real axis, where the filter-matrix trace
-    limits live: eta1 equals m(z) at -z = noise_var + alpha (E[B] - E[p]),
-    p = ``dist.est_gain``. Its derivative dm/dz is solve_eta2 at eta1 = m.
-    """
-    if not np.isfinite(z) or z >= 0.0:
-        raise InvalidInputError("z must be a negative real")
-    if alpha < 0.0:
-        raise InvalidInputError("alpha must be nonnegative")
-    p = dist.est_gain
-    return _damped_fixed_point(
-        lambda m: 1.0 / (-z + alpha * dist.expect(p / (1.0 + p * m))),
-        -1.0 / z, "stieltjes transform")
 

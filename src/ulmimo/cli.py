@@ -2,9 +2,10 @@
 
 Commands map one-to-one onto the experiment runners; ``validate`` runs a
 quick invariant self-check. Every run writes its manifest next to the
-CSVs, and the manifest (command, scenario hash, seed, overrides) fully
-determines every output byte. Exit codes: 0 success, 2 configuration
-error, 3 fixed-point non-convergence, 4 other numerical failure.
+CSVs, and the manifest (command, scenario hash, seed if the command reads
+one, overrides) fully determines every output byte. Exit codes: 0
+success, 2 configuration error, 3 fixed-point non-convergence, 4 other
+numerical failure.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest(args, scenario: Scenario) -> dict:
-    return {
+    """The run's inputs; "seed" only for a command that reads --seed."""
+    manifest = {
         "schema": 1,
         "tool": "ulmimo",
         "version": __version__,
@@ -137,10 +139,12 @@ def _manifest(args, scenario: Scenario) -> dict:
         "scenario_path": str(args.scenario),
         "scenario_name": scenario.name,
         "scenario_sha": scenario_hash(scenario),
-        "seed": int(args.seed),
         "out_dir": str(args.out),
         "overrides": {flag: getattr(args, flag) for flag in _RUN_FLAGS},
     }
+    if "seed" in COMMANDS[args.command][0]:
+        manifest["seed"] = int(args.seed)
+    return manifest
 
 
 def _resolve_flags(args) -> None:

@@ -49,10 +49,6 @@ class FadingDistribution:
         self.mean_gains = self.weights @ gains
 
     @property
-    def num_cells(self) -> int:
-        return self.gains.shape[1]
-
-    @property
     def num_samples(self) -> int:
         return self.gains.shape[0]
 

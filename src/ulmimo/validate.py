@@ -19,14 +19,12 @@ def _check_fixed_points(emit) -> bool:
     for beta in (0.001, 0.01, 0.1):
         dist = idealized_gains(7, beta)
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            eta1 = la.solve_eta1(dist, alpha, 0.01)
-            resid = abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1) / eta1
-            eta2 = la.solve_eta2(dist, alpha, eta1)
-            supp = la.interference_suppression(dist, eta1, eta2)
-            e_total = dist.expect(dist.total)
+            det = la.solve_det_eq(dist, alpha, 0.01)
+            resid = abs(la.eta1_map(dist, alpha, 0.01, det.eta1)
+                        - det.eta1) / det.eta1
             ok &= resid <= 1e-10
-            ok &= eta2 >= eta1 * eta1
-            ok &= 0.0 <= supp <= e_total
+            ok &= det.eta2 >= det.eta1 * det.eta1
+            ok &= 0.0 <= det.suppression <= det.mean_total_gain
     emit(f"fixed-point residuals, eta ordering, suppression bounds: "
          f"{'PASS' if ok else 'FAIL'}")
     return ok
@@ -47,13 +45,18 @@ def _check_single_cell(emit) -> bool:
     return ok
 
 
-def _check_stieltjes(emit) -> bool:
-    dist = idealized_gains(7, 0.01)
-    det = la.solve_det_eq(dist, 0.5, 0.01)
-    z = -(det.noise_var + 0.5 * (det.mean_total_gain - dist.expect(dist.est_gain)))
-    m = la.stieltjes_m(z, dist, 0.5)
-    ok = abs(m - det.eta1) <= 1e-8 * det.eta1
-    emit(f"stieltjes route agrees with eta1: {'PASS' if ok else 'FAIL'}")
+def _check_closed_form(emit) -> bool:
+    # on a point mass eta1 is the positive root of
+    # c p x^2 + (c + alpha p - p) x - 1 = 0, with c = noise + alpha (B - p)
+    dist, alpha, noise_var = idealized_gains(7, 0.01), 0.5, 0.01
+    p, total = dist.est_gain[0], dist.total[0]
+    c = noise_var + alpha * (total - p)
+    b = c + alpha * p - p
+    root = 2.0 / (b + np.sqrt(b * b + 4.0 * c * p))
+    eta1 = la.solve_det_eq(dist, alpha, noise_var).eta1
+    ok = abs(eta1 - root) <= 1e-8 * root
+    emit(f"eta1 matches the closed-form point-mass root: "
+         f"{'PASS' if ok else 'FAIL'}")
     return ok
 
 
@@ -84,7 +87,7 @@ def _check_determinism(emit) -> bool:
 
 def run_all(emit=print) -> bool:
     checks = [_check_fixed_points, _check_collapse, _check_single_cell,
-              _check_stieltjes, _check_solver_paths, _check_determinism]
+              _check_closed_form, _check_solver_paths, _check_determinism]
     ok = True
     for check in checks:
         ok &= bool(check(emit))

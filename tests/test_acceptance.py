@@ -171,7 +171,7 @@ def test_criterion_09a_fixed_point_residuals(drop_dist):
     worst = 0.0
     for dist in [idealized_gains(7, b) for b in (0.001, 0.01, 0.1)] + [drop_dist]:
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            eta1 = la.solve_eta1(dist, alpha, 0.01)
+            eta1 = la.solve_det_eq(dist, alpha, 0.01).eta1
             worst = max(worst, abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1)
                         / eta1)
             eta1s = la.solve_eta1_perfect(dist, alpha, 0.01)
@@ -211,17 +211,26 @@ def test_criterion_09d_single_cell_estimate_exactness():
     assert rel <= 1e-10
 
 
-def test_criterion_09e_stieltjes_route_agreement(drop_dist):
+def test_criterion_09e_oracle_route_agreement(drop_dist, point_mass_root):
+    # point masses against the closed-form root; the drop law, which has
+    # none, against a 200-step bisection of x - eta1_map(x) on (0, 1/noise]
     worst = 0.0
-    for dist in [idealized_gains(7, 0.01), drop_dist]:
+    for dist, noise_var in [(idealized_gains(7, 0.01), 0.01), (drop_dist, 1.0)]:
         for alpha in (0.25, 1.0):
-            det = la.solve_det_eq(dist, alpha, 0.01 if dist is not drop_dist
-                                  else 1.0)
-            z = -(det.noise_var + alpha * (det.mean_total_gain
-                                           - dist.expect(dist.est_gain)))
-            m = la.stieltjes_m(z, dist, alpha)
-            worst = max(worst, abs(m - det.eta1) / det.eta1)
-    report(f"criterion 9e: Stieltjes-route vs direct eta1, worst relative "
+            eta1 = la.solve_det_eq(dist, alpha, noise_var).eta1
+            if dist.num_samples == 1:
+                oracle, _ = point_mass_root(dist, alpha, noise_var)
+            else:
+                lo, hi = 0.0, 1.0 / noise_var
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if la.eta1_map(dist, alpha, noise_var, mid) > mid:
+                        lo = mid
+                    else:
+                        hi = mid
+                oracle = 0.5 * (lo + hi)
+            worst = max(worst, abs(oracle - eta1) / eta1)
+    report(f"criterion 9e: oracle-route vs solved eta1, worst relative "
            f"difference {worst:.2e} <= 1e-8 -> "
            f"{'PASS' if worst <= 1e-8 else 'FAIL'}")
     assert worst <= 1e-8

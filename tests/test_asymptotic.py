@@ -28,14 +28,15 @@ def bisect_fixed_point(fmap, lo, hi, iters=200):
 class TestEta1:
     def test_alpha_zero_is_inverse_noise(self, seven_cell_001):
         dist = seven_cell_001
-        assert la.solve_eta1(dist, 0.0, 0.01) == pytest.approx(100.0, rel=1e-12)
+        assert la.solve_det_eq(dist, 0.0, 0.01).eta1 == pytest.approx(
+            100.0, rel=1e-12)
 
     def test_single_cell_bisection_oracle(self, single_cell):
         # scalar equation: x = 1/(0.01 + 0.5 - 0.5*x/(1+x))
         dist = single_cell
         oracle = bisect_fixed_point(
             lambda x: 1.0 / (0.01 + 0.5 - 0.5 * x / (1.0 + x)), 1e-9, 100.0)
-        got = la.solve_eta1(dist, 0.5, 0.01)
+        got = la.solve_det_eq(dist, 0.5, 0.01).eta1
         assert got == pytest.approx(oracle, rel=1e-9)
 
     def test_seven_cell_bisection_oracle(self, seven_cell_001):
@@ -44,12 +45,13 @@ class TestEta1:
         oracle = bisect_fixed_point(
             lambda x: 1.0 / (0.01 + 0.5 * 1.06 - 0.5 * p * p * x / (1.0 + p * x)),
             1e-9, 100.0)
-        assert la.solve_eta1(dist, 0.5, 0.01) == pytest.approx(oracle, rel=1e-9)
+        assert la.solve_det_eq(dist, 0.5, 0.01).eta1 == pytest.approx(
+            oracle, rel=1e-9)
 
     def test_residual_contract(self, seven_cell_001):
         dist = seven_cell_001
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            eta1 = la.solve_eta1(dist, alpha, 0.01)
+            eta1 = la.solve_det_eq(dist, alpha, 0.01).eta1
             resid = abs(la.eta1_map(dist, alpha, 0.01, eta1) - eta1) / eta1
             assert resid <= 1e-10
             assert 0.0 < eta1 <= 1.0 / 0.01 + 1e-9
@@ -58,29 +60,31 @@ class TestEta1:
                                                 monkeypatch):
         dist = seven_cell_001
         monkeypatch.setattr(la, "FIXED_POINT_MAX_ITER", 2)
-        with pytest.raises(ConvergenceError) as err:
-            la.solve_eta1(dist, 0.5, 0.01)
-        assert err.value.residual > 0.0
+        for solve in (la.solve_det_eq, la.solve_eta1_perfect):
+            with pytest.raises(ConvergenceError) as err:
+                solve(dist, 0.5, 0.01)
+            assert err.value.residual > 0.0
 
     def test_invalid_inputs(self, seven_cell_001):
         dist = seven_cell_001
-        with pytest.raises(InvalidInputError):
-            la.solve_eta1(dist, -0.1, 0.01)
-        with pytest.raises(InvalidInputError):
-            la.solve_eta1(dist, 0.5, 0.0)
+        for solve in (la.solve_det_eq, la.solve_eta1_perfect):
+            with pytest.raises(InvalidInputError):
+                solve(dist, -0.1, 0.01)
+            with pytest.raises(InvalidInputError):
+                solve(dist, 0.5, 0.0)
 
 
 class TestEta2:
     def test_alpha_zero_square(self, seven_cell_001):
         dist = seven_cell_001
-        eta1 = la.solve_eta1(dist, 0.0, 0.01)
+        eta1 = la.solve_det_eq(dist, 0.0, 0.01).eta1
         assert la.solve_eta2(dist, 0.0, eta1) == eta1 * eta1
 
     def test_always_at_least_square(self, seven_cell_001, seven_cell_01):
         for dist in (seven_cell_001, seven_cell_01):
             for alpha in (0.1, 0.5, 1.0, 1.4):
-                eta1 = la.solve_eta1(dist, alpha, 0.01)
-                assert la.solve_eta2(dist, alpha, eta1) >= eta1**2
+                det = la.solve_det_eq(dist, alpha, 0.01)
+                assert det.eta2 >= det.eta1**2
 
     def test_degenerate_denominator_raises(self):
         # an eta1 inconsistent with (dist, alpha) can push the denominator
@@ -110,10 +114,9 @@ class TestTraceOracles:
         S = (V * real.gains[0, 1:]) @ V.conj().T
         S[np.diag_indices(400)] += t1 + t2 + 0.01
         lam = np.linalg.eigvalsh(S)
-        eta1 = la.solve_eta1(dist, real.K / real.M, 0.01)
-        eta2 = la.solve_eta2(dist, real.K / real.M, eta1)
-        assert np.mean(1.0 / lam) == pytest.approx(eta1, rel=0.01)
-        assert np.mean(1.0 / lam**2) == pytest.approx(eta2, rel=0.02)
+        det = la.solve_det_eq(dist, real.K / real.M, 0.01)
+        assert np.mean(1.0 / lam) == pytest.approx(det.eta1, rel=0.01)
+        assert np.mean(1.0 / lam**2) == pytest.approx(det.eta2, rel=0.02)
 
     def test_eta1_perfect_vs_trace(self, seven_cell_001):
         dist = seven_cell_001
@@ -140,26 +143,26 @@ class TestTraceOracles:
         if M >= 400:
             # at this scale the K-1 structural offset is negligible and the
             # plain limit constants land inside the band
-            eta1 = la.solve_eta1(dist, real.K / real.M, 0.01)
-            eta2 = la.solve_eta2(dist, real.K / real.M, eta1)
+            det = la.solve_det_eq(dist, real.K / real.M, 0.01)
         else:
             # at M=100 compare against the structure-consistent prediction:
-            # realized regularizer, K-1 interferer directions
-            z = -(t1 + t2 + 0.01)
-            eta1 = la.stieltjes_m(z, dist, (real.K - 1) / real.M)
-            eta2 = la.solve_eta2(dist, (real.K - 1) / real.M, eta1)
-        assert np.mean(1.0 / lam) == pytest.approx(eta1, rel=0.02)
-        assert np.mean(1.0 / lam**2) == pytest.approx(eta2, rel=0.02)
+            # realized regularizer t1 + t2 + 0.01 on the diagonal, K-1
+            # interferer directions. The eta1 map's diagonal is its noise
+            # plus alpha (E[B] - E[p]), so the noise argument is the rest.
+            a = (real.K - 1) / real.M
+            diag = a * (dist.expect(dist.total) - dist.expect(dist.est_gain))
+            det = la.solve_det_eq(dist, a, t1 + t2 + 0.01 - diag)
+        assert np.mean(1.0 / lam) == pytest.approx(det.eta1, rel=0.02)
+        assert np.mean(1.0 / lam**2) == pytest.approx(det.eta2, rel=0.02)
 
 
 class TestSuppression:
     def test_single_cell_reduces_to_first_term(self, single_cell):
         dist = single_cell
-        eta1 = la.solve_eta1(dist, 0.5, 0.01)
-        eta2 = la.solve_eta2(dist, 0.5, eta1)
-        got = la.interference_suppression(dist, eta1, eta2)
+        det = la.solve_det_eq(dist, 0.5, 0.01)
         # B=1: cross terms vanish, C = E[B1^2 eta1/(1 + B1 eta1)]
-        assert got == pytest.approx(eta1 / (1.0 + eta1), rel=1e-12)
+        assert det.suppression == pytest.approx(det.eta1 / (1.0 + det.eta1),
+                                                rel=1e-12)
 
     def test_bounds(self, seven_cell_001, seven_cell_01):
         for dist in (seven_cell_001, seven_cell_01):
@@ -321,16 +324,8 @@ class TestOrderingAndMonotonicity:
 
 
 class TestStieltjes:
-    def test_alpha_zero_is_minus_inverse_z(self, seven_cell_001):
-        dist = seven_cell_001
-        for z in (-0.5, -2.0):
-            assert la.stieltjes_m(z, dist, 0.0) == pytest.approx(-1.0 / z,
-                                                                 rel=1e-12)
-
-    def test_rejects_nonnegative_z(self, seven_cell_001):
-        dist = seven_cell_001
-        with pytest.raises(InvalidInputError):
-            la.stieltjes_m(0.0, dist, 0.5)
+    """eta1 is the Stieltjes transform m(z) of the limiting estimate-Gram
+    spectrum at -z = noise_var + alpha (E[B] - E[p]), p = ``est_gain``."""
 
     def test_eigen_brute_force_oracle(self, seven_cell_001):
         # build the block-structured random Gram whose limiting spectrum the
@@ -345,28 +340,28 @@ class TestStieltjes:
         y = np.sqrt(scale) * np.einsum("j,jkm->km", np.sqrt(gains), h)  # (n, M)
         G = y.T @ y.conj()
         lam = np.linalg.eigvalsh(G)
-        for z in (-0.05, -0.5):
-            empirical = float(np.mean(1.0 / (lam - z)))
-            assert la.stieltjes_m(z, dist, n_users / M) == pytest.approx(
-                empirical, rel=0.02)
+        z, alpha = -0.5, n_users / M
+        empirical = float(np.mean(1.0 / (lam - z)))
+        noise_var = -z - alpha * (dist.expect(dist.total)
+                                  - dist.expect(dist.est_gain))
+        assert la.solve_det_eq(dist, alpha, noise_var).eta1 == pytest.approx(
+            empirical, rel=0.02)
 
     def test_derivative_matches_central_difference(self, seven_cell_001):
+        # d eta1 / d noise_var = -(1/M) d tr S^-1 / dz = -eta2
         dist = seven_cell_001
-        z = -0.7
-        h = 1e-5 * abs(z)
-        fd = (la.stieltjes_m(z + h, dist, 0.5)
-              - la.stieltjes_m(z - h, dist, 0.5)) / (2 * h)
-        assert la.solve_eta2(dist, 0.5, la.stieltjes_m(z, dist, 0.5)) == (
-            pytest.approx(fd, rel=1e-5))
+        noise_var = 0.1
+        h = 1e-5 * noise_var
+        fd = (la.solve_det_eq(dist, 0.5, noise_var + h).eta1
+              - la.solve_det_eq(dist, 0.5, noise_var - h).eta1) / (2 * h)
+        assert la.solve_det_eq(dist, 0.5, noise_var).eta2 == pytest.approx(
+            -fd, rel=1e-5)
 
-    def test_route_agreement_with_eta1(self, seven_cell_001, seven_cell_01):
+    def test_route_agreement_with_eta1(self, seven_cell_001, seven_cell_01,
+                                       point_mass_root):
         for dist in (seven_cell_001, seven_cell_01):
             for alpha in (0.25, 0.5, 1.0):
                 det = la.solve_det_eq(dist, alpha, 0.01)
-                z = -(0.01 + alpha * (det.mean_total_gain
-                                      - dist.expect(dist.est_gain)))
-                m = la.stieltjes_m(z, dist, alpha)
-                assert abs(m - det.eta1) <= 1e-8 * det.eta1
-                # the derivative route reproduces the second trace limit
-                m2 = la.solve_eta2(dist, alpha, m)
-                assert m2 == pytest.approx(det.eta2, rel=1e-8)
+                eta1, eta2 = point_mass_root(dist, alpha, 0.01)
+                assert abs(eta1 - det.eta1) <= 1e-8 * det.eta1
+                assert det.eta2 == pytest.approx(eta2, rel=1e-8)

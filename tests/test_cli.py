@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import subprocess
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from ulmimo import asymptotic as la
-from ulmimo import cli
+from ulmimo import cli, errors
 from ulmimo import rng as rng_module
-from ulmimo.errors import (ConditioningError, ConvergenceError, ScenarioError)
+from ulmimo.errors import (ConditioningError, ConvergenceError,
+                           DegenerateRegimeError, InvalidInputError,
+                           NumericalError, ScenarioError)
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream, substream_key
 from ulmimo.scenario import (parse_scenario, scenario_to_dict,
@@ -181,14 +184,32 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "dispatch", boom)
         return cli.main(["validate"])
 
+    # every exception class ulmimo.errors defines, by the exit code main
+    # gives it
+    EXIT_CODES = {2: (InvalidInputError, ScenarioError),
+                  3: (ConvergenceError,),
+                  4: (NumericalError, DegenerateRegimeError, ConditioningError)}
+
+    def _check_exit_code(self, monkeypatch, code):
+        for cls in self.EXIT_CODES[code]:
+            exc = cls("stuck", 0.1) if cls is ConvergenceError else cls("bad")
+            assert self._run(monkeypatch, exc) == code, cls
+
     def test_config_error(self, monkeypatch):
-        assert self._run(monkeypatch, ScenarioError("bad")) == 2
+        self._check_exit_code(monkeypatch, 2)
 
     def test_convergence_error(self, monkeypatch):
-        assert self._run(monkeypatch, ConvergenceError("stuck", 0.1)) == 3
+        self._check_exit_code(monkeypatch, 3)
 
     def test_numerical_error(self, monkeypatch):
-        assert self._run(monkeypatch, ConditioningError("singular")) == 4
+        self._check_exit_code(monkeypatch, 4)
+
+    def test_exit_code_table_lists_every_error_class(self):
+        defined = {obj for obj in vars(errors).values()
+                   if inspect.isclass(obj) and issubclass(obj, Exception)
+                   and obj.__module__ == errors.__name__}
+        assert defined == {cls for classes in self.EXIT_CODES.values()
+                           for cls in classes}
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         out = tmp_path / "run"
@@ -528,7 +549,8 @@ class TestDispatch:
         assert (out / "asymptotic.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "asymptotic"
-        assert manifest["seed"] == 0
+        # asymptotic reads no --seed, so its manifest names none
+        assert "seed" not in manifest
         assert len(manifest["scenario_sha"]) == 12
         assert (out / "scenario.json").exists()
 
@@ -604,6 +626,20 @@ class TestDispatch:
         assert cli.main(["validate"]) == 0
         assert "all checks passed" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+    def test_validate_fails_on_a_perturbed_eta1_map(self, capsys,
+                                                     monkeypatch):
+        # a map off by 1e-6 still passes the residual check, which reads
+        # the same map, but not the closed-form root
+        eta1_map = la.eta1_map
+        monkeypatch.setattr(la, "eta1_map", lambda *args: eta1_map(*args)
+                            * (1.0 + 1e-6))
+        assert cli.main(["validate"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        closed_form = [line for line in lines if "closed-form" in line]
+        assert closed_form == [
+            "eta1 matches the closed-form point-mass root: FAIL"]
+        assert lines[-1] == "validate: FAILURES detected"
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -255,7 +255,7 @@ class TestIdealizedGains:
 
     def test_single_cell(self):
         dist = geo.idealized_gains(1, 0.5)
-        assert dist.num_cells == 1
+        assert dist.gains.shape[1] == 1
         assert dist.cross_est_gain[0] == 0.0
 
     def test_effective_pilot_power(self):

@@ -41,8 +41,17 @@ noise_vars = st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0 ** e)
 @PROPERTY_SETTINGS
 @given(dist=gain_laws(), alpha=alphas, noise_var=noise_vars)
 def test_eta1_fixed_point_residual(dist, alpha, noise_var):
-    eta1 = la.solve_eta1(dist, alpha, noise_var)
+    eta1 = la.solve_det_eq(dist, alpha, noise_var).eta1
     residual = abs(la.eta1_map(dist, alpha, noise_var, eta1) - eta1) / eta1
+    assert residual <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(dist=gain_laws(), alpha=alphas, noise_var=noise_vars)
+def test_eta1_perfect_fixed_point_residual(dist, alpha, noise_var):
+    eta1 = la.solve_eta1_perfect(dist, alpha, noise_var)
+    residual = abs(la.eta1_perfect_map(dist, alpha, noise_var, eta1)
+                   - eta1) / eta1
     assert residual <= 1e-10
 
 

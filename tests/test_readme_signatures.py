@@ -71,7 +71,8 @@ def test_readme_signatures_match_the_package():
     # spans that break across lines are checked too
     assert {"Scenario.gain_matrix", "monte_carlo_sweep", "percentile_sweep",
             "rate_table", "run_trial", "mmse_filter_pilot",
-            "mmse_filter_perfect"} <= set(checked)
+            "mmse_filter_perfect", "solve_det_eq",
+            "solve_eta1_perfect"} <= set(checked)
 
 
 def test_detects_a_renamed_parameter():
