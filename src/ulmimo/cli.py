@@ -2,10 +2,10 @@
 
 Commands map one-to-one onto the experiment runners; ``validate`` runs a
 quick invariant self-check. Every run writes its manifest next to the
-CSVs, and the manifest (command, scenario hash, seed if the command reads
-one, overrides) fully determines every output byte. Exit codes: 0
-success, 2 configuration error, 3 fixed-point non-convergence, 4 other
-numerical failure.
+CSVs, and on one numpy/OpenBLAS build and CPU the manifest (command,
+scenario hash, seed if the command reads one, overrides) fully determines
+every output byte. Exit codes: 0 success, 2 configuration error, 3
+fixed-point non-convergence, 4 other numerical failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, experiments, validate
 from .errors import ConvergenceError, InvalidInputError, NumericalError
@@ -177,7 +179,9 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def dispatch(args) -> int:
-    """Check every input, run, and only then create the output directory."""
+    """Check every input and run; only then write the outputs, all under
+    temporary names first, so that a failed write leaves the old files as
+    they were. manifest.json is renamed into place last."""
     _resolve_flags(args)
     _, alphas, run = COMMANDS[args.command]
     if not 0 <= args.seed < 2 ** 64:
@@ -190,14 +194,19 @@ def dispatch(args) -> int:
     args.grid = (alphas if args.alpha is None
                  else _split_list("alpha", args.alpha, float))
     result = run(args, scenario)
+    names = (f"{args.command}.csv", "scenario.json", "manifest.json")
+    temps = [out_dir / f".{name}.tmp" for name in names]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(result, out_dir / f"{args.command}.csv")
-        (out_dir / "manifest.json").write_text(
-            json.dumps(_manifest(args, scenario), indent=2, sort_keys=True)
-            + "\n")
-        (out_dir / "scenario.json").write_text(serialize_scenario(scenario))
+        write_csv(result, temps[0])
+        temps[1].write_text(serialize_scenario(scenario))
+        temps[2].write_text(json.dumps(_manifest(args, scenario), indent=2,
+                                       sort_keys=True) + "\n")
+        for temp, name in zip(temps, names):
+            os.replace(temp, out_dir / name)
     except OSError as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
         raise InvalidInputError(f"cannot write outputs: {exc}") from exc
     return EXIT_OK
 
@@ -215,8 +224,26 @@ def _steady_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+@functools.cache
+def _one_blas_thread() -> None:
+    """Pin numpy's bundled OpenBLAS, if it has one, to one thread, once per
+    process: a threaded BLAS splits sums by thread count, and so output bytes."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        blas = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(blas, symbol, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                setter(1)
+                return
+
+
 def main(argv=None) -> int:
     _steady_heap()
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return dispatch(args)

@@ -10,22 +10,13 @@ matched and MMSE receive filters, and measure the empirical SINR as a
 conditional power decomposition: no data symbols are ever drawn, the four
 powers are quadratic forms in the filter.
 
-Only the dense filter solve needs scipy (LAPACK ``zpotrf``/``zpotrs``). On
-its first call it loads scipy's compiled LAPACK module,
-``scipy.linalg._flapack``, by itself, which takes 24 modules and about
-3 MB; ``scipy.linalg``'s package init, about 320 modules and 23 MB, never
-runs. Importing the package or computing the closed-form limits loads no
-scipy. A trial frees and reallocates the same arrays every time; the CLI
-sets the C heap's thresholds so that they stay in the heap between trials.
+A trial frees and reallocates the same arrays every time; the CLI sets the
+C heap's thresholds so that they stay in the heap between trials.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +25,6 @@ from .rng import complex_gaussian
 
 LINEAR_SOLVE_TOL = 1e-10
 TRAINING_COND_LIMIT = 1e12
-_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass
@@ -233,35 +223,15 @@ def theta_effective(real: ChannelRealization,
     return _theta1(real), float(theta2)
 
 
-def _flapack():
-    """scipy's compiled LAPACK module, without ``scipy.linalg``'s package init.
-
-    Loaded once per process: a module already in ``sys.modules`` is reused,
-    and one loaded here is registered there, so a later ``import
-    scipy.linalg`` shares it.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        import scipy
-        spec = importlib.machinery.PathFinder.find_spec(
-            _FLAPACK, [str(Path(scipy.__file__).parent / "linalg")])
-        if spec is None:
-            raise ImportError(f"{_FLAPACK} not found", name=_FLAPACK)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
-    return module
-
-
 def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
                             b: np.ndarray, method: str | None = None) -> np.ndarray:
     """Solve (V diag(d) V^H + reg I) c = b for tall V.
 
     ``method`` None picks the rank-n subspace path when the column count
-    stays below M/2, the dense Cholesky otherwise; both must agree to
-    1e-10 and a single refinement step, reusing the first solve's
-    factorization, enforces the residual contract. A non-finite residual
-    breaks the contract like a large one.
+    stays below M/2, the dense LU solve otherwise; both must agree to
+    1e-10 and a single refinement step, which factors the matrix again,
+    enforces the residual contract. A non-finite residual, as a NaN in V
+    or b leaves, breaks the contract like a large one.
     """
     M, n = V.shape
     if method is None:
@@ -278,16 +248,11 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
         def solve(rhs):
             return (rhs - V @ np.linalg.solve(inner, Vh @ rhs)) / reg
     else:
-        lapack = _flapack()
         S = (V * d) @ Vh
         S[np.diag_indices(M)] += reg
-        factor, info = lapack.zpotrf(S, lower=1, overwrite_a=1, clean=0)
-        if info != 0:
-            raise NumericalError(
-                f"filter Gram matrix is not positive definite (info {info})")
 
         def solve(rhs):
-            return lapack.zpotrs(factor, rhs, lower=1)[0]
+            return np.linalg.solve(S, rhs)
 
     bnorm = np.linalg.norm(b) or 1.0  # b = 0 is solved exactly by c = 0
     c = solve(b)

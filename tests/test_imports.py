@@ -1,41 +1,43 @@
-"""What loads scipy, and what a Monte Carlo run costs the C heap.
+"""What a run loads, what its output depends on, and what it costs the heap.
 
-The closed-form limits need numpy alone, so importing the package and
-running the limit-only commands must leave scipy unloaded. The first dense
-Monte Carlo solve loads scipy's compiled LAPACK module by itself, never
-``scipy.linalg``'s package init, and the CLI fixes the heap thresholds so a
-trial's arrays are not unmapped and faulted back in on every trial. Each
-check runs in a fresh interpreter, since this test process already holds
-scipy.linalg.
+ulmimo needs numpy alone: importing the package and running any command
+must leave scipy, which only the tests use, unloaded. The project's
+declared dependencies must match what the code imports. A run's output
+bytes must not depend on the BLAS thread count, and the CLI fixes the heap
+thresholds so a trial's arrays are not unmapped and faulted back in on
+every trial. Each run-time check runs in a fresh interpreter, since this
+test process already holds scipy.
 """
 
+import ast
 import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 import ulmimo
 
 SRC = Path(ulmimo.__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_fresh(code: str) -> str:
-    """Run code in a fresh interpreter importing this ulmimo; its stdout."""
+def run_fresh(code: str, **env: str) -> str:
+    """Run code in a fresh interpreter importing this ulmimo, with env added
+    to the environment; its stdout."""
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def scipy_loaded_after(code: str, module: str = "scipy") -> bool:
-    """Whether ``module`` was loaded once code has run."""
-    report = f"\nimport sys\nprint({module!r} in sys.modules)\n"
+def scipy_loaded_after(code: str) -> bool:
+    """Whether any scipy module was loaded once code has run."""
+    report = "\nimport sys\nprint('scipy' in sys.modules)\n"
     return run_fresh(code + report).split()[-1] == "True"
 
 
@@ -59,79 +61,53 @@ def test_limit_only_runs_leave_scipy_unloaded(tmp_path, argv):
     assert (tmp_path / "o" / f"{argv[0]}.csv").exists()
 
 
-def test_dense_solve_loads_scipy_with_unchanged_output(tmp_path):
-    # at alpha = 1 and M = 8, K = M and every MMSE solve takes the dense path
-    argv = ("montecarlo", "--scenario", "idealized-01", "--antennas", "8",
-            "--alpha", "1.0", "--trials", "4", "--estimate", "noisy")
-    assert scipy_loaded_after(cli_run(tmp_path / "lazy", *argv))
-    assert scipy_loaded_after("import scipy.linalg.lapack\n"
-                              + cli_run(tmp_path / "eager", *argv))
-    lazy = (tmp_path / "lazy" / "montecarlo.csv").read_bytes()
-    assert lazy == (tmp_path / "eager" / "montecarlo.csv").read_bytes()
+# at alpha = 1, K = M and every MMSE solve takes the dense path
+@pytest.mark.parametrize("argv", [
+    ("montecarlo", "--antennas", "8", "--alpha", "1.0", "--trials", "4",
+     "--estimate", "noisy"),
+    ("percentile", "--antennas", "8", "--alpha", "1.0", "--trials", "20"),
+], ids=["montecarlo", "percentile"])
+def test_simulating_runs_leave_scipy_unloaded(tmp_path, argv):
+    assert not scipy_loaded_after(cli_run(tmp_path / "o", *argv))
+    assert (tmp_path / "o" / f"{argv[0]}.csv").exists()
 
 
-def test_dense_run_leaves_scipy_linalg_package_unloaded(tmp_path):
-    argv = ("montecarlo", "--scenario", "idealized-01", "--antennas", "8",
-            "--alpha", "1.0", "--trials", "4")
-    code = ("from ulmimo.montecarlo import _FLAPACK\n"
-            + cli_run(tmp_path / "o", *argv)
-            + "\nimport sys\nassert _FLAPACK in sys.modules")
-    assert not scipy_loaded_after(code, "scipy.linalg")
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at M = 128 a threaded BLAS splits the filters' products between threads
+    argv = ("montecarlo", "--scenario", "idealized-01", "--antennas", "128",
+            "--alpha", "1.0", "--trials", "5")
+    for threads in ("1", "2"):
+        run_fresh(cli_run(tmp_path / threads, *argv),
+                  OPENBLAS_NUM_THREADS=threads)
+    csv = [(tmp_path / t / "montecarlo.csv").read_bytes() for t in "12"]
+    assert csv[0] == csv[1]
 
 
-def _hermitian_pd(rng, M):
-    A = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
-    return A @ A.conj().T + 0.1 * np.eye(M)
+def _third_party_imports(package: Path) -> set[str]:
+    """Top-level modules imported by any file under package, function-local
+    imports included, less the standard library and ulmimo itself."""
+    names = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"ulmimo"}
 
 
-def test_loaded_cholesky_matches_scipy_linalg_lapack(tmp_path):
-    rng = np.random.default_rng(5)
-    mats = [_hermitian_pd(rng, M) for M in (1, 8, 50)]
-    mats.append(np.diag([1.0, -1.0, 2.0]).astype(complex))  # not PD
-    rhs = [rng.standard_normal((len(S), 2)) + 1j * rng.standard_normal(
-        (len(S), 2)) for S in mats]
-    inputs = tmp_path / "in.npz"
-    outputs = tmp_path / "out.npz"
-    np.savez(inputs, *mats, *rhs)
-    run_fresh(f"""
-import sys
-import numpy as np
-from ulmimo.montecarlo import _flapack
-assert "scipy.linalg" not in sys.modules
-lp = _flapack()
-assert "scipy.linalg" not in sys.modules
-data = np.load({str(inputs)!r})
-n = len(data.files) // 2
-out = {{}}
-for i in range(n):
-    S, b = data[f"arr_{{i}}"], data[f"arr_{{i + n}}"]
-    out[f"f{{i}}"], info = lp.zpotrf(S, lower=1, overwrite_a=0, clean=0)
-    out[f"i{{i}}"] = np.array(info)
-    if info == 0:
-        out[f"x{{i}}"], out[f"j{{i}}"] = lp.zpotrs(out[f"f{{i}}"], b, lower=1)
-np.savez({str(outputs)!r}, **out)
-""")
-    got = np.load(outputs)
-    for i, (S, b) in enumerate(zip(mats, rhs)):
-        factor, info = lapack.zpotrf(S, lower=1, overwrite_a=0, clean=0)
-        assert int(got[f"i{i}"]) == info
-        assert got[f"f{i}"].tobytes() == factor.tobytes()
-        if info == 0:
-            x, info2 = lapack.zpotrs(factor, b, lower=1)
-            assert got[f"x{i}"].tobytes() == x.tobytes()
-            assert int(got[f"j{i}"]) == info2
-    assert int(got["i3"]) != 0  # the indefinite matrix is reported
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
 
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
 
-def test_missing_lapack_extension_raises_import_error_naming_it(monkeypatch):
-    import importlib.machinery
-
-    from ulmimo import montecarlo
-    monkeypatch.delitem(sys.modules, montecarlo._FLAPACK)
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        lambda *args: None)
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
-        montecarlo._flapack()
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = names(project["dependencies"])
+    assert _third_party_imports(ROOT / "src" / "ulmimo") == runtime
+    assert _third_party_imports(ROOT / "tests") <= (
+        runtime | names(project["optional-dependencies"]["test"]))
 
 
 def _has_mallopt() -> bool:
