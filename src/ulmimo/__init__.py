@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .asymptotic import (DetEqSolution, det_eq_sinr_rows, perfect_suppression,
-                         solve_det_eq, solve_eta2, solve_eta1_perfect, to_db)
+                         solve_det_eq, solve_eta1_perfect, to_db)
 from .fading import FadingDistribution, expect_total_gain
 from .geometry import (CellLayout, Cost231Params, UserDrop, cost231_pathloss_db,
                        drop_users, hex_layout, idealized_gains,

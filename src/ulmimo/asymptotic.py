@@ -91,12 +91,8 @@ def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float)
     return 1.0 / (noise_var + alpha * e_total - alpha * shrink)
 
 
-def solve_eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
+def _eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
     """Limiting (1/M) tr S^-2, from the derivative of the eta1 equation."""
-    if alpha < 0.0 or not np.isfinite(alpha):
-        raise InvalidInputError("alpha must be a finite nonnegative real")
-    if eta1 <= 0.0:
-        raise InvalidInputError("eta1 must be positive")
     p = dist.est_gain
     subtrahend = alpha * dist.expect((p / (1.0 + p * eta1)) ** 2)
     if subtrahend == 0.0:
@@ -120,7 +116,7 @@ def solve_det_eq(dist: FadingDistribution, alpha: float,
     every term sees the identical weighting.
     """
     eta1 = _solve(eta1_map, dist, alpha, noise_var, "eta1")
-    eta2 = solve_eta2(dist, alpha, eta1)
+    eta2 = _eta2(dist, alpha, eta1)
     p = dist.est_gain
     q = dist.cross_est_gain
     ratio = eta2 / eta1

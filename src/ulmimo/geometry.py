@@ -90,6 +90,18 @@ class Cost231Params:
                 raise InvalidInputError(f"{f.name} must be finite")
         if not self.cell_radius_m > 0.0:
             raise InvalidInputError("cell radius must be positive")
+        # the ring's centres sit sqrt(3) R out, its candidates R around them
+        if not math.isfinite((math.sqrt(3.0) + 1.0) * self.cell_radius_m):
+            raise InvalidInputError("cell radius too large for finite coordinates")
+        try:
+            powers = (self.tx_power_mw, self.noise_power_mw,
+                      self.tx_power_mw / self.noise_power_mw)
+        except (OverflowError, ZeroDivisionError):
+            powers = (math.nan,)
+        if not all(0.0 < p < math.inf for p in powers):
+            raise InvalidInputError(
+                "transmit power, noise power and their ratio must be finite "
+                "and positive")
         if not 1500.0 <= self.carrier_freq_mhz <= 2000.0:
             raise InvalidInputError("carrier frequency outside model validity")
         if not 30.0 <= self.bs_height_m <= 200.0:

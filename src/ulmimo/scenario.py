@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -93,6 +93,10 @@ class Scenario:
     coherence: Coherence = field(default_factory=Coherence)
 
     def __post_init__(self):
+        # the name is one value of the CSV header's space-separated key=value
+        if not self.name or not self.name.isprintable() or " " in self.name:
+            raise ScenarioError(
+                "name must be non-empty printable text without whitespace")
         if not 1 <= self.cells <= MAX_CELLS:
             raise ScenarioError(f"cells must lie in [1, {MAX_CELLS}]")
         if not self.alpha > 0.0:
@@ -126,32 +130,38 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# strict parsing
+# strict parsing: the dataclasses above and geometry.Cost231Params are the
+# schema, one field per key
 # ---------------------------------------------------------------------------
 
-# JSON value kinds of the fields below. A bool is not a number, an int
-# field takes only ints, and a float field takes an int or a finite float,
-# kept as written so that the scenario_sha of a valid file does not move.
-_NULLABLE_FLOAT = "float or null"
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               dict: "a JSON object", _NULLABLE_FLOAT: "a finite number or null"}
+# JSON value kinds, read from the dataclass annotations (strings under
+# postponed evaluation); any other annotation takes a JSON object. A bool is
+# not a number, an int field takes only ints, and a float field takes an int
+# or a finite float, kept as written so that the scenario_sha of a valid
+# file does not move.
+_KIND_NAMES = {"int": "an integer", "float": "a finite number",
+               "str": "a string", "float | None": "a finite number or null"}
+_JSON_TYPES = {"int": int, "str": str}
 
 
-def _has_kind(value, kind) -> bool:
-    if kind is _NULLABLE_FLOAT:
-        return value is None or _has_kind(value, float)
-    if isinstance(value, bool):
-        return False
-    if kind is float:
+def _has_kind(value, kind: str) -> bool:
+    if value is None or isinstance(value, bool):
+        return value is None and kind == "float | None"
+    if kind.startswith("float"):
         try:
             return isinstance(value, (int, float)) and math.isfinite(value)
         except OverflowError:  # an int beyond the float range
             return False
-    return isinstance(value, kind)
+    return isinstance(value, _JSON_TYPES.get(kind, dict))
 
 
-def _take(mapping: dict, where: str, known: dict):
-    """The fields of ``mapping``, checked against ``known``: key -> (required, kind)."""
+def _take(mapping: dict, where: str, cls, **extra: str) -> dict:
+    """The fields of ``mapping``, checked against the fields of dataclass
+    ``cls`` plus the required ``extra`` keys (key -> kind)."""
+    known = {key: (True, kind) for key, kind in extra.items()}
+    for f in fields(cls):
+        known[f.name] = (f.default is MISSING and f.default_factory is MISSING,
+                         f.type)
     unknown = set(mapping) - set(known)
     if unknown:
         raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
@@ -161,7 +171,8 @@ def _take(mapping: dict, where: str, known: dict):
             value = mapping[key]
             if not _has_kind(value, kind):
                 raise ScenarioError(
-                    f"{where}.{key} must be {_KIND_NAMES[kind]}, "
+                    f"{where}.{key} must be "
+                    f"{_KIND_NAMES.get(kind, 'a JSON object')}, "
                     f"got {reprlib.repr(value)}")
             out[key] = value
         elif required:
@@ -169,41 +180,30 @@ def _take(mapping: dict, where: str, known: dict):
     return out
 
 
-_COST231_FIELDS = {f: (False, float) for f in (
-    "cell_radius_m", "tx_power_dbm", "noise_power_dbm", "noise_bandwidth_hz",
-    "carrier_freq_mhz", "bs_height_m", "ms_height_m", "exclusion_radius_m")}
-_COST231_FIELDS["shadowing_sigma_db"] = (False, _NULLABLE_FLOAT)
+_GAIN_MODELS = {"idealized": IdealizedGains, "cost231": Cost231Params}
+_GAIN_KINDS = {model: kind for kind, model in _GAIN_MODELS.items()}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    top = _take(data, "scenario", {
-        "schema": (True, int), "name": (True, str), "cells": (True, int),
-        "alpha": (True, float), "noise_var": (True, float),
-        "gain_model": (True, dict), "pilot": (False, dict),
-        "coherence": (False, dict),
-    })
-    if top["schema"] != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema version {top['schema']!r}")
+    top = _take(data, "scenario", Scenario, schema="int")
+    schema = top.pop("schema")
+    if schema != SCHEMA_VERSION:
+        raise ScenarioError(f"unsupported schema version {schema!r}")
 
     gm = dict(top["gain_model"])
     kind = gm.pop("kind", None)
+    model = _GAIN_MODELS.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise ScenarioError(f"unknown gain model kind {kind!r}")
     try:
-        if kind == "idealized":
-            gain_model = IdealizedGains(
-                **_take(gm, "gain_model", {"beta_other": (True, float)}))
-        elif kind == "cost231":
-            gain_model = Cost231Params(**_take(gm, "gain_model", _COST231_FIELDS))
-        else:
-            raise ScenarioError(f"unknown gain model kind {kind!r}")
-
-        pilot = PilotSettings(**_take(top.get("pilot", {}), "pilot", {
-            "mode": (False, str), "pilot_snr_db": (False, float)}))
-        coherence = Coherence(**_take(top.get("coherence", {}), "coherence", {
-            "symbols": (False, int), "subcarriers": (False, int)}))
-        return Scenario(name=top["name"], cells=top["cells"],
-                        alpha=float(top["alpha"]),
-                        noise_var=float(top["noise_var"]),
-                        gain_model=gain_model, pilot=pilot, coherence=coherence)
+        top.update(
+            alpha=float(top["alpha"]), noise_var=float(top["noise_var"]),
+            gain_model=model(**_take(gm, "gain_model", model)),
+            pilot=PilotSettings(**_take(top.get("pilot", {}), "pilot",
+                                        PilotSettings)),
+            coherence=Coherence(**_take(top.get("coherence", {}), "coherence",
+                                        Coherence)))
+        return Scenario(**top)
     except ScenarioError:
         raise
     except InvalidInputError as exc:  # the geometry's own range checks
@@ -211,18 +211,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    gm = asdict(scenario.gain_model)
-    gm["kind"] = "idealized" if scenario.is_idealized else "cost231"
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": scenario.name,
-        "cells": scenario.cells,
-        "alpha": scenario.alpha,
-        "noise_var": scenario.noise_var,
-        "gain_model": gm,
-        "pilot": asdict(scenario.pilot),
-        "coherence": asdict(scenario.coherence),
-    }
+    data = {"schema": SCHEMA_VERSION, **asdict(scenario)}
+    data["gain_model"]["kind"] = _GAIN_KINDS[type(scenario.gain_model)]
+    return data
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -247,8 +238,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     if not candidate.exists():
         bundle = resources.files("ulmimo") / "scenarios" / f"{path}.json"
         if bundle.is_file():
-            text = bundle.read_text()
-            return _parse_text(text, str(path))
+            return _parse_text(bundle.read_text(), str(path))
         raise ScenarioError(f"scenario file not found: {path}")
     try:
         text = candidate.read_text(encoding="utf-8")

@@ -77,8 +77,8 @@ class TestEta1:
 class TestEta2:
     def test_alpha_zero_square(self, seven_cell_001):
         dist = seven_cell_001
-        eta1 = la.solve_det_eq(dist, 0.0, 0.01).eta1
-        assert la.solve_eta2(dist, 0.0, eta1) == eta1 * eta1
+        det = la.solve_det_eq(dist, 0.0, 0.01)
+        assert det.eta2 == det.eta1 * det.eta1
 
     def test_always_at_least_square(self, seven_cell_001, seven_cell_01):
         for dist in (seven_cell_001, seven_cell_01):
@@ -91,7 +91,7 @@ class TestEta2:
         # negative; the failure must surface, never a clamped value
         dist = FadingDistribution([1.0])
         with pytest.raises(DegenerateRegimeError):
-            la.solve_eta2(dist, 2.0, 10.0)
+            la._eta2(dist, 2.0, 10.0)
 
 
 class TestTraceOracles:

@@ -495,10 +495,14 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     # NaN exclusion used to hang the drop sampler, a non-finite radius to
-    # end in an OverflowError traceback, and NaN shadowing to turn it off
+    # end in an OverflowError traceback, and NaN shadowing to turn it off;
+    # the finite link budgets and radius below passed parsing and then ended
+    # in an OverflowError or ZeroDivisionError traceback
     @pytest.mark.parametrize("field, value", [
         ("exclusion_radius_m", float("nan")), ("cell_radius_m", float("nan")),
-        ("cell_radius_m", float("inf")), ("shadowing_sigma_db", float("nan"))])
+        ("cell_radius_m", float("inf")), ("shadowing_sigma_db", float("nan")),
+        ("tx_power_dbm", 4000.0), ("noise_power_dbm", -4000.0),
+        ("cell_radius_m", 1e308)])
     def test_non_finite_geometry_fails_at_parse(self, tmp_path, field, value):
         proc = self.run_rates(
             tmp_path, cost231_scenario_file(tmp_path, **{field: value}))
@@ -524,9 +528,16 @@ class TestExitCodes:
         (('"alpha": 0.5', '"alpha": "0.5"'), ("rates",)),
         (('"schema": 1', '"schema": true'), ("rates",)),
         (('"symbols": 7', '"symbols": 1.5'), ("rates",)),
+        # the name is one key=value pair of the CSV header: a newline split
+        # the header over two lines (and the run exited 0), a space made the
+        # pairs ambiguous
+        (('"name": "idealized-01"', '"name": "bad name\\nsecond=line"'),
+         ("montecarlo",)),
+        (('"name": "idealized-01"', '"name": "bad name"'), ("montecarlo",)),
     ], ids=["nan-pilot-snr", "repeated-alpha", "gain-model-list",
             "huge-pilot-snr", "cells-bool", "cells-float", "cells-string",
-            "cells-million", "alpha-string", "schema-bool", "symbols-float"])
+            "cells-million", "alpha-string", "schema-bool", "symbols-float",
+            "name-newline", "name-space"])
     def test_bad_scenario_value_fails_at_parse(self, tmp_path, edit, command):
         text = serialize_scenario(parse_scenario("idealized-01"))
         assert edit[0] in text

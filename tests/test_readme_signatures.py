@@ -1,4 +1,5 @@
-"""Every call signature README.md shows for a package function matches it.
+"""Every call signature README.md shows for a package function matches it,
+and the cost231 fields README lists are the fields of ``Cost231Params``.
 
 A backticked ``name(a, b, ...)`` whose name resolves to a function of a
 ``ulmimo`` module, or to a ``Scenario`` method, must list that function's
@@ -11,16 +12,19 @@ signatures and are skipped.
 
 import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import ulmimo
 from ulmimo import (asymptotic, cli, experiments, fading, geometry,
                     montecarlo, rng, scenario, validate)
+from ulmimo.geometry import Cost231Params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = (asymptotic, cli, experiments, fading, geometry, montecarlo, rng,
            scenario, validate)
 CALL = re.compile(r"([A-Za-z_][\w.]*)\((.*)\)")
+COST231_LIST = '`gain_model.kind` may also be `"cost231"` with fields'
 
 
 def package_function(name: str):
@@ -91,3 +95,20 @@ def test_detects_a_wrong_default():
     checked, drift = signature_drift(text)
     assert checked == ["mmse_filter_perfect", "mmse_filter_pilot"]
     assert [d.split("(")[0] for d in drift] == ["mmse_filter_pilot"]
+
+
+def cost231_fields_listed(text: str) -> list[str]:
+    """The names README lists as cost231 fields, up to the sentence's end."""
+    listed = text[text.index(COST231_LIST) + len(COST231_LIST):]
+    return re.findall(r"`([^`]+)`", re.split(r"\.\s", listed, maxsplit=1)[0])
+
+
+def test_readme_lists_every_cost231_field():
+    assert cost231_fields_listed(README.read_text()) == [
+        f.name for f in fields(Cost231Params)]
+
+
+def test_detects_a_missing_cost231_field():
+    text = (f"{COST231_LIST} `cell_radius_m` and `tx_power_dbm`. Drop-model "
+            "gains are `noise_var` units.")
+    assert cost231_fields_listed(text) == ["cell_radius_m", "tx_power_dbm"]

@@ -1,15 +1,19 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ulmimo.errors import ScenarioError
+from ulmimo.errors import InvalidInputError, ScenarioError
+from ulmimo.fading import FadingDistribution
+from ulmimo.geometry import Cost231Params
 from ulmimo.rng import seed_substream
-from ulmimo.scenario import (MAX_CELLS, Coherence, PilotSettings, Scenario,
-                             _parse_text, bundled_scenario_names,
-                             parse_scenario, scenario_from_dict, scenario_hash,
+from ulmimo.scenario import (MAX_CELLS, Coherence, IdealizedGains,
+                             PilotSettings, Scenario, _parse_text,
+                             bundled_scenario_names, parse_scenario,
+                             scenario_from_dict, scenario_hash,
                              scenario_to_dict, serialize_scenario)
 
 MINIMAL = {
@@ -267,6 +271,93 @@ class TestRoundTrip:
         g1 = sc.gain_matrix(20, seed_substream(3, "rt")).T
         g2 = again.gain_matrix(20, seed_substream(3, "rt")).T
         assert np.array_equal(g1, g2)
+
+
+# a valid value other than the bundled one, for every field of every config
+# dataclass, keyed by the field's path in the JSON file
+NON_DEFAULT = {
+    ("name",): "other", ("cells",): 1, ("alpha",): 0.75, ("noise_var",): 0.5,
+    ("pilot", "mode"): "noisy-repeated", ("pilot", "pilot_snr_db"): 10.0,
+    ("coherence", "symbols"): 3, ("coherence", "subcarriers"): 5,
+    ("gain_model", "beta_other"): 0.2,
+    ("gain_model", "cell_radius_m"): 500.0,
+    ("gain_model", "tx_power_dbm"): 20.0,
+    ("gain_model", "noise_power_dbm"): -170.0,
+    ("gain_model", "noise_bandwidth_hz"): 1000.0,
+    ("gain_model", "carrier_freq_mhz"): 1800.0,
+    ("gain_model", "bs_height_m"): 40.0, ("gain_model", "ms_height_m"): 2.0,
+    ("gain_model", "shadowing_sigma_db"): 8.0,
+    ("gain_model", "exclusion_radius_m"): 50.0,
+}
+
+
+def _field_paths(cls, prefix=()) -> set:
+    """JSON paths of the scalar fields of ``cls`` and of its nested configs."""
+    nested = {"gain_model": (IdealizedGains, Cost231Params),
+              "pilot": (PilotSettings,), "coherence": (Coherence,)}
+    paths = set()
+    for f in fields(cls):
+        if f.name in nested:
+            for inner in nested[f.name]:
+                paths |= _field_paths(inner, (f.name,))
+        else:
+            paths.add((*prefix, f.name))
+    return paths
+
+
+class TestSchema:
+    def test_every_field_has_a_non_default_value(self):
+        assert _field_paths(Scenario) == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("path", sorted(NON_DEFAULT), ids="-".join)
+    def test_field_roundtrips_and_moves_the_hash(self, path, tmp_path):
+        bundled = ("idealized-01" if path == ("gain_model", "beta_other")
+                   else "cost231-7cell")
+        data = scenario_to_dict(parse_scenario(bundled))
+        *parents, key = path
+        holder = data
+        for p in parents:
+            holder = holder[p]
+        assert holder[key] != NON_DEFAULT[path]
+        holder[key] = NON_DEFAULT[path]
+        sc = scenario_from_dict(data)
+        file = tmp_path / "edited.json"
+        file.write_text(serialize_scenario(sc))
+        again = parse_scenario(file)
+        assert again == sc
+        value = again
+        for name in path:
+            value = getattr(value, name)
+        assert value == NON_DEFAULT[path]
+        assert scenario_hash(again) != scenario_hash(parse_scenario(bundled))
+
+
+_GAIN_FIELDS = [("idealized-01", f.name) for f in fields(IdealizedGains)] + [
+    ("cost231-7cell", f.name) for f in fields(Cost231Params)]
+
+
+class TestGainModelRanges:
+    """Any finite number in a gain-model field is refused at parse time or
+    gives gains a drop law accepts; none ends in another exception."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              database=None)
+    @given(field=st.sampled_from(_GAIN_FIELDS),
+           value=st.floats(allow_nan=False, allow_infinity=False))
+    # each passed parsing and then ended in OverflowError (transmit power,
+    # drop sampler) or ZeroDivisionError (noise power) on the first drop
+    @example(field=("cost231-7cell", "tx_power_dbm"), value=4000.0)
+    @example(field=("cost231-7cell", "noise_power_dbm"), value=-4000.0)
+    @example(field=("cost231-7cell", "cell_radius_m"), value=1e308)
+    def test_finite_value_parses_and_drops_or_is_refused(self, field, value):
+        bundled, key = field
+        data = scenario_to_dict(parse_scenario(bundled))
+        data["gain_model"][key] = value
+        try:
+            sc = scenario_from_dict(data)
+            FadingDistribution(sc.gain_matrix(4, seed_substream(0, "fuzz")).T)
+        except (ScenarioError, InvalidInputError):
+            pass
 
 
 class TestScenarioBehaviour:
