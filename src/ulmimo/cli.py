@@ -250,7 +250,3 @@ def main(argv=None) -> int:
     except (InvalidInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

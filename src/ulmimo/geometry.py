@@ -93,15 +93,17 @@ class Cost231Params:
         # the ring's centres sit sqrt(3) R out, its candidates R around them
         if not math.isfinite((math.sqrt(3.0) + 1.0) * self.cell_radius_m):
             raise InvalidInputError("cell radius too large for finite coordinates")
+        # a path gain is clamped at 1, so no gain exceeds r; the drop law
+        # sums up to seven squared gains, all finite when 1 + 7 r^2 is
         try:
-            powers = (self.tx_power_mw, self.noise_power_mw,
-                      self.tx_power_mw / self.noise_power_mw)
+            r = self.tx_power_mw / self.noise_power_mw
+            powers = (self.tx_power_mw, self.noise_power_mw, r, 1.0 + 7.0 * r * r)
         except (OverflowError, ZeroDivisionError):
             powers = (math.nan,)
         if not all(0.0 < p < math.inf for p in powers):
             raise InvalidInputError(
                 "transmit power, noise power and their ratio must be finite "
-                "and positive")
+                "and positive, and 7 times the ratio squared finite")
         if not 1500.0 <= self.carrier_freq_mhz <= 2000.0:
             raise InvalidInputError("carrier frequency outside model validity")
         if not 30.0 <= self.bs_height_m <= 200.0:

@@ -224,24 +224,22 @@ def theta_effective(real: ChannelRealization,
 
 
 def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
-                            b: np.ndarray, method: str | None = None) -> np.ndarray:
+                            b: np.ndarray) -> np.ndarray:
     """Solve (V diag(d) V^H + reg I) c = b for tall V.
 
-    ``method`` None picks the rank-n subspace path when the column count
-    stays below M/2, the dense LU solve otherwise; both must agree to
-    1e-10 and a single refinement step, which factors the matrix again,
-    enforces the residual contract. A non-finite residual, as a NaN in V
-    or b leaves, breaks the contract like a large one.
+    The column count n picks the path: the rank-n subspace solve when n
+    stays below M/2, the dense LU solve otherwise. A single refinement
+    step, which factors the matrix again, enforces the residual contract.
+    A non-finite residual, as a NaN in V or b leaves, breaks the contract
+    like a large one.
     """
     M, n = V.shape
-    if method is None:
-        method = "lowrank" if n < M / 2 else "dense"
     Vh = V.conj().T
 
     def matvec(x):
         return reg * x + V @ (d * (Vh @ x))
 
-    if method == "lowrank":
+    if n < M / 2:
         inner = Vh @ V
         inner[np.diag_indices(n)] += reg / d
 
@@ -266,8 +264,7 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
     return c
 
 
-def mmse_filter_pilot(est: EstimateSet, real: ChannelRealization,
-                      method: str | None = None) -> np.ndarray:
+def mmse_filter_pilot(est: EstimateSet, real: ChannelRealization) -> np.ndarray:
     """MMSE receiver (M,) for user 1 built from contaminated estimates.
 
     Solves (sum_{k>=2} beta_1k hhat_1k hhat_1k^H + (theta1+theta2+s2) I) c
@@ -278,11 +275,10 @@ def mmse_filter_pilot(est: EstimateSet, real: ChannelRealization,
     reg = theta1 + theta2 + real.noise_var
     V = est.estimates[1:].T
     b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
-    return _solve_regularized_gram(V, real.gains[0, 1:], reg, b, method)
+    return _solve_regularized_gram(V, real.gains[0, 1:], reg, b)
 
 
-def mmse_filter_perfect(real: ChannelRealization,
-                        method: str | None = None) -> np.ndarray:
+def mmse_filter_perfect(real: ChannelRealization) -> np.ndarray:
     """MMSE receiver (M,) with error-free in-cell channel knowledge.
 
     The interference sum runs over all K in-cell users and the regularizer
@@ -291,7 +287,7 @@ def mmse_filter_perfect(real: ChannelRealization,
     reg = _theta1(real) + real.noise_var
     V = real.small_scale[0].T
     b = np.sqrt(real.gains[0, 0]) * real.small_scale[0, 0]
-    return _solve_regularized_gram(V, real.gains[0], reg, b, method)
+    return _solve_regularized_gram(V, real.gains[0], reg, b)
 
 
 def matched_filter(est: EstimateSet) -> np.ndarray:

@@ -275,3 +275,6 @@ def _parse_text(text: str, origin: str) -> Scenario:
         raise ScenarioError(f"{origin}: JSON nested too deeply") from exc
     except ScenarioError as exc:
         raise ScenarioError(f"{origin}: {exc}") from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        # the message's advice after ';' names a Python call, not an input
+        raise ScenarioError(f"{origin}: {str(exc).partition(';')[0]}") from exc

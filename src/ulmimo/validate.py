@@ -61,15 +61,16 @@ def _check_closed_form(emit) -> bool:
 
 
 def _check_solver_paths(emit) -> bool:
+    # one cell, noiseless pilots: exact estimates and theta2 = 0, so the pilot
+    # (low-rank path) and perfect (dense path) filters differ only in scale
     rng = seed_substream(0, "validate.solver")
     real = mc.ChannelRealization(
         small_scale=mc.draw_channel_matrix(1, 2, 3, rng),
         gains=np.array([[1.0, 0.7]]), noise_var=0.01)
-    est = mc.pilot_estimate_noiseless(real)
-    low = mc.mmse_filter_pilot(est, real, method="lowrank")
-    dense = mc.mmse_filter_pilot(est, real, method="dense")
-    err = np.linalg.norm(low - dense) / np.linalg.norm(dense)
-    ok = err <= 1e-12
+    low = mc.empirical_sinr(
+        mc.mmse_filter_pilot(mc.pilot_estimate_noiseless(real), real), real).sinr
+    dense = mc.empirical_sinr(mc.mmse_filter_perfect(real), real).sinr
+    ok = abs(low - dense) <= 1e-12 * dense
     emit(f"structured vs dense filter solve at M=3: {'PASS' if ok else 'FAIL'}")
     return ok
 

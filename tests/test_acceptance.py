@@ -279,8 +279,16 @@ def test_criterion_09h_dense_vs_structured_solver():
         small_scale=mc.draw_channel_matrix(7, 2, 3, rng),
         gains=np.vstack([[1.0, 0.8], np.full((6, 2), 0.01)]), noise_var=0.01)
     est = mc.pilot_estimate_noiseless(real)
-    lr = mc.mmse_filter_pilot(est, real, method="lowrank")
-    de = mc.mmse_filter_pilot(est, real, method="dense")
+    lr = mc.mmse_filter_pilot(est, real)  # one interferer: low-rank path
+    # the dense system from its definition: theta1 = sum_{j>=2,k} beta_jk / M,
+    # theta2 = sum_k beta_1k s_k / M with s_k the noiseless error variance
+    other = real.gains[1:].sum(axis=0)
+    theta1 = other.sum() / 3
+    theta2 = (real.gains[0] * other / real.gains.sum(axis=0)).sum() / 3
+    h2 = est.estimates[1]
+    S = (real.gains[0, 1] * np.outer(h2, h2.conj())
+         + (theta1 + theta2 + real.noise_var) * np.eye(3))
+    de = np.linalg.solve(S, np.sqrt(real.gains[0, 0]) * est.estimates[0])
     rel = np.linalg.norm(lr - de) / np.linalg.norm(de)
     report(f"criterion 9h: structured vs dense filter solve at M=3, relative "
            f"difference {rel:.2e} <= 1e-12 -> "

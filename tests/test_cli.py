@@ -497,12 +497,13 @@ class TestExitCodes:
     # NaN exclusion used to hang the drop sampler, a non-finite radius to
     # end in an OverflowError traceback, and NaN shadowing to turn it off;
     # the finite link budgets and radius below passed parsing and then ended
-    # in an OverflowError or ZeroDivisionError traceback
+    # in an OverflowError or ZeroDivisionError traceback, the last one in a
+    # nan fixed point once its squared gains overflowed
     @pytest.mark.parametrize("field, value", [
         ("exclusion_radius_m", float("nan")), ("cell_radius_m", float("nan")),
         ("cell_radius_m", float("inf")), ("shadowing_sigma_db", float("nan")),
         ("tx_power_dbm", 4000.0), ("noise_power_dbm", -4000.0),
-        ("cell_radius_m", 1e308)])
+        ("cell_radius_m", 1e308), ("tx_power_dbm", 2500.0)])
     def test_non_finite_geometry_fails_at_parse(self, tmp_path, field, value):
         proc = self.run_rates(
             tmp_path, cost231_scenario_file(tmp_path, **{field: value}))
@@ -551,6 +552,23 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
+
+    # an integer of more than 4300 digits ended in a ValueError traceback
+    @pytest.mark.parametrize("field", ['"cells": 7', '"noise_var": 1.0'],
+                             ids=["cells", "noise_var"])
+    def test_overlong_integer_fails_at_parse(self, tmp_path, capsys, field):
+        text = serialize_scenario(parse_scenario("cost231-7cell"))
+        assert field in text
+        key = field.partition(":")[0]
+        path = tmp_path / "big.json"
+        path.write_text(text.replace(field, f"{key}: 1{'0' * 5000}", 1))
+        out = tmp_path / "o"
+        assert cli.main(["asymptotic", "--scenario", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDispatch:
@@ -659,7 +677,15 @@ class TestDispatch:
         # validate writes nothing, so it creates no directory either
         monkeypatch.chdir(tmp_path)
         assert cli.main(["validate"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "fixed-point residuals, eta ordering, suppression bounds: PASS",
+            "alpha=0 collapse (MMSE == MF): PASS",
+            "single-cell pilot == perfect: PASS",
+            "eta1 matches the closed-form point-mass root: PASS",
+            "structured vs dense filter solve at M=3: PASS",
+            "seeded rerun determinism: PASS",
+            "validate: all checks passed",
+        ]
         assert list(tmp_path.iterdir()) == []
 
     def test_validate_fails_on_a_perturbed_eta1_map(self, capsys,

@@ -268,6 +268,18 @@ class TestDropRunners:
         assert abs(pilot_mc - 2.9) <= 0.5
         assert abs(perfect_mc - 3.6) <= 0.5
 
+    # the abstract's claim at its smallest load: 10 antennas, 3 users per
+    # cell; over seeds 0-79 the pilot-MMSE gap above the limit spanned
+    # 0.21-0.37 bits on idealized-01 and 0.09-0.78 bits on cost231-7cell
+    @pytest.mark.parametrize("name, low, high", [
+        ("idealized-01", 0.15, 0.45), ("cost231-7cell", 0.0, 0.85)],
+        ids=["idealized-01", "cost231-7cell"])
+    def test_ten_antennas_three_users_near_the_limit(self, name, low, high):
+        res = ex.rate_table(parse_scenario(name), 10, [0.3], 400,
+                            "noiseless", 0)
+        _, limit, _, simulated, _ = res.rows[0]
+        assert low <= simulated - limit <= high
+
     @pytest.mark.parametrize("mode", ["noiseless", "training"])
     def test_runners_reduce_one_simulation_and_limit(self, mode):
         # every cell of percentile.csv and rates.csv is a reduction of the

@@ -21,6 +21,18 @@ def idealized_realization(M, K, B=7, beta=0.01, noise_var=0.01, seed=0,
         noise_var=noise_var)
 
 
+def pilot_filter_reference(real, est):
+    """The noiseless-pilot MMSE filter solved densely from its definition."""
+    other = real.gains[1:].sum(axis=0)
+    theta1 = other.sum() / real.M
+    theta2 = (real.gains[0] * other / real.gains.sum(axis=0)).sum() / real.M
+    S = (theta1 + theta2 + real.noise_var) * np.eye(real.M, dtype=complex)
+    for k in range(1, real.K):
+        S += real.gains[0, k] * np.outer(est.estimates[k],
+                                         est.estimates[k].conj())
+    return np.linalg.solve(S, np.sqrt(real.gains[0, 0]) * est.estimates[0])
+
+
 class TestDrawChannels:
     def test_deterministic_given_seed(self):
         sc = parse_scenario("idealized-01")
@@ -295,18 +307,20 @@ class TestFilters:
         assert np.linalg.norm(filt - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_lowrank_and_dense_paths_agree(self):
+        # K - 1 interferers: (3, 2) and (40, 9) take the low-rank path,
+        # (64, 33) the dense one
         for M, K in ((3, 2), (40, 9), (64, 33)):
             real = idealized_realization(M, K, seed=24)
             est = mc.pilot_estimate_noiseless(real)
-            lr = mc.mmse_filter_pilot(est, real, method="lowrank")
-            de = mc.mmse_filter_pilot(est, real, method="dense")
-            rel = np.linalg.norm(lr - de) / np.linalg.norm(de)
+            filt = mc.mmse_filter_pilot(est, real)
+            ref = pilot_filter_reference(real, est)
+            rel = np.linalg.norm(filt - ref) / np.linalg.norm(ref)
             assert rel <= 1e-10
 
     def test_dense_path_matches_scipy_cholesky_reference(self):
         real = idealized_realization(12, 8, seed=32)
         est = mc.pilot_estimate_noiseless(real)
-        filt = mc.mmse_filter_pilot(est, real, method="dense")
+        filt = mc.mmse_filter_pilot(est, real)  # 7 interferers: dense path
         t1, t2 = mc.theta_effective(real, est)
         V = est.estimates[1:].T
         S = (V * real.gains[0, 1:]) @ V.conj().T
@@ -326,22 +340,23 @@ class TestFilters:
         resid = np.linalg.norm(S @ filt - b) / np.linalg.norm(b)
         assert resid <= 1e-10
 
-    @pytest.mark.parametrize("method", ["lowrank", "dense"])
-    def test_nan_right_hand_side_raises(self, method):
+    # at M = 16, K = 4 leaves 3 interferers (low-rank path), K = 12 leaves 11
+    @pytest.mark.parametrize("K", [4, 12], ids=["lowrank", "dense"])
+    def test_nan_right_hand_side_raises(self, K):
         # user 1's estimate is b; an interferer's enters V and the matrix
         for user in (0, 2):
-            real = idealized_realization(16, 4, seed=30)
+            real = idealized_realization(16, K, seed=30)
             est = mc.pilot_estimate_noiseless(real)
             est.estimates[user, 3] = np.nan
             with pytest.raises(NumericalError, match="residual"):
-                mc.mmse_filter_pilot(est, real, method=method)
+                mc.mmse_filter_pilot(est, real)
 
     def test_zero_right_hand_side_gives_zero_filter(self):
-        real = idealized_realization(16, 4, seed=31)
-        est = mc.pilot_estimate_noiseless(real)
-        est.estimates[0] = 0.0
-        for method in ("lowrank", "dense"):
-            assert not mc.mmse_filter_pilot(est, real, method=method).any()
+        for K in (4, 12):
+            real = idealized_realization(16, K, seed=31)
+            est = mc.pilot_estimate_noiseless(real)
+            est.estimates[0] = 0.0
+            assert not mc.mmse_filter_pilot(est, real).any()
 
     def test_perfect_filter_single_user(self):
         real = idealized_realization(8, 1, B=1, seed=27)
@@ -454,6 +469,33 @@ class TestConvergenceToTheory:
             for f, th in theory.items():
                 med = la.to_db(np.median(samples[(a, f)]))
                 assert abs(med - th) <= 0.5, (beta, a, f, med, th)
+
+    def test_contamination_to_signal_power_tends_to_its_limit(self):
+        # pooled p_contam / p_signal tends to sum_{j>=2} beta_j^2 / beta_1^2
+        # = 6 x 0.1^2 = 0.06 for MF and pilot MMSE, and to 0 as 1/M for
+        # perfect MMSE; over seeds 0-29 at M=200 the first two spanned
+        # 0.061-0.069 and M x the third 0.69-0.88
+        sc = parse_scenario("idealized-1")
+
+        def pooled_ratio(M, trials):
+            K = mc.users_per_cell(0.5, M)
+            contam, signal = np.zeros(3), np.zeros(3)
+            for t in range(trials):
+                real = mc.draw_channels(sc, K, M, seed_substream(1, "terms", t))
+                est = mc.pilot_estimate_noiseless(real)
+                for i, filt in enumerate((mc.matched_filter(est),
+                                          mc.mmse_filter_pilot(est, real),
+                                          mc.mmse_filter_perfect(real))):
+                    out = mc.empirical_sinr(filt, real)
+                    contam[i] += out.p_contam
+                    signal[i] += out.p_signal
+            return contam / signal
+
+        small, large = pooled_ratio(50, 200), pooled_ratio(200, 40)
+        for i in (0, 1):  # MF, pilot MMSE
+            assert abs(large[i] - 0.06) <= 0.015
+            assert abs(large[i] - 0.06) < abs(small[i] - 0.06)
+        assert 0.5 <= 200 * large[2] <= 1.2
 
 
 class TestConcentration:

@@ -347,6 +347,8 @@ class TestGainModelRanges:
     # each passed parsing and then ended in OverflowError (transmit power,
     # drop sampler) or ZeroDivisionError (noise power) on the first drop
     @example(field=("cost231-7cell", "tx_power_dbm"), value=4000.0)
+    # passed parsing, then its squared gains overflowed in the drop law
+    @example(field=("cost231-7cell", "tx_power_dbm"), value=2500.0)
     @example(field=("cost231-7cell", "noise_power_dbm"), value=-4000.0)
     @example(field=("cost231-7cell", "cell_radius_m"), value=1e308)
     def test_finite_value_parses_and_drops_or_is_refused(self, field, value):
@@ -355,9 +357,12 @@ class TestGainModelRanges:
         data["gain_model"][key] = value
         try:
             sc = scenario_from_dict(data)
-            FadingDistribution(sc.gain_matrix(4, seed_substream(0, "fuzz")).T)
+            law = FadingDistribution(
+                sc.gain_matrix(4, seed_substream(0, "fuzz")).T)
         except (ScenarioError, InvalidInputError):
-            pass
+            return
+        assert np.isfinite(law.est_gain).all()
+        assert np.isfinite(law.cross_est_gain).all()
 
 
 class TestScenarioBehaviour:
