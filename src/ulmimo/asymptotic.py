@@ -85,10 +85,14 @@ def _solve(fmap, dist: FadingDistribution, alpha: float, noise_var: float,
 
 def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float) -> float:
     """One application of the eta1 fixed-point map at x."""
-    e_total, _ = expect_total_gain(dist)
-    p = dist.est_gain
-    shrink = dist.expect(p * p * x / (1.0 + p * x))
-    return 1.0 / (noise_var + alpha * e_total - alpha * shrink)
+    # p p x / (1 + p x), in the law's scratch and in that order
+    num, den = dist._scratch
+    np.multiply(dist.est_gain_sq, x, out=num)
+    np.multiply(dist.est_gain, x, out=den)
+    den += 1.0
+    num /= den
+    shrink = dist.expect(num)
+    return 1.0 / (noise_var + alpha * dist.mean_total - alpha * shrink)
 
 
 def _eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
@@ -121,7 +125,7 @@ def solve_det_eq(dist: FadingDistribution, alpha: float,
     q = dist.cross_est_gain
     ratio = eta2 / eta1
     supp = dist.expect(
-        p * p * eta1 / (1.0 + p * eta1)
+        dist.est_gain_sq * eta1 / (1.0 + p * eta1)
         + ratio * p * q / (1.0 + p * eta1)
         + ratio * p * q / (1.0 + p * eta1) ** 2)
     e_total, _ = expect_total_gain(dist)
@@ -132,10 +136,14 @@ def solve_det_eq(dist: FadingDistribution, alpha: float,
 def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,
                      x: float) -> float:
     """One application of the perfect-estimate trace map at x."""
-    _, e_comp = expect_total_gain(dist)
+    # own / (1 + own x), in the law's scratch
     own = dist.own
-    return 1.0 / (noise_var + alpha * float(e_comp[1:].sum())
-                  + alpha * dist.expect(own / (1.0 + own * x)))
+    term = dist._scratch[0]
+    np.multiply(own, x, out=term)
+    term += 1.0
+    np.divide(own, term, out=term)
+    return 1.0 / (noise_var + alpha * dist.mean_other
+                  + alpha * dist.expect(term))
 
 
 def solve_eta1_perfect(dist: FadingDistribution, alpha: float,

@@ -8,6 +8,8 @@ collection of such samples and is the sole expectation operator used by
 the large-system solvers. Expectations are plain averages, so they are
 deterministic given the sample order, and numpy's pairwise summation
 keeps them independent of any partitioning to well below 1e-13 relative.
+The det-eq maps read per-law constants computed once here (``est_gain_sq``,
+``mean_total``, ``mean_other``) and fill the law's scratch, not temporaries.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ class FadingDistribution:
         self.est_gain = self.own**2 / self.total
         self.cross_est_gain = (gains[:, 1:] ** 2).sum(axis=1) / self.total
         self.mean_gains = self.weights @ gains
+        # Constants the det-eq maps read at every Picard step: est_gain^2
+        # per sample, E[B] and sum_{j>=2} E[beta_j]. The maps never nest or
+        # run concurrently, so one (2, n) scratch per law serves them all.
+        self.est_gain_sq = self.est_gain * self.est_gain
+        self.mean_total = float(self.mean_gains.sum())
+        self.mean_other = float(self.mean_gains[1:].sum())
+        self._scratch = np.empty((2, gains.shape[0]))
 
     @property
     def num_samples(self) -> int:
@@ -64,4 +73,4 @@ def expect_total_gain(dist: FadingDistribution) -> tuple[float, np.ndarray]:
     """E[B] and the per-cell means E[beta_j] of a fading distribution."""
     if not isinstance(dist, FadingDistribution):
         raise InvalidInputError("expected a FadingDistribution")
-    return float(dist.mean_gains.sum()), dist.mean_gains
+    return dist.mean_total, dist.mean_gains

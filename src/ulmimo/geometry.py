@@ -33,6 +33,12 @@ log = logging.getLogger(__name__)
 
 SQRT3 = np.sqrt(3.0)
 
+# Floor on every link gain: the drop law squares the gains, and 1e-150
+# squared is still a normal float. Shadow fades count to 10 standard
+# deviations (a normal draw exceeds that with probability below 1e-22).
+_GAIN_FLOOR_DB = -1500.0
+_SHADOW_FADE_SIGMAS = 10.0
+
 # unit normals of the three pairs of hexagon edges (30, 90, 150 degrees)
 _HEX_NORMALS = tuple(
     np.array([np.cos(a), np.sin(a)])
@@ -91,7 +97,8 @@ class Cost231Params:
         if not self.cell_radius_m > 0.0:
             raise InvalidInputError("cell radius must be positive")
         # the ring's centres sit sqrt(3) R out, its candidates R around them
-        if not math.isfinite((math.sqrt(3.0) + 1.0) * self.cell_radius_m):
+        edge_m = (math.sqrt(3.0) + 1.0) * self.cell_radius_m
+        if not math.isfinite(edge_m):
             raise InvalidInputError("cell radius too large for finite coordinates")
         # a path gain is clamped at 1, so no gain exceeds r; the drop law
         # sums up to seven squared gains, all finite when 1 + 7 r^2 is
@@ -121,6 +128,20 @@ class Cost231Params:
             raise InvalidInputError("noise bandwidth multiplier must be positive")
         if self.shadowing_sigma_db is not None and not self.shadowing_sigma_db >= 0.0:
             raise InvalidInputError("shadowing sigma must be nonnegative")
+        # the weakest gain large_scale_gains can give: a user at the ring's
+        # edge, under the deepest fade the sigma span allows
+        edge_db = 10.0 * math.log10(r) - cost231_pathloss_db(edge_m, self)
+        if not edge_db >= _GAIN_FLOOR_DB:
+            raise InvalidInputError(
+                f"cell_radius_m too large for the link budget: a user at the "
+                f"ring's edge gets {edge_db:.0f} dB, below the "
+                f"{_GAIN_FLOOR_DB:.0f} dB gain floor")
+        max_sigma_db = (edge_db - _GAIN_FLOOR_DB) / _SHADOW_FADE_SIGMAS
+        if not (self.shadowing_sigma_db or 0.0) <= max_sigma_db:
+            raise InvalidInputError(
+                f"shadowing_sigma_db above {max_sigma_db:.1f} dB: a 10-sigma "
+                f"fade at the ring's edge falls below the "
+                f"{_GAIN_FLOOR_DB:.0f} dB gain floor")
 
     @cached_property
     def pathloss_intercept_db(self) -> float:

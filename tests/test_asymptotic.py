@@ -10,6 +10,7 @@ from ulmimo.errors import (ConvergenceError, DegenerateRegimeError,
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream
+from ulmimo.scenario import parse_scenario
 
 
 def bisect_fixed_point(fmap, lo, hi, iters=200):
@@ -365,3 +366,49 @@ class TestStieltjes:
                 eta1, eta2 = point_mass_root(dist, alpha, 0.01)
                 assert abs(eta1 - det.eta1) <= 1e-8 * det.eta1
                 assert det.eta2 == pytest.approx(eta2, rel=1e-8)
+
+
+def _written_out_eta1_map(dist, alpha, noise_var, x):
+    p = dist.est_gain
+    shrink = float(dist.weights @ (p * p * x / (1.0 + p * x)))
+    return 1.0 / (noise_var + alpha * float(dist.mean_gains.sum())
+                  - alpha * shrink)
+
+
+def _written_out_eta1_perfect_map(dist, alpha, noise_var, x):
+    own = dist.own
+    return 1.0 / (noise_var + alpha * float(dist.mean_gains[1:].sum())
+                  + alpha * float(dist.weights @ (own / (1.0 + own * x))))
+
+
+class TestMapsInScratch:
+    """The maps fill the law's scratch rows in place of temporaries, and
+    return exactly the floats of their written-out formulas."""
+
+    MAPS = [(la.eta1_map, _written_out_eta1_map),
+            (la.eta1_perfect_map, _written_out_eta1_perfect_map)]
+    POINTS = [(0.2, 0.01, 3.7), (1.0, 1.0, 0.05), (0.5, 0.01, 100.0)]
+
+    @staticmethod
+    def laws():
+        drops = [parse_scenario("cost231-7cell").gain_matrix(
+            200, seed_substream(seed, "drop-law")) for seed in (0, 1)]
+        return [idealized_gains(7, 0.01),
+                FadingDistribution([[1.0, 0.5], [0.5, 0.25]]),
+                *(FadingDistribution(g.T) for g in drops)]
+
+    @pytest.mark.parametrize("fmap, formula", MAPS)
+    def test_map_equals_written_out_formula(self, fmap, formula):
+        for dist in self.laws():
+            for point in self.POINTS:
+                assert fmap(dist, *point) == formula(dist, *point)
+
+    @pytest.mark.parametrize("fmap", [fmap for fmap, _ in MAPS])
+    def test_alternating_laws_match_each_law_alone(self, fmap):
+        a, b = self.laws()[2:]
+        alone = [[fmap(d, *point) for point in self.POINTS] for d in (a, b)]
+        alternating = [[], []]
+        for point in self.POINTS:
+            for i, d in enumerate((a, b)):
+                alternating[i].append(fmap(d, *point))
+        assert alternating == alone

@@ -3,6 +3,8 @@ import pytest
 
 from ulmimo.errors import InvalidInputError
 from ulmimo.fading import FadingDistribution, expect_total_gain
+from ulmimo.rng import seed_substream
+from ulmimo.scenario import parse_scenario
 
 
 class TestFadingDistribution:
@@ -79,3 +81,24 @@ class TestFadingDistribution:
             FadingDistribution([0.0, 0.1])
         with pytest.raises(InvalidInputError):
             FadingDistribution([1.0, -0.1])
+
+
+def _laws():
+    """A point mass, a two-sample law and a 200-drop cost231 law."""
+    drops = parse_scenario("cost231-7cell").gain_matrix(
+        200, seed_substream(0, "drop-law"))
+    return [FadingDistribution([1.0] + [0.01] * 6),
+            FadingDistribution([[1.0, 0.5], [0.5, 0.25]]),
+            FadingDistribution(drops.T)]
+
+
+class TestPerLawConstants:
+    """The constants the det-eq maps read equal the expressions they replace."""
+
+    @pytest.mark.parametrize("dist", _laws(), ids=["point", "two", "cost231"])
+    def test_constants_equal_their_expressions(self, dist):
+        p = dist.est_gain
+        assert dist.est_gain_sq.tobytes() == (p * p).tobytes()
+        assert dist.mean_total == float(dist.mean_gains.sum())
+        assert dist.mean_other == float(dist.mean_gains[1:].sum())
+        assert expect_total_gain(dist)[0] == dist.mean_total

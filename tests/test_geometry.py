@@ -247,6 +247,35 @@ class TestLargeScaleGains:
         assert not np.array_equal(g1, g3)
 
 
+class TestWeakestGainBound:
+    """The radius and shadowing bounds put the weakest link gain, a user at
+    the ring's edge (sqrt(3) + 1) R out under a 10-sigma fade, at 1e-150."""
+
+    @staticmethod
+    def edge_gain_db(params):
+        edge = (SQ3 + 1.0) * params.cell_radius_m
+        return (10 * np.log10(params.tx_power_mw / params.noise_power_mw)
+                - geo.cost231_pathloss_db(edge, params))
+
+    def test_shadowing_bound(self):
+        sigma = (self.edge_gain_db(geo.Cost231Params()) + 1500.0) / 10.0
+        geo.Cost231Params(shadowing_sigma_db=sigma * (1 - 1e-9))
+        with pytest.raises(InvalidInputError, match="shadowing_sigma_db"):
+            geo.Cost231Params(shadowing_sigma_db=sigma * (1 + 1e-9))
+        # the deepest fade the bound allows keeps the gain's square normal
+        faded = 10 ** ((self.edge_gain_db(geo.Cost231Params()) - 10 * sigma) / 10)
+        assert faded ** 2 >= np.finfo(float).tiny
+
+    def test_radius_bound(self):
+        # the edge gain falls by the path-loss slope per decade of radius
+        params = geo.Cost231Params()
+        decades = (self.edge_gain_db(params) + 1500.0) / params.pathloss_slope_db
+        radius = params.cell_radius_m * 10 ** decades
+        geo.Cost231Params(cell_radius_m=radius * (1 - 1e-9))
+        with pytest.raises(InvalidInputError, match="cell_radius_m"):
+            geo.Cost231Params(cell_radius_m=radius * (1 + 1e-9))
+
+
 class TestIdealizedGains:
     def test_seven_cell_total(self):
         dist = geo.idealized_gains(7, 0.01)
