@@ -75,7 +75,11 @@ def _solve(fmap, dist: FadingDistribution, alpha: float, noise_var: float,
     x = 1.0 / (noise_var + alpha * e_total)
     residual = np.inf
     for _ in range(FIXED_POINT_MAX_ITER):
-        fx = fmap(dist, alpha, noise_var, x)
+        try:
+            fx = fmap(dist, alpha, noise_var, x)
+        except ZeroDivisionError:  # the map's denominator rounded to zero
+            raise ConvergenceError(
+                f"{what} fixed-point step divides by zero", residual) from None
         residual = abs(fx - x) / abs(x)
         if residual <= FIXED_POINT_TOL:
             return x

@@ -31,10 +31,12 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
 # exit code of each error class main catches, the first that matches wins:
-# a ConvergenceError is also a NumericalError
+# a ConvergenceError is also a NumericalError. main raises numpy's float
+# errors, so an overflow or NaN ends the run instead of reaching an output.
 _EXIT_CODES = ((ConvergenceError, EXIT_CONVERGENCE),
                (InvalidInputError, EXIT_CONFIG),
-               (NumericalError, EXIT_NUMERICAL))
+               (NumericalError, EXIT_NUMERICAL),
+               (FloatingPointError, EXIT_NUMERICAL))
 
 # glibc's mallopt parameters (<malloc.h>) and the values main sets. A Monte
 # Carlo trial allocates and frees the same arrays, from tens of KB to about
@@ -246,7 +248,8 @@ def main(argv=None) -> int:
     _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
-        return dispatch(args)
-    except (InvalidInputError, NumericalError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return dispatch(args)
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

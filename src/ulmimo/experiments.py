@@ -8,6 +8,7 @@ row can be recomputed from the metadata in its CSV header.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,8 +213,9 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     entries = scenario.cells * users_per_cell(grid[-1], M) * M
     if entries > MAX_TRIAL_ENTRIES:
         raise InvalidInputError(
-            f"a trial at M={M}, alpha={grid[-1]} holds {entries} channel "
-            f"entries, above the cap of {MAX_TRIAL_ENTRIES}")
+            f"a trial at M={reprlib.repr(M)}, alpha={grid[-1]} holds "
+            f"{reprlib.repr(entries)} channel entries, above the cap of "
+            f"{MAX_TRIAL_ENTRIES}")
     if len(grid) * len(filters) * trials > MAX_SWEEP_SAMPLES:
         raise InvalidInputError(
             f"{len(grid)} loadings x {len(filters)} filters x {trials} trials "

@@ -193,83 +193,58 @@ def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np
     return ok
 
 
-# Bound on the candidate points drawn in one call of drop_users: 7 cells of
-# up to 292 users share one draw, a 4,000-user cell draws alone.
+# Bound on the candidates of one round of drop_users: the first rounds of 7
+# cells of up to 292 users share one draw, a 4,000-user cell draws alone.
 _BLOCK_POINTS = 4096
-
-
-def _accepted(points: np.ndarray, centers: np.ndarray, radius_m: float,
-              exclusion_m: float) -> np.ndarray:
-    """Mask of (N, 2) candidates inside their cell and outside its exclusion disk."""
-    inside = points_in_hex(points, centers, radius_m)
-    rel = points - centers
-    return inside & (np.hypot(rel[:, 0], rel[:, 1]) >= exclusion_m)
 
 
 def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
                exclusion_m: float) -> UserDrop:
     """K uniform positions per cell, outside the serving-BS exclusion disk.
 
-    Rejection sampling from each cell's bounding square, deterministic given
-    the generator state and bit-identical to the per-cell loop it replaces:
-    cell by cell, draw max(2(K - got), 8) candidates and keep the accepted
-    ones in draw order until K are kept. The first round of a block of
-    consecutive cells is one draw. When a cell of the block keeps fewer
-    than K, the generator is rewound to the start of the block and advanced
-    past the first rounds up to that cell, which finishes with the per-cell
-    loop; the next block starts at the next cell.
+    Rejection sampling from each cell's bounding square, bit-identical to
+    the per-cell loop: cell by cell, draw max(2(K - got), 8) candidates and
+    keep the accepted ones in draw order until K are kept. A cell's first
+    round is drawn with those of the cells after it in its block; a cell
+    that comes up short keeps what it accepted, the PCG64 stream jumps back
+    over the later cells' rounds, and the cell finishes alone.
     """
     if K < 1:
         raise InvalidInputError("K must be at least 1")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise InvalidInputError("drop_users needs a PCG64-backed generator")
     R = layout.radius_m
     # a NaN or wider disk would leave the rejection loop spinning
     if not 0.0 <= exclusion_m <= SQRT3 / 2.0 * R:
         raise InvalidInputError(
             "exclusion radius must lie between 0 and the cell apothem")
-    n = max(2 * K, 8)
-    per_block = max(1, _BLOCK_POINTS // n)
+    per_block = max(1, _BLOCK_POINTS // max(2 * K, 8))
     pos = np.empty((layout.num_cells, K, 2))
-    j = 0
-    while j < layout.num_cells:
-        g = min(per_block, layout.num_cells - j)
-        centers = np.repeat(layout.centers[j:j + g], n, axis=0)
-        state = rng.bit_generator.state if g > 1 else None
+    flat = pos.reshape(-1, 2)  # cell j, slot got is row j K + got
+    filled, alone = 0, False
+    while filled < flat.shape[0]:
+        j, got = divmod(filled, K)
+        g = 1 if alone else min(per_block, layout.num_cells - j)
+        need = K - got
+        m = max(2 * need, 8)
+        centers = np.repeat(layout.centers[j:j + g], m, axis=0)
         cand = centers + rng.uniform(-R, R, size=centers.shape)
-        keep = _accepted(cand, centers, R, exclusion_m).reshape(g, n)
+        keep = (points_in_hex(cand, centers, R)
+                & (np.hypot(*(cand - centers).T) >= exclusion_m)).reshape(g, m)
         kept = np.cumsum(keep, axis=1)
-        short = np.flatnonzero(kept[:, -1] < K)
+        short = np.flatnonzero(kept[:, -1] < need)
         full = int(short[0]) if short.size else g
-        # each full cell takes its first K accepted candidates
-        take = keep & (kept <= K)
-        take[full:] = False
-        pos[j:j + full] = cand.compress(take.ravel(), axis=0).reshape(full, K, 2)
-        j += full
-        if full == g:
-            continue
+        # full cells take their first `need` accepted candidates, a short
+        # one all of its own, and the cells after it none
+        take = keep & (kept <= need)
+        take[full + 1:] = False
+        rows = cand.compress(take.ravel(), axis=0)
+        flat[filled:filled + rows.shape[0]] = rows
+        filled += rows.shape[0]
+        alone = full < g  # a short cell's next round is its own
         if full + 1 < g:
-            rng.bit_generator.state = state
-            rng.uniform(-R, R, size=(full + 1) * n * 2)
-        short_cand = cand[full * n:(full + 1) * n]
-        _finish_cell(pos[j], short_cand[keep[full]], layout.centers[j], R,
-                     exclusion_m, rng)
-        j += 1
+            rng.bit_generator.advance((-2 * m * (g - full - 1)) % 2**128)
     return UserDrop(positions=pos, layout=layout)
-
-
-def _finish_cell(out: np.ndarray, kept: np.ndarray, center: np.ndarray,
-                 radius_m: float, exclusion_m: float,
-                 rng: np.random.Generator) -> None:
-    """Fill ``out`` with ``kept`` and then further rounds of the per-cell loop."""
-    K = out.shape[0]
-    got = kept.shape[0]
-    out[:got] = kept
-    while got < K:
-        cand = center + rng.uniform(-radius_m, radius_m,
-                                    size=(max(2 * (K - got), 8), 2))
-        cand = cand[_accepted(cand, center, radius_m, exclusion_m)]
-        take = min(K - got, cand.shape[0])
-        out[got:got + take] = cand[:take]
-        got += take
 
 
 def cost231_pathloss_db(distance_m, params: Cost231Params):

@@ -16,6 +16,7 @@ C heap's thresholds so that they stay in the heap between trials.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +84,16 @@ class SinrBreakdown:
 def users_per_cell(alpha: float, M: int) -> int:
     """K = round(alpha * M); the limit treats alpha as exact, finite M rounds."""
     if M < 1:
-        raise InvalidInputError(f"the antenna count must be at least 1, got {M}")
-    K = int(round(alpha * M))
+        raise InvalidInputError(
+            f"the antenna count must be at least 1, got {reprlib.repr(M)}")
+    try:
+        K = int(round(alpha * M))
+    except OverflowError:  # M past the float range, or alpha * M infinite
+        raise InvalidInputError(
+            f"alpha={alpha} times M={reprlib.repr(M)} overflows") from None
     if K < 1:
         raise InvalidInputError(
-            f"alpha={alpha} with M={M} rounds to zero users per cell")
+            f"alpha={alpha} with M={reprlib.repr(M)} rounds to zero users per cell")
     return K
 
 
@@ -225,13 +231,14 @@ def theta_effective(real: ChannelRealization,
 
 def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
                             b: np.ndarray) -> np.ndarray:
-    """Solve (V diag(d) V^H + reg I) c = b for tall V.
+    """Solve A c = b, A = V diag(d) V^H + reg I, for tall V.
 
     The column count n picks the path: the rank-n subspace solve when n
-    stays below M/2, the dense LU solve otherwise. A single refinement
-    step, which factors the matrix again, enforces the residual contract.
-    A non-finite residual, as a NaN in V or b leaves, breaks the contract
-    like a large one.
+    stays below M/2, the dense LU solve otherwise. The solution, refined
+    once (factoring again) if need be, must have a normwise backward error
+    ||b - A c|| / (||A|| ||c|| + ||b||) of at most LINEAR_SOLVE_TOL, with
+    ||A|| bounded by reg + max(d) ||V||_F^2. A NaN in V or b breaks that
+    contract like a large error.
     """
     M, n = V.shape
     Vh = V.conj().T
@@ -252,16 +259,19 @@ def _solve_regularized_gram(V: np.ndarray, d: np.ndarray, reg: float,
         def solve(rhs):
             return np.linalg.solve(S, rhs)
 
-    bnorm = np.linalg.norm(b) or 1.0  # b = 0 is solved exactly by c = 0
+    a_norm = reg + d.max(initial=0.0) * np.vdot(Vh, Vh).real
+    b_norm = np.linalg.norm(b)
     c = solve(b)
-    r = b - matvec(c)
-    if not np.linalg.norm(r) / bnorm <= LINEAR_SOLVE_TOL:
-        c = c + solve(r)
-        residual = np.linalg.norm(b - matvec(c)) / bnorm
-        if not residual <= LINEAR_SOLVE_TOL:
-            raise NumericalError(
-                f"filter solve residual {residual:.3e} above {LINEAR_SOLVE_TOL}")
-    return c
+    for refined in (False, True):
+        r = b - matvec(c)
+        # b = 0 is solved exactly by c = 0
+        error = np.linalg.norm(r) / ((a_norm * np.linalg.norm(c) + b_norm) or 1.0)
+        if error <= LINEAR_SOLVE_TOL:
+            return c
+        if not refined:
+            c = c + solve(r)
+    raise NumericalError(f"filter solve residual {error:.3e} above "
+                         f"{LINEAR_SOLVE_TOL} (normwise backward error)")
 
 
 def mmse_filter_pilot(est: EstimateSet, real: ChannelRealization) -> np.ndarray:

@@ -30,6 +30,10 @@ SCHEMA_VERSION = 1
 # cap on cells: the idealized rate table holds a (cells, 10,000) gain array
 MAX_CELLS = 100
 
+# cap on noise_var, mirroring the drop model's 1e-150 gain floor: past it
+# eta1**-2 overflows and the simulated powers underflow to zero
+MAX_NOISE_VAR = 1e150
+
 # pilot SNR range in dB, wide enough for any link and keeping 10**(x/10) finite
 PILOT_SNR_DB_RANGE = (-100.0, 100.0)
 
@@ -101,8 +105,9 @@ class Scenario:
             raise ScenarioError(f"cells must lie in [1, {MAX_CELLS}]")
         if not self.alpha > 0.0:
             raise ScenarioError("alpha must be positive")
-        if not self.noise_var > 0.0:
-            raise ScenarioError("noise_var must be positive")
+        if not 0.0 < self.noise_var <= MAX_NOISE_VAR:
+            raise ScenarioError(
+                f"noise_var must lie in (0, {MAX_NOISE_VAR:g}]")
         if not self.is_idealized and self.cells not in (1, 7):
             raise ScenarioError("cost231 scenarios need cells = 1 or 7")
 

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import itertools
 import json
+import tempfile
 import subprocess
 import sys
 import warnings
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulmimo import asymptotic as la
 from ulmimo import cli, errors
@@ -18,7 +23,7 @@ from ulmimo.errors import (ConditioningError, ConvergenceError,
                            NumericalError, ScenarioError)
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream, substream_key
-from ulmimo.scenario import (parse_scenario, scenario_to_dict,
+from ulmimo.scenario import (MAX_NOISE_VAR, parse_scenario, scenario_to_dict,
                              serialize_scenario)
 
 # frozen after the first verified run of `asymptotic` on idealized-01 with
@@ -141,6 +146,24 @@ def cost231_scenario_file(tmp_path, **gain_model):
     path = tmp_path / "cost231-edited.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def scenario_file(directory, base="idealized-01", **top):
+    """A bundled scenario written to a file with some top-level fields replaced."""
+    data = scenario_to_dict(parse_scenario(base))
+    data.update(top)
+    path = Path(directory) / f"{base}-edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+# one short run of each command that reads a scenario's noise_var
+SHORT_RUNS = {
+    "asymptotic": ("asymptotic",),
+    "rates": ("rates", "--alpha", "0.5"),
+    "montecarlo": ("montecarlo", "--antennas", "8", "--trials", "3",
+                   "--alpha", "0.5,1.0"),
+}
 
 
 class TestSubstreams:
@@ -576,6 +599,76 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    # both passed parsing, then asymptotic and rates ended in an
+    # OverflowError traceback at eta1**-2, montecarlo in a ZeroDivisionError
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    @pytest.mark.parametrize("noise_var", [1e155, 1e200])
+    def test_noise_var_above_cap_fails_at_parse(self, tmp_path, capsys,
+                                                command, noise_var):
+        path = scenario_file(tmp_path, noise_var=noise_var)
+        out = tmp_path / "o"
+        assert cli.main([*SHORT_RUNS[command], "--scenario", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "noise_var" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    def test_noise_var_at_cap_runs(self, tmp_path, command):
+        path = scenario_file(tmp_path, noise_var=1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*SHORT_RUNS[command], "--scenario", str(path),
+                             "--out", str(tmp_path / "o")]) == 0
+
+    # an antenna count past the float range ended in an OverflowError
+    # traceback at alpha * M; one inside it was refused by the trial cap
+    # with every digit of M and of the entry count printed
+    @pytest.mark.parametrize("antennas, reason", [
+        (10 ** 400, "overflows"), (10 ** 300, "above the cap")],
+        ids=["past-float-range", "huge"])
+    @pytest.mark.parametrize("argv", [
+        ("montecarlo", "--trials", "3"), ("percentile", "--trials", "20"),
+        ("rates", "--trials", "20")], ids=["montecarlo", "percentile", "rates"])
+    def test_antennas_past_float_range_is_config_error(
+            self, tmp_path, capsys, monkeypatch, argv, antennas, reason):
+        def fail(*args, **kwargs):
+            raise AssertionError("gains drawn")
+        monkeypatch.setattr(cli.Scenario, "gain_matrix", fail)
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--antennas", str(antennas),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and len(err) < 200
+        assert not out.exists()
+
+    # once shrink rounds to mean_total, the eta1 map's denominator is
+    # noise_var + alpha mean_total - alpha shrink = 0 and ended in a
+    # ZeroDivisionError traceback
+    def test_eta1_step_dividing_by_zero_is_convergence_error(self, tmp_path,
+                                                             capsys):
+        path = scenario_file(tmp_path, cells=1, noise_var=1e-20)
+        out = tmp_path / "o"
+        assert cli.main(["asymptotic", "--scenario", str(path),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta1 fixed-point step divides by zero")
+        assert not out.exists()
+
+    # the one-cell pilot-MMSE filter is about b / noise_var, whose norm
+    # overflows: numpy warned and the run went on with inf and NaN
+    def test_float_overflow_is_numerical_error(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, cells=1, noise_var=1e-300)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*SHORT_RUNS["montecarlo"], "--scenario",
+                             str(path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: overflow encountered in dot\n")
+        assert not out.exists()
+
     # an integer of more than 4300 digits ended in a ValueError traceback
     @pytest.mark.parametrize("field", ['"cells": 7', '"noise_var": 1.0'],
                              ids=["cells", "noise_var"])
@@ -592,6 +685,50 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@st.composite
+def accepted_scenarios(draw):
+    """Scenarios parsing accepts: idealized cells 1-8 with beta_other in
+    (0, 1), or COST231 with 1 or 7 cells; noise_var log-uniform from the
+    smallest positive float to the cap."""
+    least = np.nextafter(0.0, 1.0)
+    exponent = draw(st.floats(np.log10(least), np.log10(MAX_NOISE_VAR)))
+    top = {"noise_var": float(np.clip(10.0 ** exponent, least, MAX_NOISE_VAR))}
+    if draw(st.booleans()):
+        top["cells"] = draw(st.integers(1, 8))
+        top["gain_model"] = {"kind": "idealized", "beta_other": draw(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))}
+        return "idealized-01", top
+    top["cells"] = draw(st.sampled_from([1, 7]))
+    return "cost231-7cell", top
+
+
+class TestAcceptedScenariosExitCleanly:
+    """Any scenario that parses runs to a documented exit: 0, or 2, 3 or 4
+    with one error line, and no exception or warning escapes."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(accepted_scenarios())
+    def test_short_runs(self, case):
+        base, top = case
+        runs = [run for name, run in SHORT_RUNS.items()
+                if name != "asymptotic" or base.startswith("idealized")]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = scenario_file(tmp, base, **top)
+            for run in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = cli.main([*run, "--scenario", str(path),
+                                     "--out", str(Path(tmp) / run[0])])
+                assert code in (0, 2, 3, 4), (run, top)
+                lines = err.getvalue().splitlines()
+                if code:
+                    assert len(lines) == 1, (run, top, lines)
+                    assert lines[0].startswith("error: "), (run, top)
+                else:
+                    assert not lines, (run, top, lines)
 
 
 class TestDispatch:
@@ -671,6 +808,14 @@ class TestDispatch:
         assert "cannot write outputs: disk full" in capsys.readouterr().err
         assert len(writes) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    # the single-cell pilot-MMSE filter is about b / noise_var, and its
+    # residual relative to ||b|| (2.8e-10) failed the solve with exit 4
+    @pytest.mark.parametrize("command", ["montecarlo", "percentile"])
+    def test_single_cell_cost231_simulates(self, tmp_path, command):
+        path = scenario_file(tmp_path, "cost231-7cell", cells=1)
+        assert cli.main([command, "--scenario", str(path), "--trials", "20",
+                         "--out", str(tmp_path / "o")]) == 0
 
     def test_montecarlo_filter_subset(self, tmp_path):
         out = tmp_path / "mc"

@@ -64,6 +64,46 @@ class TestDropUsers:
             geo.drop_users(geo.hex_layout(7, 1000.0), 5, seed_substream(0, "x"),
                            exclusion_m)
 
+    # the sampler jumps the stream back by a count of 64-bit PCG64 draws;
+    # other bit generators lack the jump or count it in other units
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                               np.random.Philox,
+                                               np.random.SFC64])
+    def test_non_pcg64_generator_refused(self, bit_generator):
+        rng = np.random.Generator(bit_generator(0))
+        with pytest.raises(InvalidInputError, match="PCG64"):
+            geo.drop_users(geo.hex_layout(7, 1000.0), 5, rng, 35.0)
+        # refused before any draw
+        assert rng.random() == np.random.Generator(bit_generator(0)).random()
+
+    def test_short_cell_finishes_alone(self, monkeypatch):
+        """A block's first round tests n candidates per cell; after its first
+        short cell, that cell's later rounds test only its own candidates,
+        also when its first round kept none, and the next block starts at
+        the cell after it. Positions and stream never show the difference,
+        so the candidate count is checked against the per-cell loop's rounds."""
+        # at the apothem about 6% of candidates pass, so a K = 1 cell keeps
+        # none of its first 8 about 60% of the time
+        layout, exclusion_m = geo.hex_layout(7, 1000.0), SQ3 / 2.0 * 1000.0
+        tested = []
+        points_in_hex = geo.points_in_hex
+
+        def counted(points, center, radius_m):
+            tested.append((len(points), tuple(np.atleast_2d(center)[0])))
+            return points_in_hex(points, center, radius_m)
+
+        monkeypatch.setattr(geo, "points_in_hex", counted)
+        for seed in range(20):
+            tested.clear()
+            sequential_drop(layout, 1, seed_substream(seed, "alone"), exclusion_m)
+            rounds = [sum(c == tuple(center) for _, c in tested)
+                      for center in layout.centers]
+            starts = [0] + [j + 1 for j in range(6) if rounds[j] > 1]
+            expected = 8 * sum(7 - j for j in starts) + 8 * (sum(rounds) - 7)
+            tested.clear()
+            geo.drop_users(layout, 1, seed_substream(seed, "alone"), exclusion_m)
+            assert sum(n for n, _ in tested) == expected, seed
+
     def test_uniformity_chi_square_sextants(self):
         layout = geo.hex_layout(1, 1000.0)
         drop = geo.drop_users(layout, 100_000, seed_substream(7, "drop"),

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -339,6 +340,39 @@ class TestFilters:
         b = np.sqrt(real.gains[0, 0]) * est.estimates[0]
         resid = np.linalg.norm(S @ filt - b) / np.linalg.norm(b)
         assert resid <= 1e-10
+
+    # One cell at noise_var 1e-10: user 1's estimate lies outside the
+    # interferers' span, so the filter is about b / 1e-10 and the residual
+    # relative to ||b|| reads about 1e-6 however accurate the solve. K = 3
+    # leaves 2 interferers at M = 8 (low-rank path), K = 6 leaves 5 (dense).
+    @pytest.mark.parametrize("K", [3, 6], ids=["lowrank", "dense"])
+    def test_high_snr_solve_against_40_digit_solve(self, K):
+        def mp_vector(x):
+            return mpmath.matrix([mpmath.mpc(complex(v)) for v in x])
+
+        for seed in range(5):
+            real = idealized_realization(8, K, B=1, noise_var=1e-10, seed=seed)
+            est = mc.pilot_estimate_noiseless(real)
+            filt = mc.mmse_filter_pilot(est, real)
+            t1, t2 = mc.theta_effective(real, est)
+            with mpmath.workdps(40):
+                S = mpmath.mpf(t1 + t2 + real.noise_var) * mpmath.eye(8)
+                for k in range(1, K):
+                    v = mp_vector(est.estimates[k])
+                    S += mpmath.mpf(real.gains[0, k]) * (v * v.H)
+                b = mp_vector(np.sqrt(real.gains[0, 0]) * est.estimates[0])
+                c = mp_vector(filt)
+                exact = mpmath.lu_solve(S, b)
+                residual = mpmath.norm(S * c - b)
+                backward = residual / (mpmath.mnorm(S, "f") * mpmath.norm(c)
+                                       + mpmath.norm(b))
+            assert residual / mpmath.norm(b) > mc.LINEAR_SOLVE_TOL
+            assert backward <= 1e-15
+            # the SINR is stationary at the exact filter
+            exact_sinr = mc.empirical_sinr(
+                np.array([complex(v) for v in exact]), real).sinr
+            assert mc.empirical_sinr(filt, real).sinr == pytest.approx(
+                exact_sinr, rel=1e-11)
 
     # at M = 16, K = 4 leaves 3 interferers (low-rank path), K = 12 leaves 11
     @pytest.mark.parametrize("K", [4, 12], ids=["lowrank", "dense"])
