@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateRegimeError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, NumericalError
 from .fading import FadingDistribution, expect_total_gain
 
 FIXED_POINT_TOL = 1e-12
@@ -107,7 +107,7 @@ def _eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
         return eta1 * eta1
     denom = eta1**-2 - subtrahend
     if denom <= 0.0:
-        raise DegenerateRegimeError(
+        raise NumericalError(
             "second trace moment has non-positive denominator; the "
             "large-system limit does not exist for this distribution")
     # eta2 >= eta1^2 (Cauchy-Schwarz); a subtrahend below the rounding of

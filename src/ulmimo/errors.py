@@ -1,17 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per CLI exit code.
 
-The CLI maps these onto distinct exit codes: invalid inputs and scenario
-problems are configuration errors, non-convergence of a fixed-point solve
-is reported separately from other numerical failures.
+``InvalidInputError`` (a bad argument or scenario) exits 2,
+``ConvergenceError`` (a fixed point that did not converge) exits 3, and
+``NumericalError`` (any other untrustworthy numerical result) exits 4.
 """
 
 
 class InvalidInputError(ValueError):
-    """An argument violates a documented precondition."""
-
-
-class ScenarioError(InvalidInputError):
-    """A scenario file failed to parse or validate."""
+    """An argument or scenario violates a documented precondition."""
 
 
 class NumericalError(RuntimeError):
@@ -28,16 +24,3 @@ class ConvergenceError(NumericalError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last relative residual {residual:.3e})")
         self.residual = residual
-
-
-class DegenerateRegimeError(NumericalError):
-    """The large-system equations have no valid solution for this input.
-
-    Raised when the second-moment denominator is non-positive; the input
-    distribution violates the applicability of the limit theorem and is
-    never silently regularized.
-    """
-
-
-class ConditioningError(NumericalError):
-    """A linear system was too ill-conditioned to solve reliably."""

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotic import det_eq_sinr_rows, to_db
-from .errors import InvalidInputError, ScenarioError
+from .errors import InvalidInputError
 from .fading import FadingDistribution
 from .geometry import idealized_gains
 from .montecarlo import (draw_channels, empirical_sinr, generate_pilot_sequences,
@@ -109,7 +109,7 @@ def _check_alpha_grid(alpha_grid) -> list[float]:
 
 def _check_idealized(scenario: Scenario, runner: str) -> None:
     if not scenario.is_idealized:
-        raise ScenarioError(
+        raise InvalidInputError(
             f"{runner} sweeps need an idealized scenario; use the "
             "percentile or rates runners for drop-based models")
 
@@ -343,7 +343,7 @@ def rate_table(scenario: Scenario, M: int | None, alpha_grid,
     if trials is not None:
         for a in grid:
             if users_per_cell(a, M) < 3:
-                raise ScenarioError(
+                raise InvalidInputError(
                     f"alpha={a}, M={M} gives fewer than 3 users per cell; "
                     "refusing to extrapolate the rate table")
         columns += ["rate_pilot_mc", "rate_perfect_mc"]

@@ -124,8 +124,6 @@ class Cost231Params:
             raise InvalidInputError(
                 "exclusion radius must be positive and not exceed the cell "
                 f"apothem ({apothem:.1f} m)")
-        if not self.noise_bandwidth_hz > 0.0:
-            raise InvalidInputError("noise bandwidth multiplier must be positive")
         if self.shadowing_sigma_db is not None and not self.shadowing_sigma_db >= 0.0:
             raise InvalidInputError("shadowing sigma must be nonnegative")
         # the weakest gain large_scale_gains can give: a user at the ring's

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConditioningError, InvalidInputError, NumericalError)
+from .errors import InvalidInputError, NumericalError
 from .rng import complex_gaussian
 
 LINEAR_SOLVE_TOL = 1e-10
@@ -202,7 +202,7 @@ def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
     lam = np.linalg.eigvalsh(A)
     cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
     if cond > TRAINING_COND_LIMIT:
-        raise ConditioningError(
+        raise NumericalError(
             f"training matrix condition number {cond:.3e} exceeds "
             f"{TRAINING_COND_LIMIT:.0e}")
     X = np.linalg.solve(A, sequences[0].T)  # columns A^-1 Psi_1k

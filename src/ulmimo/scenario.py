@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import InvalidInputError, ScenarioError
+from .errors import InvalidInputError
 from .geometry import Cost231Params, hex_layout
 
 SCHEMA_VERSION = 1
@@ -48,7 +48,7 @@ class IdealizedGains:
 
     def __post_init__(self):
         if not 0.0 < self.beta_other < 1.0:
-            raise ScenarioError("beta_other must lie in (0, 1)")
+            raise InvalidInputError("beta_other must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,10 @@ class PilotSettings:
 
     def __post_init__(self):
         if self.mode not in _PILOT_MODES:
-            raise ScenarioError(f"unknown pilot mode {self.mode!r}")
+            raise InvalidInputError(f"unknown pilot mode {self.mode!r}")
         lo, hi = PILOT_SNR_DB_RANGE
         if not lo <= self.pilot_snr_db <= hi:
-            raise ScenarioError(f"pilot_snr_db must lie in [{lo:g}, {hi:g}] dB")
+            raise InvalidInputError(f"pilot_snr_db must lie in [{lo:g}, {hi:g}] dB")
 
     @property
     def pilot_snr(self) -> float:
@@ -83,7 +83,7 @@ class Coherence:
 
     def __post_init__(self):
         if not (1 <= self.symbols and 1 <= self.subcarriers):
-            raise ScenarioError("coherence block must be at least 1x1")
+            raise InvalidInputError("coherence block must be at least 1x1")
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,17 @@ class Scenario:
     def __post_init__(self):
         # the name is one value of the CSV header's space-separated key=value
         if not self.name or not self.name.isprintable() or " " in self.name:
-            raise ScenarioError(
+            raise InvalidInputError(
                 "name must be non-empty printable text without whitespace")
         if not 1 <= self.cells <= MAX_CELLS:
-            raise ScenarioError(f"cells must lie in [1, {MAX_CELLS}]")
+            raise InvalidInputError(f"cells must lie in [1, {MAX_CELLS}]")
         if not self.alpha > 0.0:
-            raise ScenarioError("alpha must be positive")
+            raise InvalidInputError("alpha must be positive")
         if not 0.0 < self.noise_var <= MAX_NOISE_VAR:
-            raise ScenarioError(
+            raise InvalidInputError(
                 f"noise_var must lie in (0, {MAX_NOISE_VAR:g}]")
         if not self.is_idealized and self.cells not in (1, 7):
-            raise ScenarioError("cost231 scenarios need cells = 1 or 7")
+            raise InvalidInputError("cost231 scenarios need cells = 1 or 7")
 
     @property
     def is_idealized(self) -> bool:
@@ -120,7 +120,7 @@ class Scenario:
         """Cell layout of a drop scenario, built on first use and kept for
         the scenario's life; idealized cells have no geometry."""
         if self.is_idealized:
-            raise ScenarioError("an idealized scenario has no cell layout")
+            raise InvalidInputError("an idealized scenario has no cell layout")
         return hex_layout(self.cells, self.gain_model.cell_radius_m)
 
     def gain_matrix(self, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,19 +169,19 @@ def _take(mapping: dict, where: str, cls, **extra: str) -> dict:
                          f.type)
     unknown = set(mapping) - set(known)
     if unknown:
-        raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
+        raise InvalidInputError(f"unknown field(s) in {where}: {sorted(unknown)}")
     out = {}
     for key, (required, kind) in known.items():
         if key in mapping:
             value = mapping[key]
             if not _has_kind(value, kind):
-                raise ScenarioError(
+                raise InvalidInputError(
                     f"{where}.{key} must be "
                     f"{_KIND_NAMES.get(kind, 'a JSON object')}, "
                     f"got {reprlib.repr(value)}")
             out[key] = value
         elif required:
-            raise ScenarioError(f"missing required field {key!r} in {where}")
+            raise InvalidInputError(f"missing required field {key!r} in {where}")
     return out
 
 
@@ -193,26 +193,21 @@ def scenario_from_dict(data: dict) -> Scenario:
     top = _take(data, "scenario", Scenario, schema="int")
     schema = top.pop("schema")
     if schema != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema version {schema!r}")
+        raise InvalidInputError(f"unsupported schema version {schema!r}")
 
     gm = dict(top["gain_model"])
     kind = gm.pop("kind", None)
     model = _GAIN_MODELS.get(kind) if isinstance(kind, str) else None
     if model is None:
-        raise ScenarioError(f"unknown gain model kind {kind!r}")
-    try:
-        top.update(
-            alpha=float(top["alpha"]), noise_var=float(top["noise_var"]),
-            gain_model=model(**_take(gm, "gain_model", model)),
-            pilot=PilotSettings(**_take(top.get("pilot", {}), "pilot",
-                                        PilotSettings)),
-            coherence=Coherence(**_take(top.get("coherence", {}), "coherence",
-                                        Coherence)))
-        return Scenario(**top)
-    except ScenarioError:
-        raise
-    except InvalidInputError as exc:  # the geometry's own range checks
-        raise ScenarioError(str(exc)) from exc
+        raise InvalidInputError(f"unknown gain model kind {kind!r}")
+    top.update(
+        alpha=float(top["alpha"]), noise_var=float(top["noise_var"]),
+        gain_model=model(**_take(gm, "gain_model", model)),
+        pilot=PilotSettings(**_take(top.get("pilot", {}), "pilot",
+                                    PilotSettings)),
+        coherence=Coherence(**_take(top.get("coherence", {}), "coherence",
+                                    Coherence)))
+    return Scenario(**top)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -244,23 +239,23 @@ def parse_scenario(path: str | Path) -> Scenario:
         bundle = resources.files("ulmimo") / "scenarios" / f"{path}.json"
         if bundle.is_file():
             return _parse_text(bundle.read_text(), str(path))
-        raise ScenarioError(f"scenario file not found: {path}")
+        raise InvalidInputError(f"scenario file not found: {path}")
     try:
         text = candidate.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
+        raise InvalidInputError(f"{path}: cannot read scenario: {exc}") from exc
     return _parse_text(text, str(path))
 
 
 def _refuse_constant(name: str):
-    raise ScenarioError(f"{name} is not a number a scenario may hold")
+    raise InvalidInputError(f"{name} is not a number a scenario may hold")
 
 
 def _unique_keys(pairs: list) -> dict:
     seen = set()
     for key, _ in pairs:
         if key in seen:
-            raise ScenarioError(f"key {key!r} appears twice in one object")
+            raise InvalidInputError(f"key {key!r} appears twice in one object")
         seen.add(key)
     return dict(pairs)
 
@@ -270,16 +265,16 @@ def _parse_text(text: str, origin: str) -> Scenario:
         data = json.loads(text, parse_constant=_refuse_constant,
                           object_pairs_hook=_unique_keys)
         if not isinstance(data, dict):
-            raise ScenarioError("scenario must be a JSON object")
+            raise InvalidInputError("scenario must be a JSON object")
         return scenario_from_dict(data)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(
+        raise InvalidInputError(
             f"{origin}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
     except RecursionError as exc:
-        raise ScenarioError(f"{origin}: JSON nested too deeply") from exc
-    except ScenarioError as exc:
-        raise ScenarioError(f"{origin}: {exc}") from exc
+        raise InvalidInputError(f"{origin}: JSON nested too deeply") from exc
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{origin}: {exc}") from exc
     except ValueError as exc:  # an integer past int's digit limit
         # the message's advice after ';' names a Python call, not an input
-        raise ScenarioError(f"{origin}: {str(exc).partition(';')[0]}") from exc
+        raise InvalidInputError(f"{origin}: {str(exc).partition(';')[0]}") from exc

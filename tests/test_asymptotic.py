@@ -5,8 +5,7 @@ import pytest
 
 from ulmimo import asymptotic as la
 from ulmimo import montecarlo as mc
-from ulmimo.errors import (ConvergenceError, DegenerateRegimeError,
-                           InvalidInputError)
+from ulmimo.errors import ConvergenceError, InvalidInputError, NumericalError
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream
@@ -91,7 +90,7 @@ class TestEta2:
         # an eta1 inconsistent with (dist, alpha) can push the denominator
         # negative; the failure must surface, never a clamped value
         dist = FadingDistribution([1.0])
-        with pytest.raises(DegenerateRegimeError):
+        with pytest.raises(NumericalError, match="non-positive denominator"):
             la._eta2(dist, 2.0, 10.0)
 
 

@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from ulmimo import asymptotic as la
 from ulmimo import cli, errors
 from ulmimo import rng as rng_module
-from ulmimo.errors import (ConditioningError, ConvergenceError,
-                           DegenerateRegimeError, InvalidInputError,
-                           NumericalError, ScenarioError)
+from ulmimo.errors import ConvergenceError, InvalidInputError, NumericalError
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream, substream_key
 from ulmimo.scenario import (MAX_NOISE_VAR, parse_scenario, scenario_to_dict,
@@ -218,9 +216,9 @@ class TestExitCodes:
 
     # every exception class ulmimo.errors defines, by the exit code main
     # gives it
-    EXIT_CODES = {2: (InvalidInputError, ScenarioError),
+    EXIT_CODES = {2: (InvalidInputError,),
                   3: (ConvergenceError,),
-                  4: (NumericalError, DegenerateRegimeError, ConditioningError)}
+                  4: (NumericalError,)}
 
     def _check_exit_code(self, monkeypatch, code):
         for cls in self.EXIT_CODES[code]:
@@ -528,17 +526,29 @@ class TestExitCodes:
     # end in an OverflowError traceback, and NaN shadowing to turn it off;
     # the finite link budgets and radius below passed parsing and then ended
     # in an OverflowError or ZeroDivisionError traceback, the last one in a
-    # nan fixed point once its squared gains overflowed
+    # nan fixed point once its squared gains overflowed. A zero, negative or
+    # subnormal noise bandwidth makes the noise power zero or negative, so the
+    # link-budget check refuses it
     @pytest.mark.parametrize("field, value", [
         ("exclusion_radius_m", float("nan")), ("cell_radius_m", float("nan")),
         ("cell_radius_m", float("inf")), ("shadowing_sigma_db", float("nan")),
         ("tx_power_dbm", 4000.0), ("noise_power_dbm", -4000.0),
-        ("cell_radius_m", 1e308), ("tx_power_dbm", 2500.0)])
+        ("cell_radius_m", 1e308), ("tx_power_dbm", 2500.0),
+        ("noise_bandwidth_hz", 0), ("noise_bandwidth_hz", -1.0),
+        ("noise_bandwidth_hz", 1e-320), ("noise_bandwidth_hz", -0.0)])
     def test_non_finite_geometry_fails_at_parse(self, tmp_path, field, value):
         proc = self.run_rates(
             tmp_path, cost231_scenario_file(tmp_path, **{field: value}))
+        message = ("is not a number a scenario may hold"
+                   if not np.isfinite(value)
+                   else "cell radius too large for finite coordinates"
+                   if field == "cell_radius_m"
+                   else "transmit power, noise power and their ratio must be "
+                        "finite and positive, and 7 times the ratio squared "
+                        "finite")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+        assert proc.stderr.endswith(f"{message}\n")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 

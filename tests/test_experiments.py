@@ -3,7 +3,7 @@ import pytest
 
 from ulmimo import asymptotic as la
 from ulmimo import experiments as ex
-from ulmimo.errors import InvalidInputError, ScenarioError
+from ulmimo.errors import InvalidInputError
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream
@@ -58,10 +58,12 @@ class TestAsymptoticSweep:
             ex.asymptotic_sweep(idealized_01, [0.5, 0.5])
         with pytest.raises(InvalidInputError):
             ex.asymptotic_sweep(idealized_01, [0.5, 1.6])
+        with pytest.raises(InvalidInputError, match="must be non-empty"):
+            ex.asymptotic_sweep(idealized_01, [])
 
     def test_drop_scenario_rejected(self):
         sc = parse_scenario("cost231-7cell")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InvalidInputError):
             ex.asymptotic_sweep(sc, [0.5])
 
     def test_rows_match_direct_evaluation(self, idealized_01):
@@ -101,7 +103,7 @@ class TestRateGap:
 
     def test_drop_scenario_rejected(self):
         sc = parse_scenario("cost231-7cell")
-        with pytest.raises(ScenarioError, match="idealized scenario"):
+        with pytest.raises(InvalidInputError, match="idealized scenario"):
             ex.rate_gap_sweep(sc, [0.5], [0.01])
 
     def test_beta_grid_validated(self, idealized_01):
@@ -243,7 +245,7 @@ class TestDropRunners:
 
     def test_rate_table_refuses_tiny_cells(self):
         sc = parse_scenario("cost231-7cell")
-        with pytest.raises(ScenarioError, match="fewer than 3"):
+        with pytest.raises(InvalidInputError, match="fewer than 3"):
             ex.rate_table(sc, 10, [0.1], 5, "noiseless", 0)
 
     def test_training_five_percentile_tracks_repeated_pilot_theory(self):

@@ -43,6 +43,15 @@ class TestFadingDistribution:
         with pytest.raises(InvalidInputError):
             FadingDistribution(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda dist: dist.expect(np.ones(3)),
+         "per-sample values must match sample count"),
+        (lambda dist: expect_total_gain(dist.gains),
+         "expected a FadingDistribution")], ids=["expect", "total-gain"])
+    def test_misuse_refused(self, call, message):
+        with pytest.raises(InvalidInputError, match=message):
+            call(FadingDistribution([[1.0, 0.5], [0.5, 0.25]]))
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             FadingDistribution(np.empty((0, 3)))

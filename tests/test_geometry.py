@@ -64,6 +64,12 @@ class TestDropUsers:
             geo.drop_users(geo.hex_layout(7, 1000.0), 5, seed_substream(0, "x"),
                            exclusion_m)
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_user_count_below_one_refused(self, K):
+        with pytest.raises(InvalidInputError, match="K must be at least 1"):
+            geo.drop_users(geo.hex_layout(7, 1000.0), K, seed_substream(0, "x"),
+                           35.0)
+
     # the sampler jumps the stream back by a count of 64-bit PCG64 draws;
     # other bit generators lack the jump or count it in other units
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
@@ -286,6 +292,23 @@ class TestLargeScaleGains:
         assert np.array_equal(g1, g2)
         assert not np.array_equal(g1, g3)
 
+    def test_gain_above_unit_path_gain_is_clamped(self, caplog):
+        # a parsable link budget whose path gain exceeds 1 next to the mast
+        params = geo.Cost231Params(carrier_freq_mhz=1500.0, bs_height_m=200.0,
+                                   ms_height_m=10.0, exclusion_radius_m=0.1)
+        drop = self._drop_at(np.array([[0.2, 0.0]]))
+        with caplog.at_level("WARNING", logger=geo.__name__):
+            gains = geo.large_scale_gains(drop, params, seed_substream(11, "sh"))
+        ratio = params.tx_power_mw / params.noise_power_mw
+        assert gains[0, 0] == ratio
+        assert ratio == pytest.approx(5.0119e19, rel=1e-4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamped 1 link gains at unit path gain"]
+        d = np.hypot(*drop.positions[1:, 0].T)
+        pl = geo.cost231_pathloss_db(d, params)
+        assert gains[1:, 0] == pytest.approx(10 ** (-pl / 10) * ratio,
+                                             rel=1e-12)
+
 
 class TestWeakestGainBound:
     """The radius and shadowing bounds put the weakest link gain, a user at
@@ -334,6 +357,8 @@ class TestIdealizedGains:
     def test_range_enforced(self):
         with pytest.raises(InvalidInputError):
             geo.idealized_gains(7, 1.5)
+        with pytest.raises(InvalidInputError, match="B must be at least 1"):
+            geo.idealized_row(0, 0.1)
 
 
 def cost231_gain_rows(layout, params, n, rng):

@@ -5,8 +5,7 @@ import scipy.linalg as sla
 
 from ulmimo import asymptotic as la
 from ulmimo import montecarlo as mc
-from ulmimo.errors import (ConditioningError, InvalidInputError,
-                           NumericalError)
+from ulmimo.errors import InvalidInputError, NumericalError
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import complex_gaussian, seed_substream
 from ulmimo.scenario import parse_scenario
@@ -90,6 +89,34 @@ class TestChannelRealization:
         with pytest.raises(InvalidInputError, match="gains"):
             mc.ChannelRealization(small_scale=h, gains=np.ones(shape),
                                   noise_var=0.01)
+
+
+class TestArgumentChecks:
+    """Refusals no runner trips, each with its message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda real: mc.ChannelRealization(
+            small_scale=real.small_scale, gains=0.0 * real.gains,
+            noise_var=0.01), "large-scale gains must be positive"),
+        (lambda real: mc.ChannelRealization(
+            small_scale=real.small_scale, gains=real.gains, noise_var=0.0),
+         "noise_var must be positive"),
+        (lambda real: mc.generate_pilot_sequences(0, 7, seed_substream(0, "q")),
+         "K and B must be at least 1"),
+        (lambda real: mc.generate_pilot_sequences(2, 0, seed_substream(0, "q")),
+         "K and B must be at least 1"),
+        (lambda real: mc.training_based_estimate(
+            real, mc.generate_pilot_sequences(3, 7, seed_substream(0, "q")),
+            10.0, seed_substream(0, "t")),
+         "sequence shape does not match realization"),
+        (lambda real: mc.empirical_sinr(np.ones(real.M + 1, dtype=complex),
+                                        real),
+         "filter length does not match antennas"),
+    ], ids=["gains", "noise-var", "sequence-users", "sequence-cells",
+            "sequence-shape", "filter-length"])
+    def test_argument_refused(self, call, message):
+        with pytest.raises(InvalidInputError, match=message):
+            call(idealized_realization(8, 2, seed=40))
 
 
 class TestNoiselessEstimate:
@@ -259,7 +286,7 @@ class TestTrainingEstimate:
             small_scale=mc.draw_channel_matrix(1, K, M, rng), gains=gains,
             noise_var=0.01)
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (1, K, K)).copy()
-        with pytest.raises(ConditioningError):
+        with pytest.raises(NumericalError, match="training matrix condition"):
             mc.training_based_estimate(real, seqs, 1e6, seed_substream(18, "tn"))
 
 

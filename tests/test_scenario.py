@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ulmimo.errors import InvalidInputError, ScenarioError
+from ulmimo.errors import InvalidInputError
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import Cost231Params
 from ulmimo.rng import seed_substream
@@ -40,7 +40,7 @@ class TestParsing:
         bad = dict(MINIMAL, gain_model={"kind": "idealized", "beta_other": 1.5})
         path = tmp_path / "s.json"
         path.write_text(json.dumps(bad))
-        with pytest.raises(ScenarioError, match="beta_other"):
+        with pytest.raises(InvalidInputError, match="beta_other"):
             parse_scenario(path)
 
     @pytest.mark.parametrize("mutate", [
@@ -51,34 +51,34 @@ class TestParsing:
     def test_unknown_keys_rejected(self, mutate):
         data = json.loads(json.dumps(MINIMAL))
         mutate(data)
-        with pytest.raises(ScenarioError, match="unknown field"):
+        with pytest.raises(InvalidInputError, match="unknown field"):
             scenario_from_dict(data)
 
     def test_missing_required_field(self):
         data = dict(MINIMAL)
         del data["noise_var"]
-        with pytest.raises(ScenarioError, match="noise_var"):
+        with pytest.raises(InvalidInputError, match="noise_var"):
             scenario_from_dict(data)
 
     def test_schema_version_checked(self):
         data = dict(MINIMAL, schema=99)
-        with pytest.raises(ScenarioError, match="schema"):
+        with pytest.raises(InvalidInputError, match="schema"):
             scenario_from_dict(data)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "schema": 1,\n  broken\n}')
-        with pytest.raises(ScenarioError, match="line 3"):
+        with pytest.raises(InvalidInputError, match="line 3"):
             parse_scenario(path)
 
     def test_missing_file(self):
-        with pytest.raises(ScenarioError, match="not found"):
+        with pytest.raises(InvalidInputError, match="not found"):
             parse_scenario("no-such-scenario")
 
     @pytest.mark.parametrize("cells", [2, 3, 19])
     def test_cost231_cell_count_rejected(self, cells):
         data = dict(MINIMAL, cells=cells, gain_model={"kind": "cost231"})
-        with pytest.raises(ScenarioError, match="cells"):
+        with pytest.raises(InvalidInputError, match="cells"):
             scenario_from_dict(data)
 
     @pytest.mark.parametrize("exclusion", [APOTHEM_1KM + 1.0, 5000.0])
@@ -86,7 +86,7 @@ class TestParsing:
         data = dict(MINIMAL, cells=7, gain_model={
             "kind": "cost231", "cell_radius_m": 1000.0,
             "exclusion_radius_m": exclusion})
-        with pytest.raises(ScenarioError, match="apothem"):
+        with pytest.raises(InvalidInputError, match="apothem"):
             scenario_from_dict(data)
 
     def test_exclusion_at_apothem_accepted_and_drops(self):
@@ -101,7 +101,7 @@ class TestParsing:
     def test_non_finite_json_constants_rejected(self, tmp_path, text):
         path = tmp_path / "s.json"
         path.write_text(text)
-        with pytest.raises(ScenarioError, match="not a number"):
+        with pytest.raises(InvalidInputError, match="not a number"):
             parse_scenario(path)
 
     @pytest.mark.parametrize("text", [
@@ -110,25 +110,25 @@ class TestParsing:
     def test_repeated_key_rejected(self, tmp_path, text):
         path = tmp_path / "s.json"
         path.write_text(text)
-        with pytest.raises(ScenarioError, match="appears twice"):
+        with pytest.raises(InvalidInputError, match="appears twice"):
             parse_scenario(path)
 
     def test_unreadable_file_is_scenario_error(self, tmp_path):
         (tmp_path / "s.json").write_bytes(b'{"name": "\xff"}')
-        with pytest.raises(ScenarioError, match="cannot read"):
+        with pytest.raises(InvalidInputError, match="cannot read"):
             parse_scenario(tmp_path / "s.json")
-        with pytest.raises(ScenarioError, match="cannot read"):
+        with pytest.raises(InvalidInputError, match="cannot read"):
             parse_scenario(tmp_path)
 
     def test_deeply_nested_json_is_scenario_error(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        with pytest.raises(ScenarioError, match="nested"):
+        with pytest.raises(InvalidInputError, match="nested"):
             parse_scenario(path)
 
     @pytest.mark.parametrize("cells", [0, MAX_CELLS + 1, 1_000_000])
     def test_cell_count_outside_cap_rejected(self, cells):
-        with pytest.raises(ScenarioError, match="cells must lie"):
+        with pytest.raises(InvalidInputError, match="cells must lie"):
             scenario_from_dict(dict(MINIMAL, cells=cells))
 
     def test_cell_cap_accepted(self):
@@ -136,7 +136,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("snr_db", [-100.5, 100.5, 1e6, -1e6])
     def test_pilot_snr_outside_range_rejected(self, snr_db):
-        with pytest.raises(ScenarioError, match="pilot_snr_db"):
+        with pytest.raises(InvalidInputError, match="pilot_snr_db"):
             scenario_from_dict(dict(MINIMAL, pilot={"pilot_snr_db": snr_db}))
 
     @pytest.mark.parametrize("snr_db", [-100, 100.0])
@@ -145,15 +145,34 @@ class TestParsing:
         assert 0.0 < sc.pilot.pilot_snr < float("inf")
 
     def test_settings_checks_fail_on_nan(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InvalidInputError):
             PilotSettings(pilot_snr_db=float("nan"))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InvalidInputError):
             Coherence(symbols=float("nan"))
+
+    # refusals past the key and kind checks, each with its message and the
+    # origin prefix; the last comes from geometry.Cost231Params
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(dict(MINIMAL, pilot={"mode": "noisy"})),
+         "unknown pilot mode 'noisy'"),
+        (json.dumps(dict(MINIMAL, alpha=0)), "alpha must be positive"),
+        (json.dumps(dict(MINIMAL, gain_model={"kind": "rayleigh"})),
+         "unknown gain model kind 'rayleigh'"),
+        ("[]", "scenario must be a JSON object"),
+        (json.dumps(dict(MINIMAL, gain_model={"kind": "cost231",
+                                              "carrier_freq_mhz": 100.0})),
+         "carrier frequency outside model validity")],
+        ids=["pilot-mode", "alpha-zero", "gain-model-kind", "json-array",
+             "cost231-range"])
+    def test_value_refused_with_its_message(self, text, message):
+        with pytest.raises(InvalidInputError) as info:
+            _parse_text(text, "s.json")
+        assert str(info.value) == f"s.json: {message}"
 
     def test_cost231_validity_wrapped(self):
         data = dict(MINIMAL, gain_model={"kind": "cost231",
                                          "carrier_freq_mhz": 100.0})
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InvalidInputError):
             scenario_from_dict(data)
 
 
@@ -210,19 +229,20 @@ class TestTypedFields:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(fuzzed_scenarios())
     def test_wrong_type_or_non_finite_value_rejected(self, data):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InvalidInputError):
             scenario_from_dict(data)
         # the same file as text: NaN and infinities stop at the JSON layer
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InvalidInputError):
             _parse_text(json.dumps(data), "fuzzed")
 
     @pytest.mark.parametrize("field, value", [
         ("cells", True), ("cells", 1.5), ("cells", "7"), ("cells", 7.0),
         ("alpha", "0.5"), ("alpha", True), ("schema", True), ("schema", 1.0),
         ("name", 5), ("gain_model", [1, 2]), ("pilot", "noisy"),
-        ("coherence", None)])
+        ("coherence", None),
+        pytest.param("noise_var", 10 ** 400, id="noise_var-int-past-float")])
     def test_top_level_field_kinds(self, field, value):
-        with pytest.raises(ScenarioError, match=f"scenario.{field} must be"):
+        with pytest.raises(InvalidInputError, match=f"scenario.{field} must be"):
             scenario_from_dict(dict(MINIMAL, **{field: value}))
 
     def test_int_in_float_field_kept_as_written(self):
@@ -359,7 +379,7 @@ class TestGainModelRanges:
             sc = scenario_from_dict(data)
             law = FadingDistribution(
                 sc.gain_matrix(4, seed_substream(0, "fuzz")).T)
-        except (ScenarioError, InvalidInputError):
+        except InvalidInputError:
             return
         assert np.isfinite(law.est_gain).all()
         assert np.isfinite(law.cross_est_gain).all()
@@ -392,5 +412,5 @@ class TestScenarioBehaviour:
         assert calls == [(7, 1000.0)]
 
     def test_idealized_scenario_has_no_layout(self):
-        with pytest.raises(ScenarioError, match="no cell layout"):
+        with pytest.raises(InvalidInputError, match="no cell layout"):
             parse_scenario("idealized-01").layout
