@@ -47,7 +47,7 @@ class ChannelRealization:
         self.B, self.K, self.M = self.small_scale.shape
         if not np.all(self.gains > 0.0):
             raise InvalidInputError("large-scale gains must be positive")
-        if self.noise_var <= 0.0:
+        if not self.noise_var > 0.0:  # NaN fails too
             raise InvalidInputError("noise_var must be positive")
 
     def total_gain_per_user(self) -> np.ndarray:
@@ -143,6 +143,8 @@ def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
     """
     if not rho_p > 0.0:
         raise InvalidInputError("rho_p must be positive")
+    if rho_p < np.inf and rng is None:
+        raise InvalidInputError("a finite rho_p needs a generator for the pilot noise")
     inv_rho = 1.0 / rho_p
     combo = (np.sqrt(real.gains)[:, :, None] * real.small_scale).sum(axis=0)
     if rho_p < np.inf:
@@ -163,12 +165,18 @@ def generate_pilot_sequences(K: int, B: int,
     """
     if K < 1 or B < 1:
         raise InvalidInputError("K and B must be at least 1")
-    z = np.stack([complex_gaussian(rng, (K, K), 1.0) for _ in range(B)])
+    # one draw in the stream order of B complex_gaussian(rng, (K, K), 1.0)
+    # calls: each cell's real block, then its imaginary block
+    normals = rng.standard_normal((B, 2, K, K))
+    z = np.empty((B, K, K), dtype=complex)
+    np.multiply(normals[:, 0], np.sqrt(0.5), out=z.real)
+    np.multiply(normals[:, 1], np.sqrt(0.5), out=z.imag)
     q, r = np.linalg.qr(z)
     # fix the phase ambiguity so the law is exactly Haar
     diag = np.diagonal(r, axis1=1, axis2=2)
     phases = diag / np.abs(diag)
-    return np.ascontiguousarray(np.swapaxes(q * phases[:, None, :], 1, 2))
+    return np.multiply(np.swapaxes(q, 1, 2), phases[:, :, None],
+                       out=np.empty_like(q))
 
 
 def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
@@ -191,12 +199,17 @@ def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
         raise InvalidInputError("pilot_snr must be positive")
 
     noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
+    root = np.sqrt(real.gains)
+    conj = sequences.conj()
+    # per-cell terms, (B, M, K) and (B, K, K); each slice is the product
+    # the cell would give alone
+    seen = (np.swapaxes(real.small_scale, 1, 2) * root[:, None, :]) @ conj
+    gram = np.swapaxes(sequences, 1, 2) @ (real.gains[:, :, None] * conj)
     Y = noise / np.sqrt(pilot_snr)
     A = np.eye(real.K, dtype=complex) / pilot_snr
-    for j, seq in enumerate(sequences):
-        weighted = real.small_scale[j].T * np.sqrt(real.gains[j])  # (M, K)
-        Y = Y + weighted @ seq.conj()
-        A = A + seq.T @ (real.gains[j][:, None] * seq.conj())
+    for j in range(real.B):  # summed in cell order
+        Y += seen[j]
+        A += gram[j]
 
     # A is Hermitian: cond is the eigenvalue ratio, infinite unless A > 0
     lam = np.linalg.eigvalsh(A)
@@ -206,7 +219,7 @@ def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
             f"training matrix condition number {cond:.3e} exceeds "
             f"{TRAINING_COND_LIMIT:.0e}")
     X = np.linalg.solve(A, sequences[0].T)  # columns A^-1 Psi_1k
-    est = (Y @ X).T * np.sqrt(real.gains[0])[:, None]
+    est = (Y @ X).T * root[0][:, None]
     return EstimateSet(estimates=est,
                        error_cov_scalars=_error_variances(real, 1.0 / pilot_snr))
 

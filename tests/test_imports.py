@@ -72,10 +72,12 @@ def test_simulating_runs_leave_scipy_unloaded(tmp_path, argv):
     assert (tmp_path / "o" / f"{argv[0]}.csv").exists()
 
 
-def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # at M = 128 a threaded BLAS splits the filters' products between threads
+@pytest.mark.parametrize("estimate", ["noiseless", "training"])
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path, estimate):
+    # at M = 128 a threaded BLAS splits the filters' products between threads,
+    # and in training mode the stacked per-cell products of the estimator
     argv = ("montecarlo", "--scenario", "idealized-01", "--antennas", "128",
-            "--alpha", "1.0", "--trials", "5")
+            "--alpha", "1.0", "--trials", "5", "--estimate", estimate)
     for threads in ("1", "2"):
         run_fresh(cli_run(tmp_path / threads, *argv),
                   OPENBLAS_NUM_THREADS=threads)

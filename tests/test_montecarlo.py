@@ -8,7 +8,7 @@ from ulmimo import montecarlo as mc
 from ulmimo.errors import InvalidInputError, NumericalError
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import complex_gaussian, seed_substream
-from ulmimo.scenario import parse_scenario
+from ulmimo.scenario import parse_scenario, scenario_from_dict, scenario_to_dict
 
 
 def idealized_realization(M, K, B=7, beta=0.01, noise_var=0.01, seed=0,
@@ -101,6 +101,11 @@ class TestArgumentChecks:
         (lambda real: mc.ChannelRealization(
             small_scale=real.small_scale, gains=real.gains, noise_var=0.0),
          "noise_var must be positive"),
+        (lambda real: mc.ChannelRealization(
+            small_scale=real.small_scale, gains=real.gains,
+            noise_var=float("nan")), "noise_var must be positive"),
+        (lambda real: mc.pilot_estimate_noisy(real, 10.0, None),
+         "a finite rho_p needs a generator"),
         (lambda real: mc.generate_pilot_sequences(0, 7, seed_substream(0, "q")),
          "K and B must be at least 1"),
         (lambda real: mc.generate_pilot_sequences(2, 0, seed_substream(0, "q")),
@@ -112,7 +117,8 @@ class TestArgumentChecks:
         (lambda real: mc.empirical_sinr(np.ones(real.M + 1, dtype=complex),
                                         real),
          "filter length does not match antennas"),
-    ], ids=["gains", "noise-var", "sequence-users", "sequence-cells",
+    ], ids=["gains", "noise-var", "noise-var-nan", "pilot-noise-generator",
+            "sequence-users", "sequence-cells",
             "sequence-shape", "filter-length"])
     def test_argument_refused(self, call, message):
         with pytest.raises(InvalidInputError, match=message):
@@ -288,6 +294,73 @@ class TestTrainingEstimate:
         seqs = np.broadcast_to(np.eye(K, dtype=complex), (1, K, K)).copy()
         with pytest.raises(NumericalError, match="training matrix condition"):
             mc.training_based_estimate(real, seqs, 1e6, seed_substream(18, "tn"))
+
+
+def per_cell_pilot_sequences(K, B, rng):
+    """generate_pilot_sequences with one Gaussian draw per cell."""
+    z = np.stack([complex_gaussian(rng, (K, K), 1.0) for _ in range(B)])
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    phases = diag / np.abs(diag)
+    return np.ascontiguousarray(np.swapaxes(q * phases[:, None, :], 1, 2))
+
+
+def per_cell_training_estimate(real, sequences, pilot_snr, rng):
+    """training_based_estimate summing one cell's products at a time."""
+    noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
+    Y = noise / np.sqrt(pilot_snr)
+    A = np.eye(real.K, dtype=complex) / pilot_snr
+    for j, seq in enumerate(sequences):
+        weighted = real.small_scale[j].T * np.sqrt(real.gains[j])
+        Y = Y + weighted @ seq.conj()
+        A = A + seq.T @ (real.gains[j][:, None] * seq.conj())
+    X = np.linalg.solve(A, sequences[0].T)
+    inv_rho = 1.0 / pilot_snr
+    error = ((real.gains[1:].sum(axis=0) + inv_rho)
+             / (real.gains.sum(axis=0) + inv_rho))
+    return (Y @ X).T * np.sqrt(real.gains[0])[:, None], error
+
+
+def shadowed_cost231():
+    data = scenario_to_dict(parse_scenario("cost231-7cell"))
+    data["gain_model"]["shadowing_sigma_db"] = 8.0
+    return scenario_from_dict(data)
+
+
+class TestTrainingPathReference:
+    """The training path gives the bits, and leaves the stream state, of
+    the per-cell loops it replaced."""
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: parse_scenario("idealized-01"), id="idealized"),
+        pytest.param(shadowed_cost231, id="shadowed-cost231")])
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("K", [1, 3, 10, 25, 50])
+    def test_bit_identical_to_per_cell_loops(self, K, B, scenario):
+        sc = scenario()
+        M = 50
+        for seed in range(3):
+            rng = seed_substream(seed, "channel")
+            gains = sc.gain_matrix(K, rng)[:B]
+            real = mc.ChannelRealization(
+                small_scale=mc.draw_channel_matrix(B, K, M, rng), gains=gains,
+                noise_var=sc.noise_var)
+            fast_rng = seed_substream(seed, "pilot")
+            ref_rng = seed_substream(seed, "pilot")
+
+            seqs = mc.generate_pilot_sequences(K, B, fast_rng)
+            ref_seqs = per_cell_pilot_sequences(K, B, ref_rng)
+            assert np.array_equal(seqs, ref_seqs)
+            assert seqs.flags.c_contiguous
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+            snr = sc.pilot.pilot_snr
+            est = mc.training_based_estimate(real, seqs, snr, fast_rng)
+            ref_est, ref_error = per_cell_training_estimate(real, ref_seqs, snr,
+                                                            ref_rng)
+            assert np.array_equal(est.estimates, ref_est)
+            assert np.array_equal(est.error_cov_scalars, ref_error)
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestThetaEffective:
