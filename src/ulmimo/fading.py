@@ -29,6 +29,8 @@ class FadingDistribution:
 
     def __init__(self, gains):
         gains = np.atleast_2d(np.asarray(gains, dtype=float))
+        if gains.ndim > 2:
+            raise InvalidInputError("gains must be one row or a 2-D array")
         if gains.size == 0:
             raise InvalidInputError("distribution needs at least one sample")
         if not np.all(np.isfinite(gains)) or not np.all(gains > 0.0):

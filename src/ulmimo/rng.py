@@ -5,7 +5,8 @@ Every random quantity in a run is drawn from a substream derived from the
 hash of ``tag || 0x00 || index_le8 || master_le8``; the 256-bit digest,
 read as a little-endian integer, seeds numpy's PCG64 via SeedSequence.
 Substreams are therefore collision-resistant, independent of evaluation
-order, and reproducible from the run manifest alone. (Bit-equality of
+order, and reproducible from the run manifest alone. A seed or index
+outside [0, 2**64) is refused, not wrapped onto another. (Bit-equality of
 Gaussian draws across other language runtimes is a non-goal; the
 derivation scheme itself is portable.)
 """
@@ -16,16 +17,17 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import InvalidInputError
 
 
 def _digest(master_seed: int, tag: str, index: int) -> bytes:
-    return hashlib.sha256(
-        tag.encode("utf-8")
-        + b"\x00"
-        + int(index).to_bytes(8, "little", signed=False)
-        + (int(master_seed) & _MASK64).to_bytes(8, "little", signed=False)
-    ).digest()
+    try:
+        words = (int(index).to_bytes(8, "little")
+                 + int(master_seed).to_bytes(8, "little"))
+    except OverflowError:
+        raise InvalidInputError(f"seed {master_seed} and index {index} must "
+                                "lie in [0, 2**64)") from None
+    return hashlib.sha256(tag.encode("utf-8") + b"\x00" + words).digest()
 
 
 def substream_key(master_seed: int, tag: str, index: int = 0) -> int:

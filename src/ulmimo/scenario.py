@@ -226,12 +226,6 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def bundled_scenario_names() -> list[str]:
-    base = resources.files("ulmimo") / "scenarios"
-    return sorted(p.name.removesuffix(".json")
-                  for p in base.iterdir() if p.name.endswith(".json"))
-
-
 def parse_scenario(path: str | Path) -> Scenario:
     """Parse a scenario file, or a bundled scenario referenced by name."""
     candidate = Path(path)

@@ -198,6 +198,14 @@ class TestSubstreams:
                     assert seed_substream(seed, tag, index).bit_generator.state \
                         == expected, (seed, tag, index)
 
+    # a masked seed would alias: 2**64 would give seed 0's draws, -1 2**64-1's
+    @pytest.mark.parametrize("seed, index", [
+        (-1, 0), (2 ** 64, 0), (2 ** 70, 0), (0, -1), (0, 2 ** 64)])
+    def test_seed_or_index_outside_64_bits_refused(self, seed, index):
+        for derive in (seed_substream, substream_key):
+            with pytest.raises(InvalidInputError, match=r"\[0, 2\*\*64\)"):
+                derive(seed, "trial", index)
+
     # about one key in 2**32 has a zero top word, which the integer key drops
     @pytest.mark.parametrize("zero_words", [1, 2, 7])
     def test_word_seeding_drops_high_zero_words(self, monkeypatch, zero_words):

@@ -168,6 +168,14 @@ class TestMonteCarloSweep:
             ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, ("zf",),
                                  "noiseless", 0)
 
+    # a seed that wrapped modulo 2**64 would rerun another seed's trials
+    # under its own header
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, idealized_01, seed):
+        with pytest.raises(InvalidInputError, match=r"2\*\*64"):
+            ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, ALL, "noiseless",
+                                 seed)
+
     def test_unknown_mode_rejected(self, idealized_01):
         with pytest.raises(InvalidInputError):
             ex.monte_carlo_sweep(idealized_01, 16, [0.5], 2, ALL, "psychic", 0)

@@ -56,6 +56,11 @@ class TestFadingDistribution:
         with pytest.raises(InvalidInputError):
             FadingDistribution(np.empty((0, 3)))
 
+    def test_three_dimensional_gains_rejected(self):
+        # atleast_2d keeps a third axis, and row sums would then be 2-D
+        with pytest.raises(InvalidInputError, match="2-D"):
+            FadingDistribution(np.ones((2, 2, 2)))
+
     def test_derived_arrays(self):
         dist = FadingDistribution([1.0, 0.1, 0.1])
         assert dist.total[0] == pytest.approx(1.2)

@@ -1,12 +1,13 @@
 """What a run loads, what its output depends on, and what it costs the heap.
 
 ulmimo needs numpy alone: importing the package and running any command
-must leave scipy, which only the tests use, unloaded. The project's
-declared dependencies must match what the code imports. A run's output
-bytes must not depend on the BLAS thread count, and the CLI fixes the heap
-thresholds so a trial's arrays are not unmapped and faulted back in on
-every trial. Each run-time check runs in a fresh interpreter, since this
-test process already holds scipy.
+must leave scipy, which only the tests use, unloaded, and the package root
+loads none of its submodules. The project's declared dependencies must
+match what the code imports. A run's output bytes must not depend on the
+BLAS thread count, and the CLI fixes the heap thresholds so a trial's
+arrays are not unmapped and faulted back in on every trial. Each run-time
+check runs in a fresh interpreter, since this test process already holds
+scipy.
 """
 
 import ast
@@ -49,6 +50,13 @@ def cli_run(out: Path, *argv: str) -> str:
 @pytest.mark.parametrize("code", ["import ulmimo", "import ulmimo.cli"])
 def test_import_leaves_scipy_unloaded(code):
     assert not scipy_loaded_after(code)
+
+
+def test_bare_import_loads_no_submodule():
+    # names are imported from their modules; the package root re-exports none
+    out = run_fresh("import sys, ulmimo\n"
+                    "print([m for m in sys.modules if m.startswith('ulmimo.')])")
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
