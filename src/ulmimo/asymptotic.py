@@ -79,12 +79,14 @@ def _solve(fmap, dist: FadingDistribution, alpha: float, noise_var: float,
             fx = fmap(dist, alpha, noise_var, x)
         except ZeroDivisionError:  # the map's denominator rounded to zero
             raise ConvergenceError(
-                f"{what} fixed-point step divides by zero", residual) from None
+                f"{what} fixed-point step divides by zero (last relative "
+                f"residual {residual:.3e})") from None
         residual = abs(fx - x) / abs(x)
         if residual <= FIXED_POINT_TOL:
             return x
         x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
-    raise ConvergenceError(f"{what} fixed point did not converge", residual)
+    raise ConvergenceError(f"{what} fixed point did not converge (last "
+                           f"relative residual {residual:.3e})")
 
 
 def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float) -> float:

@@ -4,8 +4,8 @@ Commands map one-to-one onto the experiment runners; ``validate`` runs a
 quick invariant self-check. Every run writes its manifest next to the
 CSVs, and on one numpy/OpenBLAS build and CPU the manifest (command,
 scenario hash, seed if the command reads one, overrides) fully determines
-every output byte. Exit codes: 0 success, 2 configuration error, 3
-fixed-point non-convergence, 4 other numerical failure.
+every output byte. A run exits 0, or with the ``exit_code`` of the
+``ulmimo.errors`` type that ended it.
 """
 
 from __future__ import annotations
@@ -21,22 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, validate
-from .errors import ConvergenceError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 from .experiments import ALL_FILTERS, ESTIMATE_MODES, write_csv
 from .scenario import (Scenario, parse_scenario, scenario_hash,
                        serialize_scenario)
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CONVERGENCE = 3
-EXIT_NUMERICAL = 4
-# exit code of each error class main catches, the first that matches wins:
-# a ConvergenceError is also a NumericalError. main raises numpy's float
-# errors, so an overflow or NaN ends the run instead of reaching an output.
-_EXIT_CODES = ((ConvergenceError, EXIT_CONVERGENCE),
-               (InvalidInputError, EXIT_CONFIG),
-               (NumericalError, EXIT_NUMERICAL),
-               (FloatingPointError, EXIT_NUMERICAL))
 
 # glibc's mallopt parameters (<malloc.h>) and the values main sets. A Monte
 # Carlo trial allocates and frees the same arrays, from tens of KB to about
@@ -186,10 +174,8 @@ def dispatch(args) -> int:
     they were. manifest.json is renamed into place last."""
     _resolve_flags(args)
     _, alphas, run = COMMANDS[args.command]
-    if not 0 <= args.seed < 2 ** 64:
-        raise InvalidInputError("--seed must lie in [0, 2**64)")
     if run is None:  # validate
-        return EXIT_OK if validate.run_all(print) else EXIT_NUMERICAL
+        return 0 if validate.run_all(print) else NumericalError.exit_code
     scenario = parse_scenario(args.scenario)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
@@ -210,7 +196,7 @@ def dispatch(args) -> int:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise InvalidInputError(f"cannot write outputs: {exc}") from exc
-    return EXIT_OK
+    return 0
 
 
 @functools.cache
@@ -247,9 +233,11 @@ def main(argv=None) -> int:
     _steady_heap()
     _one_blas_thread()
     args = build_parser().parse_args(argv)
+    # numpy's float errors are raised, so an overflow or NaN ends the run
+    # instead of reaching an output, and exit as a NumericalError does
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return dispatch(args)
-    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+    except (InvalidInputError, NumericalError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        return getattr(exc, "exit_code", NumericalError.exit_code)

@@ -276,7 +276,7 @@ def achievable_rate(sinr_samples) -> float:
 
 def sum_rate(alpha: float, M: int, sinr: float) -> float:
     """alpha * M * log2(1 + SINR), bits/symbol for the whole cell."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN fails too
         raise InvalidInputError("alpha must be positive")
     if M < 1:
         raise InvalidInputError("M must be at least 1")

@@ -91,6 +91,8 @@ def users_per_cell(alpha: float, M: int) -> int:
     except OverflowError:  # M past the float range, or alpha * M infinite
         raise InvalidInputError(
             f"alpha={alpha} times M={reprlib.repr(M)} overflows") from None
+    except ValueError:  # alpha is NaN
+        raise InvalidInputError(f"alpha={alpha} is not a number") from None
     if K < 1:
         raise InvalidInputError(
             f"alpha={alpha} with M={reprlib.repr(M)} rounds to zero users per cell")

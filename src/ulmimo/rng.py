@@ -25,8 +25,10 @@ def _digest(master_seed: int, tag: str, index: int) -> bytes:
         words = (int(index).to_bytes(8, "little")
                  + int(master_seed).to_bytes(8, "little"))
     except OverflowError:
-        raise InvalidInputError(f"seed {master_seed} and index {index} must "
-                                "lie in [0, 2**64)") from None
+        name, value = (("seed", master_seed) if not 0 <= master_seed < 2 ** 64
+                       else ("substream index", index))
+        raise InvalidInputError(
+            f"{name} {value} must lie in [0, 2**64)") from None
     return hashlib.sha256(tag.encode("utf-8") + b"\x00" + words).digest()
 
 

@@ -10,8 +10,10 @@ import numpy as np
 
 from . import asymptotic as la
 from . import montecarlo as mc
+from .experiments import ALL_FILTERS, monte_carlo_sweep
 from .geometry import idealized_gains
 from .rng import seed_substream
+from .scenario import parse_scenario
 
 
 def _check_fixed_points(emit) -> bool:
@@ -76,8 +78,6 @@ def _check_solver_paths(emit) -> bool:
 
 
 def _check_determinism(emit) -> bool:
-    from .experiments import ALL_FILTERS, monte_carlo_sweep
-    from .scenario import parse_scenario
     sc = parse_scenario("idealized-01")
     a = monte_carlo_sweep(sc, 8, [0.5], 3, ALL_FILTERS, "noiseless", 42)
     b = monte_carlo_sweep(sc, 8, [0.5], 3, ALL_FILTERS, "noiseless", 42)

@@ -38,8 +38,9 @@ class TestScalarReductions:
         assert ex.sum_rate(1.0, 1, 1.0) == pytest.approx(1.0)
 
     def test_sum_rate_validation(self):
-        with pytest.raises(InvalidInputError):
-            ex.sum_rate(0.0, 10, 1.0)
+        for alpha in (0.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="alpha"):
+                ex.sum_rate(alpha, 10, 1.0)
         with pytest.raises(InvalidInputError):
             ex.sum_rate(0.5, 0, 1.0)
 

@@ -48,6 +48,8 @@ class TestDrawChannels:
         with pytest.raises(InvalidInputError, match="zero users"):
             monte_carlo_sweep(parse_scenario("idealized-01"), 10, [0.01], 1,
                               ALL_FILTERS, "noiseless", 0)
+        with pytest.raises(InvalidInputError, match="alpha=nan"):
+            mc.users_per_cell(float("nan"), 50)
 
     @pytest.mark.parametrize("M", [0, -5])
     def test_antenna_count_below_one_rejected(self, M):

@@ -1,5 +1,6 @@
 """Every call signature README.md shows for a package function matches it,
-and the cost231 fields README lists are the fields of ``Cost231Params``.
+the cost231 fields README lists are the fields of ``Cost231Params``, and
+the exit code README gives each ``ulmimo.errors`` type is its ``exit_code``.
 
 A backticked ``name(a, b, ...)`` whose name resolves to a function of a
 ``ulmimo`` module, or to a ``Scenario`` method, must list that function's
@@ -16,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import ulmimo
-from ulmimo import (asymptotic, cli, experiments, fading, geometry,
+from ulmimo import (asymptotic, cli, errors, experiments, fading, geometry,
                     montecarlo, rng, scenario, validate)
 from ulmimo.geometry import Cost231Params
 
@@ -25,6 +26,7 @@ MODULES = (asymptotic, cli, experiments, fading, geometry, montecarlo, rng,
            scenario, validate)
 CALL = re.compile(r"([A-Za-z_][\w.]*)\((.*)\)")
 COST231_LIST = '`gain_model.kind` may also be `"cost231"` with fields'
+EXIT_CODES = "Exit codes:"
 
 
 def package_function(name: str):
@@ -112,3 +114,24 @@ def test_detects_a_missing_cost231_field():
     text = (f"{COST231_LIST} `cell_radius_m` and `tx_power_dbm`. Drop-model "
             "gains are `noise_var` units.")
     assert cost231_fields_listed(text) == ["cell_radius_m", "tx_power_dbm"]
+
+
+def exit_codes_listed(text: str) -> dict[str, int]:
+    """Type name to code over the ``<code> <what> (`Type`...`` entries of the
+    exit-code paragraph, up to its blank line."""
+    listed = text[text.index(EXIT_CODES):].split("\n\n", 1)[0]
+    return {name: int(code) for code, name in re.findall(
+        r"\b(\d) [\w -]+\(`(\w+)`", " ".join(listed.split()))}
+
+
+def test_readme_exit_codes_match_the_error_types():
+    defined = {cls.__name__: cls.exit_code for cls in vars(errors).values()
+               if inspect.isclass(cls) and cls.__module__ == errors.__name__}
+    assert exit_codes_listed(README.read_text()) == defined
+
+
+def test_detects_a_wrong_exit_code():
+    text = (f"{EXIT_CODES} 0 success; 2 bad input (`InvalidInputError`); 5\n"
+            "no convergence (`ConvergenceError`).\n\n3 later (`NumericalError`)")
+    assert exit_codes_listed(text) == {"InvalidInputError": 2,
+                                       "ConvergenceError": 5}
