@@ -6,35 +6,34 @@ hash of ``tag || 0x00 || index_le8 || master_le8``; the 256-bit digest,
 read as a little-endian integer, seeds numpy's PCG64 via SeedSequence.
 Substreams are therefore collision-resistant, independent of evaluation
 order, and reproducible from the run manifest alone. A seed or index
-outside [0, 2**64) is refused, not wrapped onto another. (Bit-equality of
-Gaussian draws across other language runtimes is a non-goal; the
-derivation scheme itself is portable.)
+that is not an integer in [0, 2**64) (a float, a bool, a string) is
+refused, not wrapped onto another. (Bit-equality of Gaussian draws across
+other language runtimes is a non-goal; the derivation scheme is portable.)
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 
-def _digest(master_seed: int, tag: str, index: int) -> bytes:
+def _word(name: str, value: int) -> bytes:
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInputError(f"{name} {value!r} is not an integer")
     try:
-        words = (int(index).to_bytes(8, "little")
-                 + int(master_seed).to_bytes(8, "little"))
+        return operator.index(value).to_bytes(8, "little")
     except OverflowError:
-        name, value = (("seed", master_seed) if not 0 <= master_seed < 2 ** 64
-                       else ("substream index", index))
-        raise InvalidInputError(
-            f"{name} {value} must lie in [0, 2**64)") from None
-    return hashlib.sha256(tag.encode("utf-8") + b"\x00" + words).digest()
+        raise InvalidInputError(f"{name} {value} must lie in [0, 2**64)") from None
 
 
-def substream_key(master_seed: int, tag: str, index: int = 0) -> int:
-    """256-bit integer key for the (seed, tag, index) substream."""
-    return int.from_bytes(_digest(master_seed, tag, index), "little")
+def _digest(master_seed: int, tag: str, index: int) -> bytes:
+    seed = _word("seed", master_seed)
+    return hashlib.sha256(tag.encode("utf-8") + b"\x00"
+                          + _word("substream index", index) + seed).digest()
 
 
 def seed_substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ulmimo.geometry import idealized_gains
+from ulmimo.rng import complex_gaussian, seed_substream
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +37,24 @@ def point_mass_root():
         x = 2.0 / (b + (b * b + 4.0 * c * p) ** 0.5)
         return x, x * (1.0 + p * x) / (2.0 * c * p * x + b)
     return root
+
+
+@pytest.fixture(scope="session")
+def trace_lemma_draws():
+    """Criterion 9f's forty trace-lemma draws at M = 1024, K = 513.
+
+    Each is (h1^H G^-1 h1, tr(G^-1) / M) with G = H2 H2^H + I over the
+    other K - 1 columns, drawn once for every band that reads them.
+    """
+    M, K, trials = 1024, 513, 40
+    rng = seed_substream(1, "acc.trace")
+    pairs = []
+    for _ in range(trials):
+        h = complex_gaussian(rng, (K, M), 1.0 / M)
+        G = (h[1:].T @ h[1:].conj()) + np.eye(M)
+        cf = sla.cho_factor(G, lower=True)
+        inv_l = sla.solve_triangular(cf[0], np.eye(M), lower=True)
+        tr = float(np.sum(np.abs(inv_l) ** 2))
+        quad = float((h[0].conj() @ sla.cho_solve(cf, h[0])).real)
+        pairs.append((quad, tr / M))
+    return pairs

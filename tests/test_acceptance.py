@@ -1,13 +1,12 @@
 """Acceptance suite: every criterion as one test, named as its pass/fail line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the measured numbers
-behind each verdict. The whole module targets well under fifteen minutes on
-a laptop-class machine; master seed 1 is frozen so reruns are bit-identical.
+behind each verdict. The whole module takes about 27 s on a 2-vCPU host;
+master seed 1 is frozen so reruns are bit-identical.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from ulmimo import asymptotic as la
 from ulmimo import montecarlo as mc
@@ -236,23 +235,15 @@ def test_criterion_09e_oracle_route_agreement(drop_dist, point_mass_root):
     assert worst <= 1e-8
 
 
-def test_criterion_09f_trace_lemma_concentration():
+def test_criterion_09f_trace_lemma_concentration(trace_lemma_draws):
     # stated constants: M=1024, 5% band, >= 95% of trials. The band is
     # ~1.6 standard deviations of the quadratic-form estimator (its
     # fluctuation floor is 1/sqrt(M) ~= 3.1%), so the per-trial hit rate
     # tops out near 89%: the criterion as stated is unattainable. Kept
     # faithful rather than widened; see the decisions ledger.
-    M, K, trials = 1024, 513, 40
-    rng = seed_substream(SEED, "acc.trace")
-    hits = 0
-    for _ in range(trials):
-        h = complex_gaussian(rng, (K, M), 1.0 / M)
-        G = (h[1:].T @ h[1:].conj()) + np.eye(M)
-        cf = sla.cho_factor(G, lower=True)
-        inv_l = sla.solve_triangular(cf[0], np.eye(M), lower=True)
-        tr = float(np.sum(np.abs(inv_l) ** 2))
-        quad = float((h[0].conj() @ sla.cho_solve(cf, h[0])).real)
-        hits += abs(quad - tr / M) < 0.05 * tr / M
+    trials = len(trace_lemma_draws)
+    hits = sum(abs(quad - mean) < 0.05 * mean
+               for quad, mean in trace_lemma_draws)
     frac = hits / trials
     report(f"criterion 9f: trace-lemma concentration at M=1024: {hits}/{trials}"
            f" trials inside the 5% band ({frac:.0%}, need >= 95%) -> "

@@ -201,11 +201,6 @@ class TestSinrFormulas:
         # and in closed form: (1/1.06) / (0.0112/1.06) = 1/0.0112
         assert pilot[0] == pytest.approx(1.0 / 0.0112, rel=1e-12)
 
-    def test_mmse_gain_over_mf_near_7db(self, seven_cell_001):
-        mf, pilot, _ = la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)
-        gain_db = la.to_db(pilot[0]) - la.to_db(mf[0])
-        assert 6.0 <= gain_db <= 8.0
-
     def test_mf_single_cell_direct(self):
         dist = idealized_gains(1, 0.5)
         got = la.det_eq_sinr_rows(dist, 0.5, 0.01)[0][0]
@@ -227,16 +222,6 @@ class TestSinrFormulas:
         dist = idealized_gains(1, 0.5)
         assert la.det_eq_sinr_rows(dist, 0.0, 0.01)[2][0] == pytest.approx(
             100.0, rel=1e-12)
-
-    def test_perfect_exceeds_pilot_by_4db_strong_interference(self, seven_cell_01):
-        _, pilot, perfect = la.det_eq_sinr_rows(seven_cell_01, 0.5, 0.01)
-        gap = la.to_db(perfect[0]) - la.to_db(pilot[0])
-        assert 3.0 <= gap <= 5.0
-
-    def test_perfect_exceeds_pilot_by_3db_moderate_interference(self, seven_cell_001):
-        _, pilot, perfect = la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)
-        gap = la.to_db(perfect[0]) - la.to_db(pilot[0])
-        assert 2.0 <= gap <= 4.0
 
     def test_curves_meet_at_light_loading_and_weak_contamination(self):
         dist = idealized_gains(7, 0.001)

@@ -122,11 +122,6 @@ class TestMonteCarloSweep:
         for key in a:
             assert np.array_equal(a[key], b[key])
 
-    def test_single_trial_reproducible(self, idealized_01):
-        a = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 1, ALL, "noiseless", 3)
-        b = ex.monte_carlo_sweep(idealized_01, 16, [0.5], 1, ALL, "noiseless", 3)
-        assert a[(0.5, "mf")][0] == b[(0.5, "mf")][0]
-
     def test_channels_paired_across_estimate_modes(self, idealized_01):
         # perfect-CSI filter ignores the estimate, so identical channel
         # substreams must give identical samples in every mode

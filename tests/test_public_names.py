@@ -7,8 +7,6 @@ already reach another way. The check parses the package's modules and the
 demos, so a name counts as named when code loads it, reads it as an
 attribute or imports it, outside its own definition; README counts by
 word. A read in ``bench/`` or ``tests/`` does not count.
-
-``ALLOWED`` holds the names kept all the same, each with its reason.
 """
 
 import ast
@@ -20,12 +18,6 @@ import ulmimo
 
 PACKAGE = Path(ulmimo.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
-
-ALLOWED = {
-    "rng.py:substream_key": "the integer key that the substream tests "
-                            "seed numpy with to check seed_substream",
-}
-
 
 def public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
     """Public module-level functions, classes and constants, by name."""
@@ -77,8 +69,7 @@ def unnamed(modules: dict[str, str], readers: list[str],
 def test_every_public_name_is_named_outside_its_definition():
     modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     demos = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
-    assert unnamed(modules, demos, (ROOT / "README.md").read_text()) \
-        == sorted(ALLOWED)
+    assert unnamed(modules, demos, (ROOT / "README.md").read_text()) == []
 
 
 def test_detects_an_unnamed_name():
