@@ -25,6 +25,7 @@ from .errors import InvalidInputError, NumericalError
 from .experiments import ALL_FILTERS, ESTIMATE_MODES, write_csv
 from .scenario import (Scenario, parse_scenario, scenario_hash,
                        serialize_scenario)
+from .workers import set_blas_threads
 
 # glibc's mallopt parameters (<malloc.h>) and the values main sets. A Monte
 # Carlo trial allocates and frees the same arrays, from tens of KB to about
@@ -212,26 +213,9 @@ def _steady_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-@functools.cache
-def _one_blas_thread() -> None:
-    """Pin numpy's bundled OpenBLAS, if it has one, to one thread, once per
-    process: a threaded BLAS splits sums by thread count, and so output bytes."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        blas = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(blas, symbol, None)
-            if setter is not None:
-                setter.argtypes = (ctypes.c_int,)
-                setter.restype = None
-                setter(1)
-                return
-
-
 def main(argv=None) -> int:
     _steady_heap()
-    _one_blas_thread()
+    set_blas_threads(1)  # the output bytes must not depend on BLAS threads
     args = build_parser().parse_args(argv)
     # numpy's float errors are raised, so an overflow or NaN ends the run
     # instead of reaching an output, and exit as a NumericalError does

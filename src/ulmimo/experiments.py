@@ -8,6 +8,7 @@ row can be recomputed from the metadata in its CSV header.
 
 from __future__ import annotations
 
+import functools
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +23,9 @@ from .montecarlo import (draw_channels, empirical_sinr, generate_pilot_sequences
                          matched_filter, mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
                          training_based_estimate, users_per_cell)
-from .rng import seed_substream
+from .rng import check_seed, seed_substream
 from .scenario import Scenario, scenario_hash
+from .workers import cpu_count, run_blocks, split
 
 CSV_SCHEMA = 1
 MIN_PERCENTILE_SAMPLES = 20
@@ -33,6 +35,12 @@ MIN_PERCENTILE_SAMPLES = 20
 # loadings x filters x trials: 2**24 float64 samples are 128 MiB.
 MAX_TRIAL_ENTRIES = 2 ** 24
 MAX_SWEEP_SAMPLES = 2 ** 24
+# The fewest channel entries, summed over its trials, that a block of a
+# sweep draws. A forked worker costs its start and the pages it and this
+# process then copy on write: on a 2-vCPU host (one BLAS thread each),
+# noiseless sweeps at M = 50 and 100 broke even at 0.5-0.6M entries a block
+# and training sweeps at M = 50 below 0.12M.
+_BLOCK_MIN_ENTRIES = 500_000
 # drops in the drop law of the percentile and rate runners
 PERCENTILE_DROPS = 4000
 RATE_DROPS = 10_000
@@ -187,6 +195,30 @@ def run_trial(scenario: Scenario, K: int, M: int, mode: str, filters,
     return out
 
 
+def _trial_block(scenario: Scenario, M: int, grid, filters, mode: str,
+                 master_seed: int, lo: int, hi: int):
+    """Trials lo..hi-1 of every loading: their SINRs, shape (loadings,
+    filters, hi - lo), or (loading index, trial, error) of the first trial
+    in sweep order that raised."""
+    out = np.empty((len(grid), len(filters), hi - lo))
+    uses_pilot_stream = mode != "noiseless"
+    for ai, a in enumerate(grid):
+        K = users_per_cell(a, M)
+        channel_tag, pilot_tag = f"mc.channel.a{ai}", f"mc.pilot.a{ai}"
+        for t in range(lo, hi):
+            try:
+                rng_ch = seed_substream(master_seed, channel_tag, t)
+                rng_pn = (seed_substream(master_seed, pilot_tag, t)
+                          if uses_pilot_stream else None)
+                trial = run_trial(scenario, K, M, mode, filters, rng_ch,
+                                  rng_pn)
+            except Exception as exc:
+                return ai, t, exc
+            for fi, f in enumerate(filters):
+                out[ai, fi, t - lo] = trial[f]
+    return out
+
+
 def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
                       filters, estimate_mode: str,
                       master_seed: int) -> dict[tuple[float, str], np.ndarray]:
@@ -196,6 +228,15 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     noise from another, so the three estimate modes of the same seed see
     identical channels. The noiseless mode draws no pilot noise and
     derives no pilot substream.
+
+    Every input is checked before any trial runs. The trial indices are
+    split into contiguous blocks, the same at every loading, one per CPU
+    the process may run on but none holding fewer than
+    ``_BLOCK_MIN_ENTRIES`` channel entries; the first block runs in this
+    process and each other one in a forked worker. Since a trial's
+    substreams are keyed by its index, the samples, and the error raised
+    when trials fail (that of the first failing trial in loading-then-trial
+    order), do not depend on the number of blocks.
     """
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
@@ -220,20 +261,21 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
         raise InvalidInputError(
             f"{len(grid)} loadings x {len(filters)} filters x {trials} trials "
             f"exceed the cap of {MAX_SWEEP_SAMPLES} SINR samples")
-    uses_pilot_stream = estimate_mode != "noiseless"
-    samples = {(a, f): np.empty(trials) for a in grid for f in filters}
-    for ai, a in enumerate(grid):
-        K = users_per_cell(a, M)
-        channel_tag, pilot_tag = f"mc.channel.a{ai}", f"mc.pilot.a{ai}"
-        for t in range(trials):
-            rng_ch = seed_substream(master_seed, channel_tag, t)
-            rng_pn = (seed_substream(master_seed, pilot_tag, t)
-                      if uses_pilot_stream else None)
-            out = run_trial(scenario, K, M, estimate_mode, filters, rng_ch,
-                            rng_pn)
-            for f in filters:
-                samples[(a, f)][t] = out[f]
-    return samples
+    check_seed(master_seed)
+    sweep_entries = trials * sum(scenario.cells * users_per_cell(a, M) * M
+                                 for a in grid)
+    blocks = max(1, min(cpu_count(), trials,
+                        sweep_entries // _BLOCK_MIN_ENTRIES))
+    compute = functools.partial(_trial_block, scenario, M, grid, filters,
+                                estimate_mode, master_seed)
+    results = run_blocks(compute, split(trials, blocks),
+                         (len(grid), len(filters)))
+    failures = [r for r in results if not isinstance(r, np.ndarray)]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    out = np.concatenate(results, axis=2)
+    return {(a, f): out[ai, fi] for ai, a in enumerate(grid)
+            for fi, f in enumerate(filters)}
 
 
 def monte_carlo_result(scenario: Scenario, M: int, alpha_grid, trials: int,

@@ -30,6 +30,12 @@ def _word(name: str, value: int) -> bytes:
         raise InvalidInputError(f"{name} {value} must lie in [0, 2**64)") from None
 
 
+def check_seed(master_seed: int) -> None:
+    """Refuse, with the message :func:`seed_substream` would give, a seed it
+    cannot key, so a caller can refuse it before any work."""
+    _word("seed", master_seed)
+
+
 def _digest(master_seed: int, tag: str, index: int) -> bytes:
     seed = _word("seed", master_seed)
     return hashlib.sha256(tag.encode("utf-8") + b"\x00"

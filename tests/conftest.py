@@ -1,9 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import complex_gaussian, seed_substream
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """Fail the run if a child of the test process is left unreaped at its
+    end, as a leaked Monte Carlo worker would be."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    state = "still running" if pid == 0 else f"{pid} exited but unreaped"
+    pytest.fail(f"the test run left a child process behind ({state})")
 
 
 @pytest.fixture(scope="session")

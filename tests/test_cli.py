@@ -182,12 +182,13 @@ class TestSubstreams:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_million_keys_no_collision(self):
-        keys = set()
-        for i in range(500_000):
-            keys.add(substream_key(0, "trial", i))
-            keys.add(substream_key(1, "trial", i))
-        assert len(keys) == 1_000_000
+    def test_substream_states_do_not_collide(self):
+        # 10^4 keys, seeds one bit apart: a derivation that dropped or
+        # truncated the seed or the index would repeat a PCG64 state
+        states = {seed_substream(seed, "trial", i).bit_generator.state[
+                      "state"]["state"]
+                  for seed in (0, 1) for i in range(5000)}
+        assert len(states) == 10_000
 
     @staticmethod
     def integer_seeded(key):

@@ -297,6 +297,49 @@ class TestTrainingEstimate:
         with pytest.raises(NumericalError, match="training matrix condition"):
             mc.training_based_estimate(real, seqs, 1e6, seed_substream(18, "tn"))
 
+    # one cell with identity sequences gives A = diag(1/rho + beta_k), so at
+    # rho = 1e12 and beta = (beta_1, 1e-30, 1e-30) its condition number is
+    # about 1 + 1e12 beta_1
+    @staticmethod
+    def near_limit(beta_1):
+        K, M = 3, 4
+        real = mc.ChannelRealization(
+            small_scale=mc.draw_channel_matrix(1, K, M,
+                                               seed_substream(19, "cond")),
+            gains=np.array([[beta_1, 1e-30, 1e-30]]), noise_var=0.01)
+        return real, np.eye(K, dtype=complex)[None]
+
+    def test_condition_just_past_the_limit_refused(self):
+        real, seqs = self.near_limit(1.0)
+        with pytest.raises(NumericalError) as info:
+            mc.training_based_estimate(real, seqs, 1e12,
+                                       seed_substream(19, "tn"))
+        assert str(info.value) == ("training matrix condition number "
+                                   "1.000e+12 exceeds 1e+12")
+
+    def test_condition_just_below_the_limit_asks_the_eigenvalues(
+            self, monkeypatch):
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            calls.append(a.shape)
+            return real_eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        real, seqs = self.near_limit(0.999999)
+        mc.training_based_estimate(real, seqs, 1e12, seed_substream(19, "tn"))
+        assert calls == [(3, 3)]
+
+    def test_condition_far_below_the_limit_skips_the_eigenvalues(
+            self, monkeypatch):
+        def eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        real = idealized_realization(50, 50, seed=20)
+        seqs = mc.generate_pilot_sequences(50, 7, seed_substream(20, "u"))
+        mc.training_based_estimate(real, seqs, 10 ** 2.8,
+                                   seed_substream(20, "tn"))
+
 
 def per_cell_pilot_sequences(K, B, rng):
     """generate_pilot_sequences with one Gaussian draw per cell."""
