@@ -268,8 +268,7 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
                         sweep_entries // _BLOCK_MIN_ENTRIES))
     compute = functools.partial(_trial_block, scenario, M, grid, filters,
                                 estimate_mode, master_seed)
-    results = run_blocks(compute, split(trials, blocks),
-                         (len(grid), len(filters)))
+    results = run_blocks(compute, split(trials, blocks))
     failures = [r for r in results if not isinstance(r, np.ndarray)]
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]

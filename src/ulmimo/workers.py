@@ -3,12 +3,13 @@
 A Monte Carlo sweep keys the randomness of every trial by its index, so
 any split of the indices gives the same samples. :func:`run_blocks` runs
 the first block in this process and every other block in a child made by
-``os.fork``. A child sends its result down a pipe and ends with
-``os._exit``: a float64 array as raw bytes, any other value or an
-exception that escaped the block pickled. Results come back in block
-order, and every child is reaped before the call returns or raises. A
-child is killed when this process dies, and it runs no exit handler of
-its parent.
+``os.fork``. A child sends one pickled message down a pipe, its block's
+result or the exception that escaped it, and ends with ``os._exit``: with
+status 0 only once the whole message is written. A child that ends
+otherwise, or one that cannot be started, fails the call with a
+NumericalError. Results come back in block order, and every child is
+reaped before the call returns or raises. A child is killed when this
+process dies, and it runs no exit handler of its parent.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .errors import NumericalError
 
 _PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
-_ARRAY, _VALUE, _RAISED = b"a", b"v", b"r"
 
 
 @functools.cache
@@ -87,55 +87,64 @@ def _die_with_parent(kill_signal: int):
     return functools.partial(prctl, _PR_SET_PDEATHSIG, kill_signal)
 
 
-def run_blocks(compute, bounds, shape) -> list:
+def run_blocks(compute, bounds) -> list:
     """``compute(lo, hi)`` for each (lo, hi) of ``bounds``, in order.
 
     The first block runs here, each other one in a forked child, and
     every block with one BLAS thread: the bytes of a result then do not
     depend on the number of blocks, and no BLAS thread competes with a
-    worker for a core. An array result must be float64 of shape
-    ``(*shape, hi - lo)``; any other result is passed back as it is. An
-    exception that escapes a child's block is raised here with its type
-    and message, once every block before it has come back.
+    worker for a core. An exception that escapes a child's block is
+    raised here with its type and message, once every block before it
+    has come back.
     """
     previous = set_blas_threads(1)
     try:
         if len(bounds) == 1:
             return [compute(*bounds[0])]
-        return _fork_blocks(compute, bounds, shape)
+        return _fork_blocks(compute, bounds)
     finally:
         if previous is not None:
             set_blas_threads(previous)
 
 
-def _fork_blocks(compute, bounds, shape) -> list:
+def _fork_blocks(compute, bounds) -> list:
     import signal  # here, not at import: only a forking run needs it
     die_with_parent, parent = _die_with_parent(signal.SIGKILL), os.getpid()
     children = {}  # pid -> read end of its pipe, until reaped
     try:
         for lo, hi in bounds[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
+            pipe = ()
+            try:
+                pipe = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in pipe:
+                    os.close(fd)
+                raise NumericalError(
+                    f"cannot start a Monte Carlo worker: {exc}") from exc
             if pid == 0:
-                _child(compute, lo, hi, write_end, die_with_parent, parent)
-            os.close(write_end)
-            children[pid] = read_end
+                _child(compute, lo, hi, pipe[1], die_with_parent, parent)
+            os.close(pipe[1])
+            children[pid] = open(pipe[0], "rb")
         results = [compute(*bounds[0])]
-        for pid, (lo, hi) in zip(list(children), bounds[1:]):
-            kind, result = _receive(children[pid], (*shape, hi - lo))
+        for pid in list(children):
+            try:
+                raised, value = pickle.load(children[pid])
+            except (EOFError, pickle.UnpicklingError):  # a cut message
+                raised = None
             _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
-            if kind == _RAISED:
-                raise result
-            if kind is None:
+            children.pop(pid).close()
+            if status or raised is None:
                 raise NumericalError(
                     f"Monte Carlo worker process {pid} {_ended(status)} "
                     "before sending its trials")
-            results.append(result)
+            if raised:
+                raise value
+            results.append(value)
         return results
     finally:
         for pid, read_end in children.items():
-            os.close(read_end)
+            read_end.close()
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
@@ -143,7 +152,9 @@ def _fork_blocks(compute, bounds, shape) -> list:
 
 
 def _child(compute, lo, hi, fd, die_with_parent, parent) -> None:
-    """Run one block and send its result; never returns."""
+    """Run one block and send (raised, its result or exception), pickled;
+    never returns. A message that does not come back from its pickle is
+    replaced by an exception that says so."""
     code = 1
     try:
         if die_with_parent is not None:
@@ -151,53 +162,21 @@ def _child(compute, lo, hi, fd, die_with_parent, parent) -> None:
         if os.getppid() != parent:  # the parent died before prctl
             return
         try:
-            result = compute(lo, hi)
-            if isinstance(result, np.ndarray):
-                message = [_ARRAY, memoryview(result).cast("B")]
-            else:
-                message = _pickled(_VALUE, result)
+            message = False, compute(lo, hi)
         except BaseException as exc:
-            message = _pickled(_RAISED, exc)
-        for part in message:
-            view = memoryview(part)
-            while view:
-                view = view[os.write(fd, view):]
+            message = True, exc
+        try:
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            pickle.loads(data)
+        except Exception as exc:
+            data = pickle.dumps((True, RuntimeError(
+                f"a worker's {type(message[1]).__name__} could not be "
+                f"pickled: {exc}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
         code = 0
     finally:
         os._exit(code)
-
-
-def _pickled(kind: bytes, obj) -> list[bytes]:
-    """[kind, obj pickled], or, if obj does not come back from its pickle,
-    an exception to raise that says so."""
-    try:
-        data = pickle.dumps(obj)
-        pickle.loads(data)
-        return [kind, data]
-    except Exception as exc:
-        return [_RAISED, pickle.dumps(RuntimeError(
-            f"a worker's {type(obj).__name__} could not be pickled: {exc}"))]
-
-
-def _receive(fd: int, shape):
-    """(kind, result) of a child, read to the end of its pipe; kind is None
-    if the child ended before sending all of its result."""
-    kind = os.read(fd, 1)
-    if kind == _ARRAY:
-        out = np.empty(shape)
-        view = memoryview(out).cast("B")
-        while view:
-            got = os.readv(fd, [view])
-            if not got:
-                return None, None
-            view = view[got:]
-        return kind, out
-    if kind not in (_VALUE, _RAISED):
-        return None, None
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return kind, pickle.loads(b"".join(chunks))
 
 
 def _ended(status: int) -> str:

@@ -5,9 +5,10 @@ more than one CPU. The worker count follows the affinity mask, which these
 tests set by replacing ``os.sched_getaffinity``; they also lower the
 smallest block to one channel entry, so that small sweeps fork. Outputs,
 refusals and errors must not depend on the worker count, and no worker
-may outlive the call that forked it.
+may outlive the call that forked it, nor any pipe end stay open.
 """
 
+import errno
 import os
 import re
 import signal
@@ -49,10 +50,18 @@ class Forks(list):
                                   lambda pid: set(range(n)))
 
 
+def open_fds() -> int | None:
+    """The number of this process's open descriptors, or None without
+    /proc."""
+    fds = Path("/proc/self/fd")
+    return len(list(fds.iterdir())) if fds.is_dir() else None
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Counts forks and lets a test set the CPU count; every block may be
-    as small as one trial."""
+    as small as one trial. Fails the test if it leaves a descriptor open,
+    such as a pipe end of a worker."""
     made = Forks(monkeypatch)
     real_fork = os.fork
 
@@ -63,7 +72,9 @@ def forks(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(ex, "_BLOCK_MIN_ENTRIES", 1)
-    return made
+    before = open_fds()
+    yield made
+    assert open_fds() == before, "the test left a descriptor open"
 
 
 def assert_no_child_left():
@@ -262,6 +273,92 @@ sys.exit("a worker was left unreaped")
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_worker_that_cannot_start_fails_the_run(
+        idealized_01, tmp_path, capsys, monkeypatch, forks, call):
+    # the first worker starts, the second cannot: the first is killed and
+    # reaped, and the pipe of the second is closed
+    forks.set_cpus(3)
+    real = getattr(os, call)
+    calls = []
+
+    def fail_second():
+        calls.append(call)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+    monkeypatch.setattr(os, call, fail_second)
+    message = (f"cannot start a Monte Carlo worker: [Errno {errno.EAGAIN}] "
+               f"{os.strerror(errno.EAGAIN)}")
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        ex.monte_carlo_sweep(idealized_01, 8, [0.5], 6, ALL, "noiseless", 0)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+    calls.clear()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["montecarlo", "--antennas", "8", "--trials", "6",
+                     "--out", str(out)]) == NumericalError.exit_code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
+class Unrebuildable(Exception):
+    """Pickles, but its pickle calls __init__ with one argument of two."""
+
+    def __init__(self, what, why):
+        super().__init__(what)
+        self.why = why
+
+
+def raise_unrebuildable(lo, hi):
+    raise Unrebuildable("a worker failed", "no reason")
+
+
+@pytest.mark.parametrize("block, kind", [
+    (raise_unrebuildable, "Unrebuildable"),
+    (lambda lo, hi: lambda: lo, "function"),
+], ids=["exception", "result"])
+def test_message_that_cannot_be_pickled_surfaces_by_type(forks, block, kind):
+    def compute(lo, hi):
+        return block(lo, hi) if lo else [lo]
+    with pytest.raises(RuntimeError,
+                       match=f"^a worker's {kind} could not be pickled: "):
+        workers.run_blocks(compute, [(0, 1), (1, 2)])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_in_order():
+    # in a fresh interpreter, so that a parent waiting for a child that
+    # waits for room in its pipe is cut by the timeout
+    code = """
+import os, sys
+import numpy as np
+from ulmimo import workers
+blocks = [np.arange(lo << 18, (lo + 1) << 18, dtype=np.float64)  # 2 MiB
+          for lo in range(3)]
+def compute(lo, hi):
+    return {"block": blocks[lo]} if lo == 1 else blocks[lo]
+results = workers.run_blocks(compute, [(0, 1), (1, 2), (2, 3)])
+assert np.array_equal(results[0], blocks[0])
+assert list(results[1]) == ["block"]
+assert np.array_equal(results[1]["block"], blocks[1])
+assert np.array_equal(results[2], blocks[2])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(0)
+sys.exit("a worker was left unreaped")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_blocks_run_with_one_blas_thread():
     original = workers.set_blas_threads(2)
     if original is None:
@@ -269,7 +366,7 @@ def test_blocks_run_with_one_blas_thread():
     try:
         # each block reports the count it ran with; the caller's comes back
         seen = workers.run_blocks(lambda lo, hi: workers.set_blas_threads(1),
-                                  [(0, 1), (1, 2), (2, 3)], ())
+                                  [(0, 1), (1, 2), (2, 3)])
         assert seen == [1, 1, 1]
         assert workers.set_blas_threads(1) == 2
     finally:
@@ -294,7 +391,7 @@ def compute(lo, hi):
     os.write(1, f"block {lo}\\n".encode())
     time.sleep(60)
 os.fork = fork
-workers.run_blocks(compute, [(0, 1), (1, 2)], ())
+workers.run_blocks(compute, [(0, 1), (1, 2)])
 """
     with subprocess.Popen([sys.executable, "-c", code],
                           stdout=subprocess.PIPE, text=True,
