@@ -23,21 +23,32 @@ eta1* the trace limit of its own filter matrix. :func:`det_eq_sinr_rows`
 is the one place these three limits are evaluated, for every sample of
 any law: a point mass (the idealized cells) or a set of drops.
 
-Both fixed points (eta1 and eta1*) are solved by one kernel, damped
-Picard iteration started from the matched-filter-style lower bound
-1/(noise_var + alpha E[B]); the maps are monotone and bounded on
+eta1 is the root x > 0 of
+
+    g(x) = c x - (1 - alpha) - alpha E[r],   r = 1 / (1 + p x),
+
+with p = ``est_gain`` and c = noise_var + alpha (E[B] - E[p]): the fixed
+point of :func:`eta1_map` multiplied out, with no term that cancels at
+high SNR. g is increasing and concave, so Newton's method started left of
+the root climbs to it; it starts at the root of Jensen's bound
+E[r] >= 1 / (1 + E[p] x), which is the root itself on a point mass. The
+root is accepted by the residual of :func:`eta1_map` at it, and
+eta2 = eta1 / g'(eta1) takes no difference. eta1* is solved by damped
+Picard iteration of :func:`eta1_perfect_map`, started from the lower
+bound 1/(noise_var + alpha E[B]); the map is monotone and bounded on
 (0, 1/noise_var], and the damping guards pathological sample sets.
-Damping, relative step tolerance and iteration cap are the module
-constants below, read at every solve.
+Relative tolerance, step cap and damping are the module constants below,
+read at every solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, NumericalError
+from .errors import ConvergenceError, InvalidInputError
 from .fading import FadingDistribution, expect_total_gain
 
 FIXED_POINT_TOL = 1e-12
@@ -52,35 +63,34 @@ def to_db(x) -> float:
 
 @dataclass(frozen=True)
 class DetEqSolution:
-    """Solved large-system constants for one (distribution, alpha, noise) triple."""
+    """Solved large-system constants for one (distribution, alpha, noise)
+    triple; ``inter_mmse`` is E[B] - C, summed without that difference."""
 
     eta1: float
     eta2: float
     suppression: float
+    inter_mmse: float
     mean_total_gain: float
 
-    @property
-    def inter_mmse(self) -> float:
-        return self.mean_total_gain - self.suppression
+
+def _check_args(dist: FadingDistribution, alpha: float,
+                noise_var: float) -> float:
+    """E[B] of the law, once alpha and noise_var are known to be valid."""
+    if alpha < 0.0 or not np.isfinite(alpha):
+        raise InvalidInputError("alpha must be a finite nonnegative real")
+    if noise_var <= 0.0 or not np.isfinite(noise_var):
+        raise InvalidInputError("noise_var must be a finite positive real")
+    return expect_total_gain(dist)[0]
 
 
 def _solve(fmap, dist: FadingDistribution, alpha: float, noise_var: float,
            what: str) -> float:
     """Fixed point of ``fmap(dist, alpha, noise_var, x)`` by damped Picard."""
-    if alpha < 0.0 or not np.isfinite(alpha):
-        raise InvalidInputError("alpha must be a finite nonnegative real")
-    if noise_var <= 0.0 or not np.isfinite(noise_var):
-        raise InvalidInputError("noise_var must be a finite positive real")
-    e_total, _ = expect_total_gain(dist)
+    e_total = _check_args(dist, alpha, noise_var)
     x = 1.0 / (noise_var + alpha * e_total)
     residual = np.inf
     for _ in range(FIXED_POINT_MAX_ITER):
-        try:
-            fx = fmap(dist, alpha, noise_var, x)
-        except ZeroDivisionError:  # the map's denominator rounded to zero
-            raise ConvergenceError(
-                f"{what} fixed-point step divides by zero (last relative "
-                f"residual {residual:.3e})") from None
+        fx = fmap(dist, alpha, noise_var, x)
         residual = abs(fx - x) / abs(x)
         if residual <= FIXED_POINT_TOL:
             return x
@@ -101,42 +111,78 @@ def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float)
     return 1.0 / (noise_var + alpha * dist.mean_total - alpha * shrink)
 
 
-def _eta2(dist: FadingDistribution, alpha: float, eta1: float) -> float:
-    """Limiting (1/M) tr S^-2, from the derivative of the eta1 equation."""
-    p = dist.est_gain
-    subtrahend = alpha * dist.expect((p / (1.0 + p * eta1)) ** 2)
-    if subtrahend == 0.0:
-        return eta1 * eta1
-    denom = eta1**-2 - subtrahend
-    if denom <= 0.0:
-        raise NumericalError(
-            "second trace moment has non-positive denominator; the "
-            "large-system limit does not exist for this distribution")
-    # eta2 >= eta1^2 (Cauchy-Schwarz); a subtrahend below the rounding of
-    # eta1**-2 can leave 1/denom an ulp short of it
-    return max(1.0 / denom, eta1 * eta1)
+def _g(dist: FadingDistribution, alpha: float, c: float,
+       x: float) -> tuple[float, float]:
+    """g(x) and g'(x) = c + alpha E[p r^2] of the eta1 equation."""
+    r, pr2 = dist._scratch
+    np.multiply(dist.est_gain, x, out=r)
+    r += 1.0
+    np.reciprocal(r, out=r)
+    np.multiply(dist.est_gain, r, out=pr2)
+    pr2 *= r
+    return (c * x - (1.0 - alpha) - alpha * dist.expect(r),
+            c + alpha * dist.expect(pr2))
+
+
+def _eta1_newton(dist: FadingDistribution, alpha: float,
+                 noise_var: float) -> tuple[float, float]:
+    """eta1 and g'(eta1), by Newton from the Jensen root."""
+    c = noise_var + alpha * dist.mean_off_estimate
+    mean_p = dist.mean_est_gain
+    # c E[p] x^2 + b x - 1 = 0, each root form free of cancellation
+    b = c - (1.0 - alpha) * mean_p
+    disc = math.hypot(b, 2.0 * math.sqrt(c) * math.sqrt(mean_p))
+    x = 2.0 / (b + disc) if b >= 0.0 else (disc - b) / (2.0 * c * mean_p)
+    step = math.inf
+    for _ in range(FIXED_POINT_MAX_ITER):
+        value, slope = _g(dist, alpha, c, x)
+        # convergence is quadratic: once a step is this small, x is the
+        # root to rounding and slope is g' there
+        if abs(step) <= FIXED_POINT_TOL * x:
+            break
+        step = value / slope
+        x -= step
+    # the map's denominator sums terms of about alpha E[B] to 1/x, so it
+    # rounds to about eps alpha E[B] x of itself
+    eps = np.finfo(float).eps
+    bound = FIXED_POINT_TOL + 8.0 * eps * alpha * dist.mean_total * x
+    try:
+        residual = abs(x / eta1_map(dist, alpha, noise_var, x) - 1.0)
+    except ZeroDivisionError:  # the denominator rounded to zero
+        residual = 1.0
+    if not residual <= bound:
+        raise ConvergenceError(
+            f"eta1 Newton root fails its fixed-point map (relative "
+            f"residual {residual:.3e})")
+    return x, slope
 
 
 def solve_det_eq(dist: FadingDistribution, alpha: float,
                  noise_var: float) -> DetEqSolution:
-    """Solve eta1, eta2 and the suppression constant C in one call.
+    """Solve eta1, eta2, the suppression constant C and E[B] - C in one call.
 
-    C, the interference power the MMSE receiver removes relative to the
-    MF, sums three expectation terms in a single pass over the samples so
-    every term sees the identical weighting.
+    With r = 1/(1 + p eta1), C = E[p (1 - r)] + (eta2/eta1) E[p q r (1 + r)]
+    and E[B] - C = E[B - p] + E[p r] - (eta2/eta1) E[p q r (1 + r)], each
+    summed in one pass over the samples so every term sees the identical
+    weighting, and neither taken as a difference of the other from E[B].
     """
-    eta1 = _solve(eta1_map, dist, alpha, noise_var, "eta1")
-    eta2 = _eta2(dist, alpha, eta1)
+    e_total = _check_args(dist, alpha, noise_var)
+    eta1, slope = _eta1_newton(dist, alpha, noise_var)
+    # eta2 >= eta1^2 (Cauchy-Schwarz), with equality at alpha = 0; eta1 /
+    # slope can fall an ulp short of it when alpha E[p^2 r^2] is below the
+    # rounding of slope
+    eta2 = eta1 * eta1 if alpha == 0.0 else max(eta1 / slope, eta1 * eta1)
     p = dist.est_gain
-    q = dist.cross_est_gain
-    ratio = eta2 / eta1
-    supp = dist.expect(
-        dist.est_gain_sq * eta1 / (1.0 + p * eta1)
-        + ratio * p * q / (1.0 + p * eta1)
-        + ratio * p * q / (1.0 + p * eta1) ** 2)
-    e_total, _ = expect_total_gain(dist)
-    return DetEqSolution(eta1=eta1, eta2=eta2, suppression=supp,
-                         mean_total_gain=e_total)
+    r = 1.0 / (1.0 + p * eta1)
+    pr = p * r
+    # (eta2/eta1) p q r (1 + r), with eta2/eta1 = 1/slope: finite where
+    # eta2 overflows, and 0 where q is
+    contaminated = dist.cross_est_gain * pr * (1.0 + r) / slope
+    return DetEqSolution(
+        eta1=eta1, eta2=eta2,
+        suppression=dist.expect(pr * p * eta1 + contaminated),
+        inter_mmse=dist.mean_off_estimate + dist.expect(pr - contaminated),
+        mean_total_gain=e_total)
 
 
 def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,

@@ -110,7 +110,7 @@ def run_blocks(compute, bounds) -> list:
 def _fork_blocks(compute, bounds) -> list:
     import signal  # here, not at import: only a forking run needs it
     die_with_parent, parent = _die_with_parent(signal.SIGKILL), os.getpid()
-    children = {}  # pid -> read end of its pipe, until reaped
+    children = {}  # pid -> descriptor of its pipe's read end, until reaped
     try:
         for lo, hi in bounds[1:]:
             pipe = ()
@@ -124,16 +124,17 @@ def _fork_blocks(compute, bounds) -> list:
                     f"cannot start a Monte Carlo worker: {exc}") from exc
             if pid == 0:
                 _child(compute, lo, hi, pipe[1], die_with_parent, parent)
+            children[pid] = pipe[0]  # first, so the finally finds it
             os.close(pipe[1])
-            children[pid] = open(pipe[0], "rb")
         results = [compute(*bounds[0])]
         for pid in list(children):
             try:
-                raised, value = pickle.load(children[pid])
+                with open(children[pid], "rb", closefd=False) as read_end:
+                    raised, value = pickle.load(read_end)
             except (EOFError, pickle.UnpicklingError):  # a cut message
                 raised = None
             _, status = os.waitpid(pid, 0)
-            children.pop(pid).close()
+            os.close(children.pop(pid))
             if status or raised is None:
                 raise NumericalError(
                     f"Monte Carlo worker process {pid} {_ended(status)} "
@@ -144,7 +145,7 @@ def _fork_blocks(compute, bounds) -> list:
         return results
     finally:
         for pid, read_end in children.items():
-            read_end.close()
+            os.close(read_end)
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
@@ -152,9 +153,10 @@ def _fork_blocks(compute, bounds) -> list:
 
 
 def _child(compute, lo, hi, fd, die_with_parent, parent) -> None:
-    """Run one block and send (raised, its result or exception), pickled;
-    never returns. A message that does not come back from its pickle is
-    replaced by an exception that says so."""
+    """Run one block and send (raised, its result or exception), pickled
+    once; never returns. A message that cannot be pickled, or an exception
+    that does not come back from its pickle, is replaced by an exception
+    that says so."""
     code = 1
     try:
         if die_with_parent is not None:
@@ -167,7 +169,8 @@ def _child(compute, lo, hi, fd, die_with_parent, parent) -> None:
             message = True, exc
         try:
             data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-            pickle.loads(data)
+            if message[0]:  # an exception's __init__ may refuse its args
+                pickle.loads(data)
         except Exception as exc:
             data = pickle.dumps((True, RuntimeError(
                 f"a worker's {type(message[1]).__name__} could not be "

@@ -1,5 +1,6 @@
 import os
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -52,6 +53,54 @@ def point_mass_root():
         x = 2.0 / (b + (b * b + 4.0 * c * p) ** 0.5)
         return x, x * (1.0 + p * x) / (2.0 * c * p * x + b)
     return root
+
+
+@pytest.fixture(scope="session")
+def det_eq_oracle():
+    """(dist, alpha, noise_var, dps=50) -> eta1, eta2, C and the per-sample
+    pilot-MMSE SINR of a law, as mpmath numbers in ``dps``-digit arithmetic
+    from the float gains.
+
+    eta1 is the root of x (noise_var + alpha E[B] - alpha E[p^2 x/(1+px)])
+    = 1, the fixed point of the eta1 map, which lies between the map's
+    lower bound 1/(noise_var + alpha E[B]) and 1/noise_var; eta2 is
+    1/(eta1^-2 - alpha E[(p/(1+p eta1))^2]), and C and the SINR
+    S/(noise_var + P + alpha (E[B] - C)) take their defining sums. Each
+    difference is exact to the working precision, so it must hold enough
+    digits for the cancellation of its case.
+    """
+    return _det_eq_oracle
+
+
+def _det_eq_oracle(dist, alpha, noise_var, dps=50):
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        rows = [[mpf(float(g)) for g in row] for row in dist.gains]
+        n, a, s2 = len(rows), mpf(float(alpha)), mpf(float(noise_var))
+        total = [sum(row) for row in rows]
+        p = [row[0] ** 2 / b for row, b in zip(rows, total)]
+        q = [sum(g * g for g in row[1:]) / b for row, b in zip(rows, total)]
+        mean_total = sum(total) / n
+
+        def residual(x):
+            shrink = sum(pi * pi * x / (1 + pi * x) for pi in p) / n
+            return x * (s2 + a * mean_total - a * shrink) - 1
+
+        # bisect geometrically to 12 digits, then polish by the secant
+        lo, hi = 1 / (s2 + a * mean_total), 1 / s2
+        while hi > lo * (1 + mpf("1e-12")):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
+        eta1 = lo if lo == hi else mpmath.findroot(residual, (lo, hi))
+        r = [1 / (1 + pi * eta1) for pi in p]
+        eta2 = 1 / (eta1 ** -2 - a * sum((pi * ri) ** 2
+                                         for pi, ri in zip(p, r)) / n)
+        ratio = eta2 / eta1
+        supp = sum(pi * pi * eta1 * ri + ratio * pi * qi * (ri + ri * ri)
+                   for pi, qi, ri in zip(p, q, r)) / n
+        pilot = [pi / (s2 + qi + a * (mean_total - supp))
+                 for pi, qi in zip(p, q)]
+        return eta1, eta2, supp, pilot
 
 
 @pytest.fixture(scope="session")

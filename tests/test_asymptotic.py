@@ -1,12 +1,13 @@
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from ulmimo import asymptotic as la
 from ulmimo import montecarlo as mc
-from ulmimo.errors import ConvergenceError, InvalidInputError, NumericalError
+from ulmimo.errors import ConvergenceError, InvalidInputError
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import seed_substream
@@ -59,14 +60,32 @@ class TestEta1:
 
     def test_convergence_error_carries_residual(self, seven_cell_001,
                                                 monkeypatch):
+        # eta1: a Newton root that its fixed-point map does not return is
+        # refused with the map's residual; eta1*: Picard runs out of steps
         dist = seven_cell_001
-        monkeypatch.setattr(la, "FIXED_POINT_MAX_ITER", 2)
-        for solve in (la.solve_det_eq, la.solve_eta1_perfect):
+        eta1_map = la.eta1_map
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "eta1_map",
+                          lambda *args: eta1_map(*args) * (1.0 + 1e-6))
             with pytest.raises(ConvergenceError) as err:
-                solve(dist, 0.5, 0.01)
-            reported = re.search(r"\(last relative residual (\S+)\)$",
-                                 str(err.value))
-            assert float(reported.group(1)) > 0.0
+                la.solve_det_eq(dist, 0.5, 0.01)
+        reported = re.search(r"relative residual (\S+)\)$", str(err.value))
+        assert float(reported.group(1)) == pytest.approx(1e-6, rel=1e-3)
+        monkeypatch.setattr(la, "FIXED_POINT_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as err:
+            la.solve_eta1_perfect(dist, 0.5, 0.01)
+        reported = re.search(r"relative residual (\S+)\)$", str(err.value))
+        assert float(reported.group(1)) > 0.0
+
+    def test_newton_cut_short_is_refused(self, monkeypatch):
+        # on a drop law the Jensen start is left of the root, and one
+        # Newton step from it does not reach the map's tolerance
+        drops = parse_scenario("cost231-7cell").gain_matrix(
+            200, seed_substream(0, "drop-law"))
+        dist = FadingDistribution(drops.T)
+        monkeypatch.setattr(la, "FIXED_POINT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="Newton root"):
+            la.solve_det_eq(dist, 1.0, 1.0)
 
     def test_invalid_inputs(self, seven_cell_001):
         dist = seven_cell_001
@@ -88,13 +107,6 @@ class TestEta2:
             for alpha in (0.1, 0.5, 1.0, 1.4):
                 det = la.solve_det_eq(dist, alpha, 0.01)
                 assert det.eta2 >= det.eta1**2
-
-    def test_degenerate_denominator_raises(self):
-        # an eta1 inconsistent with (dist, alpha) can push the denominator
-        # negative; the failure must surface, never a clamped value
-        dist = FadingDistribution([1.0])
-        with pytest.raises(NumericalError, match="non-positive denominator"):
-            la._eta2(dist, 2.0, 10.0)
 
 
 class TestTraceOracles:
@@ -284,7 +296,7 @@ class TestGeneralizedSinr:
         # a suppression above E[B] would make the MMSE interference negative
         det = la.solve_det_eq(seven_cell_001, 0.5, 0.01)
         monkeypatch.setattr(la, "solve_det_eq", lambda *args: replace(
-            det, suppression=det.mean_total_gain * 1.5))
+            det, inter_mmse=-0.5 * det.mean_total_gain))
         with pytest.raises(InvalidInputError):
             la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.01)
 
@@ -399,3 +411,57 @@ class TestMapsInScratch:
             for i, d in enumerate((a, b)):
                 alternating[i].append(fmap(d, *point))
         assert alternating == alone
+
+
+def _oracle_laws():
+    """(id, law, noise_var): the bundled idealized laws and 200 cost231 drops."""
+    laws = []
+    for name in ("idealized-001", "idealized-01", "idealized-1"):
+        sc = parse_scenario(name)
+        laws.append((name, idealized_gains(sc.cells, sc.gain_model.beta_other),
+                     sc.noise_var))
+    sc = parse_scenario("cost231-7cell")
+    drops = sc.gain_matrix(200, seed_substream(0, "drop-law"))
+    laws.append(("cost231-200", FadingDistribution(drops.T), sc.noise_var))
+    return laws
+
+
+def _rel(value, exact):
+    return float(abs(mpmath.mpf(float(value)) - exact) / exact)
+
+
+class TestMpmathOracle:
+    """eta1, eta2, C and the pilot-MMSE SINR within 1e-14 relative of
+    their values in 50 or more digits (the ``det_eq_oracle`` fixture)."""
+
+    LAWS = _oracle_laws()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("dist, noise_var", [law[1:] for law in LAWS],
+                             ids=[law[0] for law in LAWS])
+    def test_limits_on_bundled_and_drop_laws(self, det_eq_oracle, dist,
+                                             noise_var, alpha):
+        eta1, eta2, supp, pilot = det_eq_oracle(dist, alpha, noise_var)
+        det = la.solve_det_eq(dist, alpha, noise_var)
+        got = la.det_eq_sinr_rows(dist, alpha, noise_var)[1]
+        assert _rel(det.eta1, eta1) <= 1e-14
+        assert _rel(det.eta2, eta2) <= 1e-14
+        assert _rel(det.suppression, supp) <= 1e-14
+        assert max(_rel(v, w) for v, w in zip(got, pilot)) <= 1e-14
+
+    # one cell at full load: eta1 is about noise_var^-1/2 and eta2 about
+    # noise_var^-3/2 / 2, past the float range at 1e-300, whose nearest
+    # float is then inf
+    @pytest.mark.parametrize("noise_var", [1e-6, 1e-20, 1e-300])
+    def test_one_cell_at_any_snr(self, det_eq_oracle, noise_var):
+        dist = idealized_gains(1, 0.01)
+        eta1, eta2, _, pilot = det_eq_oracle(dist, 1.0, noise_var, dps=400)
+        det = la.solve_det_eq(dist, 1.0, noise_var)
+        assert _rel(det.eta1, eta1) <= 1e-14
+        if eta2 > np.finfo(float).max:
+            assert det.eta2 == np.inf
+        else:
+            assert _rel(det.eta2, eta2) <= 1e-14
+        got = dist.est_gain[0] / (noise_var + dist.cross_est_gain[0]
+                                  + det.inter_mmse)
+        assert _rel(got, pilot[0]) <= 1e-14

@@ -28,7 +28,10 @@ from ulmimo.scenario import (MAX_NOISE_VAR, parse_scenario, scenario_to_dict,
 # Monte Carlo outputs pinned bit for bit: SHA-256 of the CSV from each run
 # below at seed 7. The Monte Carlo and percentile pins were re-recorded when
 # the dense filter solve moved from Cholesky to LU (np.linalg.solve), after
-# a check that only float cells moved, each by at most 1e-12 relative.
+# a check that only float cells moved, each by at most 1e-12 relative. The
+# percentile and rates pins were re-recorded when eta1 moved to Newton's
+# root and E[B] - C to a sum without that difference: only the pilot-MMSE
+# limit columns moved, by at most 1.1e-12 relative.
 _GOLDEN_MC = ("--antennas", "8", "--alpha", "0.25,0.5,1.0", "--trials", "20",
               "--seed", "7")
 GOLDEN_MC_RUNS = {
@@ -47,26 +50,26 @@ GOLDEN_MC_RUNS = {
     "percentile-cost231": (
         ("percentile", "--scenario", "cost231-7cell") + _GOLDEN_MC,
         "percentile.csv",
-        "f810271a94c9cca722844765288e0c47e55fa5279a47aadfc1a4343b44ce05a3"),
+        "f4933f6e0a1b7c9cfdbb44d8aa6ec456123762a8494b1f28a243ea484415fa97"),
     # The drop-law runners, recorded before the drop law moved onto
     # Scenario.gain_matrix: the idealized rows feed mean_gains, whose sum
     # depends on the memory layout of the (n, B) gain array.
     "percentile-idealized-1": (
         ("percentile", "--scenario", "idealized-1") + _GOLDEN_MC,
         "percentile.csv",
-        "7b275f11e03b5d94c357538f76bb3662276e4bb5d9e609db38e91b30e292409c"),
+        "a131ca416653d8a7754e8172122a1b0eaebb1425db69e979af90e8ed98aeb729"),
     "rates-idealized-01": (
         ("rates", "--scenario", "idealized-01"), "rates.csv",
-        "0bd31ea5d842729b24c15da29732ef6dbff40ca4179a2c422c0017e8a313aa12"),
+        "8cfc9d22818962cd392f03426f870f14d506d9cfc5b9d99d1969dbc3d31aabe0"),
     "rates-cost231": (
         ("rates", "--scenario", "cost231-7cell"), "rates.csv",
-        "540b943e5f7edcad461efd4bbb2c12d9fddfe833996d00713751062da52334de"),
+        "93d8831f95a378ffbdb0b2b656c3ae2ba724909ef0d633b6081b9d3148f6ad72"),
     # The 10,000-drop rate table at the benchmark's holdout seed (its
-    # default seed 0 is pinned just above), recorded before the det-eq
-    # maps read per-law constants and a reused scratch.
+    # default seed 0 is pinned just above), first recorded before the
+    # det-eq maps read per-law constants and a reused scratch.
     "rates-cost231-seed4099": (
         ("rates", "--scenario", "cost231-7cell", "--seed", "4099"), "rates.csv",
-        "3738d6d5237b66a75629809bb06ff8c6a6c73721adbbf2a3f627820a0bf0b69f"),
+        "ff287490cd3bdbf8f2ac1363e5054199364afca591634262fa2edcc803ee8a89"),
 }
 
 # Monte Carlo on cost231-7cell with 8 dB shadowing, recorded before the
@@ -679,9 +682,10 @@ class TestExitCodes:
         assert reason in err and len(err) < 200
         assert not out.exists()
 
-    # once shrink rounds to mean_total, the eta1 map's denominator is
-    # noise_var + alpha mean_total - alpha shrink = 0 and ended in a
-    # ZeroDivisionError traceback
+    # once shrink rounded to mean_total, the eta1 map's denominator was
+    # noise_var + alpha mean_total - alpha shrink = 0 and the run ended in a
+    # ZeroDivisionError traceback; Newton's eta1 converges here, and the
+    # run stops in the perfect-estimate eta1's damped Picard iteration
     def test_eta1_step_dividing_by_zero_is_convergence_error(self, tmp_path,
                                                              capsys):
         path = scenario_file(tmp_path, cells=1, noise_var=1e-20)
@@ -689,7 +693,8 @@ class TestExitCodes:
         assert cli.main(["asymptotic", "--scenario", str(path),
                          "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: eta1 fixed-point step divides by zero")
+        assert err.startswith(
+            "error: perfect-estimate eta1 fixed point did not converge")
         assert not out.exists()
 
     # the one-cell pilot-MMSE filter is about b / noise_var, whose norm
@@ -869,7 +874,7 @@ class TestDispatch:
             "fixed-point residuals, eta ordering, suppression bounds: PASS",
             "alpha=0 collapse (MMSE == MF): PASS",
             "single-cell pilot == perfect: PASS",
-            "eta1 matches the closed-form point-mass root: PASS",
+            "eta2 matches -d eta1 / d noise_var: PASS",
             "structured vs dense filter solve at M=3: PASS",
             "seeded rerun determinism: PASS",
             "validate: all checks passed",
@@ -878,16 +883,21 @@ class TestDispatch:
 
     def test_validate_fails_on_a_perturbed_eta1_map(self, capsys,
                                                      monkeypatch):
-        # a map off by 1e-6 still passes the residual check, which reads
-        # the same map, but not the closed-form root
+        # Newton's root does not read the map, but its acceptance does: a
+        # map off by 1e-6 refuses every eta1, and each check that solves
+        # one fails with the refusal, not with exit 3
         eta1_map = la.eta1_map
         monkeypatch.setattr(la, "eta1_map", lambda *args: eta1_map(*args)
                             * (1.0 + 1e-6))
         assert cli.main(["validate"]) == 4
         lines = capsys.readouterr().out.splitlines()
-        closed_form = [line for line in lines if "closed-form" in line]
-        assert closed_form == [
-            "eta1 matches the closed-form point-mass root: FAIL"]
+        failed = [line.partition(": FAIL")[0] for line in lines
+                  if ": FAIL (eta1 Newton root fails its fixed-point map "
+                     "(relative residual 1.000e-06))" in line]
+        assert failed == [
+            "fixed-point residuals, eta ordering, suppression bounds",
+            "alpha=0 collapse (MMSE == MF)", "single-cell pilot == perfect",
+            "eta2 matches -d eta1 / d noise_var"]
         assert lines[-1] == "validate: FAILURES detected"
 
     def test_module_entry_point(self, tmp_path):

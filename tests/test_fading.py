@@ -107,7 +107,7 @@ def _laws():
 
 
 class TestPerLawConstants:
-    """The constants the det-eq maps read equal the expressions they replace."""
+    """The constants the det-eq solves read equal the expressions they replace."""
 
     @pytest.mark.parametrize("dist", _laws(), ids=["point", "two", "cost231"])
     def test_constants_equal_their_expressions(self, dist):
@@ -116,3 +116,12 @@ class TestPerLawConstants:
         assert dist.mean_total == float(dist.mean_gains.sum())
         assert dist.mean_other == float(dist.mean_gains[1:].sum())
         assert expect_total_gain(dist)[0] == dist.mean_total
+        assert dist.mean_est_gain == dist.expect(p)
+        assert dist.mean_off_estimate == pytest.approx(
+            dist.mean_total - dist.mean_est_gain, rel=1e-12)
+
+    def test_one_cell_puts_all_gain_on_the_estimate(self):
+        # E[B - est_gain] is summed without the difference, so it is 0 on
+        # one cell even where beta^2 / beta rounds away from beta
+        dist = FadingDistribution([[3.0], [0.1], [7e-7]])
+        assert dist.mean_off_estimate == 0.0

@@ -8,8 +8,10 @@ refusals and errors must not depend on the worker count, and no worker
 may outlive the call that forked it, nor any pipe end stay open.
 """
 
+import builtins
 import errno
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -17,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ulmimo import cli
@@ -328,6 +331,44 @@ def test_message_that_cannot_be_pickled_surfaces_by_type(forks, block, kind):
                        match=f"^a worker's {kind} could not be pickled: "):
         workers.run_blocks(compute, [(0, 1), (1, 2)])
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_result_is_pickled_once_and_not_unpickled_in_the_worker(
+        forks, monkeypatch):
+    # only an exception is unpickled in its worker, to check that it can be
+    # rebuilt; a result came back from a second, full copy before
+    def no_loads(data):
+        raise AssertionError("a result was unpickled in its worker")
+    monkeypatch.setattr(pickle, "loads", no_loads)
+    blocks = [np.full(1000, float(lo)) for lo in range(3)]
+    results = workers.run_blocks(lambda lo, hi: blocks[lo],
+                                 [(0, 1), (1, 2), (2, 3)])
+    assert all(np.array_equal(got, want) for got, want in zip(results, blocks))
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [
+    KeyboardInterrupt(), OSError(errno.EMFILE, os.strerror(errno.EMFILE))],
+    ids=["interrupt", "emfile"])
+def test_worker_whose_pipe_cannot_be_opened_is_reaped(idealized_01,
+                                                      monkeypatch, forks, exc):
+    # the first open of a read end, once the workers are forked, raises
+    # here: each worker is still killed and reaped, and each pipe end closed
+    forks.set_cpus(3)
+    parent, calls = os.getpid(), []
+
+    def open_failing_once(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(args)
+            if len(calls) == 1:
+                raise exc
+        return builtins.open(*args, **kwargs)
+    monkeypatch.setattr(workers, "open", open_failing_once, raising=False)
+    with pytest.raises(type(exc)):
+        ex.monte_carlo_sweep(idealized_01, 8, [0.5], 6, ALL, "noiseless", 0)
+    assert len(forks) == 2
     assert_no_child_left()
 
 
