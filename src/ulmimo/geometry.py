@@ -191,6 +191,18 @@ def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np
     return ok
 
 
+def _outside_disk(rel: np.ndarray, radius: float) -> np.ndarray:
+    """``np.hypot(x, y) >= radius`` for each row (x, y) of ``rel``, with
+    hypot called only inside the disk's bounding square: a faithfully
+    rounded hypot is never below max(|x|, |y|). A NaN fails the strict
+    test and takes the exact one."""
+    x, y = rel.T
+    out = (np.abs(x) > radius) | (np.abs(y) > radius)
+    near = np.flatnonzero(~out)
+    out[near] = np.hypot(x[near], y[near]) >= radius
+    return out
+
+
 # Bound on the candidates of one round of drop_users: the first rounds of 7
 # cells of up to 292 users share one draw, a 4,000-user cell draws alone.
 _BLOCK_POINTS = 4096
@@ -228,7 +240,7 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
         centers = np.repeat(layout.centers[j:j + g], m, axis=0)
         cand = centers + rng.uniform(-R, R, size=centers.shape)
         keep = (points_in_hex(cand, centers, R)
-                & (np.hypot(*(cand - centers).T) >= exclusion_m)).reshape(g, m)
+                & _outside_disk(cand - centers, exclusion_m)).reshape(g, m)
         kept = np.cumsum(keep, axis=1)
         short = np.flatnonzero(kept[:, -1] < need)
         full = int(short[0]) if short.size else g

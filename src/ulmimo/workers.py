@@ -3,13 +3,14 @@
 A Monte Carlo sweep keys the randomness of every trial by its index, so
 any split of the indices gives the same samples. :func:`run_blocks` runs
 the first block in this process and every other block in a child made by
-``os.fork``. A child sends one pickled message down a pipe, its block's
-result or the exception that escaped it, and ends with ``os._exit``: with
-status 0 only once the whole message is written. A child that ends
-otherwise, or one that cannot be started, fails the call with a
-NumericalError. Results come back in block order, and every child is
-reaped before the call returns or raises. A child is killed when this
-process dies, and it runs no exit handler of its parent.
+``os.fork``. A child pickles one message straight into a pipe, its
+block's result or the exception that escaped it, and ends with
+``os._exit``: with status 0 only once the whole message is written. A
+child that ends otherwise, or one that cannot be started, fails the call
+with a NumericalError. Results come back in block order, and every child
+is reaped before the call returns or raises, an interrupt included. A
+child is killed when this process dies, and it runs no exit handler of
+its parent.
 """
 
 from __future__ import annotations
@@ -113,19 +114,23 @@ def _fork_blocks(compute, bounds) -> list:
     children = {}  # pid -> descriptor of its pipe's read end, until reaped
     try:
         for lo, hi in bounds[1:]:
-            pipe = ()
-            try:
-                pipe = os.pipe()
-                pid = os.fork()
-            except OSError as exc:
-                for fd in pipe:
-                    os.close(fd)
-                raise NumericalError(
-                    f"cannot start a Monte Carlo worker: {exc}") from exc
-            if pid == 0:
-                _child(compute, lo, hi, pipe[1], die_with_parent, parent)
-            children[pid] = pipe[0]  # first, so the finally finds it
-            os.close(pipe[1])
+            # an interrupt waits until the child is recorded, so the
+            # finally finds it and both pipe ends are accounted for
+            with _interrupt_held(signal) as restore:
+                pipe = ()
+                try:
+                    pipe = os.pipe()
+                    pid = os.fork()
+                except OSError as exc:
+                    for fd in pipe:
+                        os.close(fd)
+                    raise NumericalError(
+                        f"cannot start a Monte Carlo worker: {exc}") from exc
+                if pid == 0:
+                    _child(compute, lo, hi, pipe[1], restore,
+                           die_with_parent, parent)
+                children[pid] = pipe[0]
+                os.close(pipe[1])
         results = [compute(*bounds[0])]
         for pid in list(children):
             try:
@@ -152,13 +157,35 @@ def _fork_blocks(compute, bounds) -> list:
                 os.waitpid(pid, 0)
 
 
-def _child(compute, lo, hi, fd, die_with_parent, parent) -> None:
-    """Run one block and send (raised, its result or exception), pickled
-    once; never returns. A message that cannot be pickled, or an exception
-    that does not come back from its pickle, is replaced by an exception
-    that says so."""
+@contextlib.contextmanager
+def _interrupt_held(signal):
+    """Run the block with SIGINT recorded, not raised, then deliver one
+    that came to the handler the block found. Yields the call that puts
+    that handler back without delivering, for a child forked inside.
+    Outside the main thread, which alone runs handlers, nothing is held."""
+    held = []
+    try:
+        previous = signal.signal(signal.SIGINT, lambda *call: held.append(call))
+    except ValueError:  # not the main thread
+        yield lambda: None
+        return
+    try:
+        yield lambda: signal.signal(signal.SIGINT, previous)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if held:
+            signal.raise_signal(signal.SIGINT)
+
+
+def _child(compute, lo, hi, fd, restore, die_with_parent, parent) -> None:
+    """Put the parent's SIGINT handler back, run one block and pickle
+    (raised, its result or exception) straight into the pipe; never
+    returns. A message that cannot be pickled, or an exception that does
+    not come back from its pickle, is followed by an exception that says
+    so, which is the message the parent reads."""
     code = 1
     try:
+        restore()
         if die_with_parent is not None:
             die_with_parent()
         if os.getppid() != parent:  # the parent died before prctl
@@ -167,16 +194,15 @@ def _child(compute, lo, hi, fd, die_with_parent, parent) -> None:
             message = False, compute(lo, hi)
         except BaseException as exc:
             message = True, exc
-        try:
-            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-            if message[0]:  # an exception's __init__ may refuse its args
-                pickle.loads(data)
-        except Exception as exc:
-            data = pickle.dumps((True, RuntimeError(
-                f"a worker's {type(message[1]).__name__} could not be "
-                f"pickled: {exc}")))
         with open(fd, "wb") as pipe:
-            pipe.write(data)
+            try:
+                if message[0]:  # an exception's __init__ may refuse its args
+                    pickle.loads(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                pickle.dump((True, RuntimeError(
+                    f"a worker's {type(message[1]).__name__} could not be "
+                    f"pickled: {exc}")), pipe)
         code = 0
     finally:
         os._exit(code)

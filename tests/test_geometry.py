@@ -175,6 +175,50 @@ class TestDropMatchesSequentialLoop:
         self.check(7, K, exclusion_m, range(3))
 
 
+class TestExclusionDecision:
+    """drop_users' exclusion test calls hypot only inside the disk's
+    bounding square; every decision must equal hypot(x, y) >= e."""
+
+    @staticmethod
+    def adversarial_rows(e):
+        up, down = np.nextafter(e, np.inf), np.nextafter(e, 0.0)
+        tiny = np.nextafter(0.0, 1.0)
+        t = np.linspace(0.0, 2.0 * np.pi, 721)
+        circle = np.stack([e * np.cos(t), e * np.sin(t)], axis=1)
+        neighbours = [circle]
+        for axis in (0, 1):
+            for toward in (-np.inf, np.inf):
+                moved = circle.copy()
+                moved[:, axis] = np.nextafter(moved[:, axis], toward)
+                neighbours.append(moved)
+        edges = [(x, 0.0) for x in (e, -e, up, -up, down, -down)]
+        edges += [(y, x) for x, y in edges]
+        corners = [(sx * a, sy * b) for sx in (1, -1) for sy in (1, -1)
+                   for a in (e, down) for b in (e, down, up)]
+        odd = [(0.0, 0.0), (-0.0, 0.0), (tiny, 0.0), (tiny, tiny),
+               (-tiny, 3 * tiny), (1e-310, 1e-310), (np.nan, 0.0),
+               (np.nan, np.inf), (np.inf, np.nan)]
+        return np.vstack([*neighbours, edges, corners, odd])
+
+    @pytest.mark.parametrize("e", [
+        35.0, 800.0, SQ3 / 2.0 * 1000.0, 1.0, 0.0,
+        np.nextafter(0.0, 1.0), 1e-310])
+    def test_adversarial_rows_decide_as_hypot(self, e):
+        rel = self.adversarial_rows(e)
+        want = np.hypot(rel[:, 0], rel[:, 1]) >= e
+        assert np.array_equal(geo._outside_disk(rel, e), want)
+
+    def test_hypot_is_never_below_the_larger_coordinate(self):
+        # the shortcut's premise: a row outside the square is outside the
+        # disk. Magnitudes span the normal range down to subnormals.
+        rng = np.random.default_rng(11)
+        mantissa = rng.uniform(-1.0, 1.0, size=(1_000_000, 2))
+        rel = np.ldexp(mantissa, rng.integers(-1080, 1000, size=(1_000_000, 1)))
+        rel[::2, 1] *= rng.uniform(0.0, 1.0, size=500_000)
+        h = np.hypot(rel[:, 0], rel[:, 1])
+        assert np.all(h >= np.maximum(np.abs(rel[:, 0]), np.abs(rel[:, 1])))
+
+
 class TestPathloss:
     def test_reference_distance_frozen_constant(self):
         # urban formula at the frozen parameter set, evaluated by hand once:

@@ -336,16 +336,59 @@ def test_message_that_cannot_be_pickled_surfaces_by_type(forks, block, kind):
 
 def test_result_is_pickled_once_and_not_unpickled_in_the_worker(
         forks, monkeypatch):
-    # only an exception is unpickled in its worker, to check that it can be
-    # rebuilt; a result came back from a second, full copy before
+    # a result is pickled straight into the pipe; only an exception is
+    # pickled to bytes and unpickled in its worker, to check that it can be
+    # rebuilt. A result was held beside its pickle, and once beside a
+    # second, full copy, before.
+    real_dumps = pickle.dumps
+
+    def dumps(obj, *args, **kwargs):
+        if type(obj) is tuple and obj[:1] == (False,):
+            raise AssertionError("a result was pickled to bytes in its worker")
+        return real_dumps(obj, *args, **kwargs)
+
     def no_loads(data):
         raise AssertionError("a result was unpickled in its worker")
+    monkeypatch.setattr(pickle, "dumps", dumps)
     monkeypatch.setattr(pickle, "loads", no_loads)
     blocks = [np.full(1000, float(lo)) for lo in range(3)]
     results = workers.run_blocks(lambda lo, hi: blocks[lo],
                                  [(0, 1), (1, 2), (2, 3)])
     assert all(np.array_equal(got, want) for got, want in zip(results, blocks))
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_result_that_fails_to_pickle_midway_surfaces_by_type(forks):
+    # the 256 KiB array is in the pipe before the function fails to
+    # pickle; the exception sent after it is the message read
+    block = np.zeros(1 << 15)
+
+    def compute(lo, hi):
+        return {"block": block, "then": lambda: lo} if lo else [lo]
+    with pytest.raises(RuntimeError,
+                       match="^a worker's dict could not be pickled: "):
+        workers.run_blocks(compute, [(0, 1), (1, 2)])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_interrupt_as_a_fork_returns_reaps_that_worker(monkeypatch, forks):
+    # the interrupt comes before the parent has recorded its child; it is
+    # raised once the child is recorded, which is then killed and reaped
+    # with its pipe's ends closed, and the caller's handler is back
+    counting_fork, handler = os.fork, signal.getsignal(signal.SIGINT)
+
+    def interrupted_fork():
+        pid = counting_fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    with pytest.raises(KeyboardInterrupt):
+        workers.run_blocks(lambda lo, hi: [lo], [(0, 1), (1, 2), (2, 3)])
+    assert len(forks) == 1
+    assert signal.getsignal(signal.SIGINT) is handler
     assert_no_child_left()
 
 
