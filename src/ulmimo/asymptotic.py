@@ -23,22 +23,24 @@ eta1* the trace limit of its own filter matrix. :func:`det_eq_sinr_rows`
 is the one place these three limits are evaluated, for every sample of
 any law: a point mass (the idealized cells) or a set of drops.
 
-eta1 is the root x > 0 of
+eta1 and eta1* are fixed points of one trace map, 1 / (noise_var + alpha
+offset + alpha E[p / (1 + p x)]), whose denominator takes no difference:
+eta1 has p = ``est_gain`` and offset E[B - p] (:func:`eta1_map`), eta1*
+p = beta_1 and offset sum_{j>=2} E[beta_j] (:func:`eta1_perfect_map`).
+eta1 is the map's fixed point multiplied out, the root x > 0 of
 
     g(x) = c x - (1 - alpha) - alpha E[r],   r = 1 / (1 + p x),
 
-with p = ``est_gain`` and c = noise_var + alpha (E[B] - E[p]): the fixed
-point of :func:`eta1_map` multiplied out, with no term that cancels at
-high SNR. g is increasing and concave, so Newton's method started left of
-the root climbs to it; it starts at the root of Jensen's bound
-E[r] >= 1 / (1 + E[p] x), which is the root itself on a point mass. The
-root is accepted by the residual of :func:`eta1_map` at it, and
-eta2 = eta1 / g'(eta1) takes no difference. eta1* is solved by damped
-Picard iteration of :func:`eta1_perfect_map`, started from the lower
-bound 1/(noise_var + alpha E[B]); the map is monotone and bounded on
-(0, 1/noise_var], and the damping guards pathological sample sets.
-Relative tolerance, step cap and damping are the module constants below,
-read at every solve.
+with c = noise_var + alpha offset. g is increasing and concave, so
+Newton's method started left of the root climbs to it; it starts at the
+root of Jensen's bound E[r] >= 1 / (1 + E[p] x), which is the root itself
+on a point mass. The root is accepted where the map's relative residual
+at it is within ``FIXED_POINT_TOL``, and eta2 = eta1 / g'(eta1) takes no
+difference. eta1* is solved by damped Picard iteration of its map, started
+from the lower bound 1/(noise_var + alpha E[B]); the map is monotone and
+bounded on (0, 1/noise_var], and the damping guards pathological sample
+sets. Relative tolerance, step cap and damping are the module constants
+below, read at every solve.
 """
 
 from __future__ import annotations
@@ -83,32 +85,21 @@ def _check_args(dist: FadingDistribution, alpha: float,
     return expect_total_gain(dist)[0]
 
 
-def _solve(fmap, dist: FadingDistribution, alpha: float, noise_var: float,
-           what: str) -> float:
-    """Fixed point of ``fmap(dist, alpha, noise_var, x)`` by damped Picard."""
-    e_total = _check_args(dist, alpha, noise_var)
-    x = 1.0 / (noise_var + alpha * e_total)
-    residual = np.inf
-    for _ in range(FIXED_POINT_MAX_ITER):
-        fx = fmap(dist, alpha, noise_var, x)
-        residual = abs(fx - x) / abs(x)
-        if residual <= FIXED_POINT_TOL:
-            return x
-        x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
-    raise ConvergenceError(f"{what} fixed point did not converge (last "
-                           f"relative residual {residual:.3e})")
+def _trace_map(dist: FadingDistribution, alpha: float, noise_var: float,
+               p: np.ndarray, offset: float, x: float) -> float:
+    """One application of the trace map in (p, offset) at x."""
+    # p / (1 + p x), in the law's scratch
+    term = dist._scratch[0]
+    np.multiply(p, x, out=term)
+    term += 1.0
+    np.divide(p, term, out=term)
+    return 1.0 / (noise_var + alpha * offset + alpha * dist.expect(term))
 
 
 def eta1_map(dist: FadingDistribution, alpha: float, noise_var: float, x: float) -> float:
     """One application of the eta1 fixed-point map at x."""
-    # p p x / (1 + p x), in the law's scratch and in that order
-    num, den = dist._scratch
-    np.multiply(dist.est_gain_sq, x, out=num)
-    np.multiply(dist.est_gain, x, out=den)
-    den += 1.0
-    num /= den
-    shrink = dist.expect(num)
-    return 1.0 / (noise_var + alpha * dist.mean_total - alpha * shrink)
+    return _trace_map(dist, alpha, noise_var, dist.est_gain,
+                      dist.mean_off_estimate, x)
 
 
 def _g(dist: FadingDistribution, alpha: float, c: float,
@@ -142,15 +133,8 @@ def _eta1_newton(dist: FadingDistribution, alpha: float,
             break
         step = value / slope
         x -= step
-    # the map's denominator sums terms of about alpha E[B] to 1/x, so it
-    # rounds to about eps alpha E[B] x of itself
-    eps = np.finfo(float).eps
-    bound = FIXED_POINT_TOL + 8.0 * eps * alpha * dist.mean_total * x
-    try:
-        residual = abs(x / eta1_map(dist, alpha, noise_var, x) - 1.0)
-    except ZeroDivisionError:  # the denominator rounded to zero
-        residual = 1.0
-    if not residual <= bound:
+    residual = abs(x / eta1_map(dist, alpha, noise_var, x) - 1.0)
+    if not residual <= FIXED_POINT_TOL:
         raise ConvergenceError(
             f"eta1 Newton root fails its fixed-point map (relative "
             f"residual {residual:.3e})")
@@ -188,21 +172,22 @@ def solve_det_eq(dist: FadingDistribution, alpha: float,
 def eta1_perfect_map(dist: FadingDistribution, alpha: float, noise_var: float,
                      x: float) -> float:
     """One application of the perfect-estimate trace map at x."""
-    # own / (1 + own x), in the law's scratch
-    own = dist.own
-    term = dist._scratch[0]
-    np.multiply(own, x, out=term)
-    term += 1.0
-    np.divide(own, term, out=term)
-    return 1.0 / (noise_var + alpha * dist.mean_other
-                  + alpha * dist.expect(term))
+    return _trace_map(dist, alpha, noise_var, dist.own, dist.mean_other, x)
 
 
 def solve_eta1_perfect(dist: FadingDistribution, alpha: float,
                        noise_var: float) -> float:
     """Trace limit of the inverse perfect-estimate filter matrix."""
-    return _solve(eta1_perfect_map, dist, alpha, noise_var,
-                  "perfect-estimate eta1")
+    x = 1.0 / (noise_var + alpha * _check_args(dist, alpha, noise_var))
+    residual = np.inf
+    for _ in range(FIXED_POINT_MAX_ITER):
+        fx = eta1_perfect_map(dist, alpha, noise_var, x)
+        residual = abs(fx - x) / abs(x)
+        if residual <= FIXED_POINT_TOL:
+            return x
+        x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
+    raise ConvergenceError(f"perfect-estimate eta1 fixed point did not "
+                           f"converge (last relative residual {residual:.3e})")
 
 
 def perfect_suppression(dist: FadingDistribution, alpha: float,

@@ -19,8 +19,9 @@ from .asymptotic import det_eq_sinr_rows, to_db
 from .errors import InvalidInputError
 from .fading import FadingDistribution
 from .geometry import idealized_gains
-from .montecarlo import (draw_channels, empirical_sinr, generate_pilot_sequences,
-                         matched_filter, mmse_filter_perfect, mmse_filter_pilot,
+from .montecarlo import (check_count, draw_channels, empirical_sinr,
+                         generate_pilot_sequences, matched_filter,
+                         mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
                          training_based_estimate, users_per_cell)
 from .rng import check_seed, seed_substream
@@ -238,8 +239,7 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     when trials fail (that of the first failing trial in loading-then-trial
     order), do not depend on the number of blocks.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be at least 1")
+    check_count("trials", trials)
     grid = _check_alpha_grid(alpha_grid)
     if estimate_mode not in ESTIMATE_MODES:
         raise InvalidInputError(f"unknown estimate mode {estimate_mode!r}")
@@ -319,8 +319,7 @@ def sum_rate(alpha: float, M: int, sinr: float) -> float:
     """alpha * M * log2(1 + SINR), bits/symbol for the whole cell."""
     if not alpha > 0.0:  # NaN fails too
         raise InvalidInputError("alpha must be positive")
-    if M < 1:
-        raise InvalidInputError("M must be at least 1")
+    check_count("M", M)
     return float(alpha * M * np.log2(1.0 + sinr))
 
 
@@ -352,6 +351,7 @@ def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
                      estimate_mode: str, master_seed: int) -> SweepResult:
     """Five-percentile SINR versus loading: simulation and limit side by side."""
     grid = _check_alpha_grid(alpha_grid)
+    check_count("trials", trials)
     if trials < MIN_PERCENTILE_SAMPLES:
         raise InvalidInputError(
             f"percentile sweeps need at least {MIN_PERCENTILE_SAMPLES} trials")

@@ -8,9 +8,9 @@ collection of such samples and is the sole expectation operator used by
 the large-system solvers. Expectations are plain averages, so they are
 deterministic given the sample order, and numpy's pairwise summation
 keeps them independent of any partitioning to well below 1e-13 relative.
-The det-eq solves read per-law constants computed once here (``est_gain_sq``,
-``mean_total``, ``mean_other``, ``mean_est_gain``, ``mean_off_estimate``) and
-fill the law's scratch, not temporaries.
+The det-eq solves read per-law constants computed once here (``mean_total``,
+``mean_other``, ``mean_est_gain``, ``mean_off_estimate``) and fill the law's
+scratch, not temporaries.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ class FadingDistribution:
         self.est_gain = self.own**2 / self.total
         self.cross_est_gain = (gains[:, 1:] ** 2).sum(axis=1) / self.total
         self.mean_gains = self.weights @ gains
-        # Constants the det-eq solves read at every step: est_gain^2 per
-        # sample, E[B], sum_{j>=2} E[beta_j], E[est_gain] and
-        # E[B - est_gain], the last as (B - beta_1)(B + beta_1) / B so that
-        # one cell gives 0 exactly. The solves never nest or run
-        # concurrently, so one (2, n) scratch per law serves them all.
-        self.est_gain_sq = self.est_gain * self.est_gain
+        # Constants the det-eq solves read at every step: E[B],
+        # sum_{j>=2} E[beta_j], E[est_gain] and E[B - est_gain], the last
+        # as (B - beta_1)(B + beta_1) / B so that one cell gives 0 exactly.
+        # The solves never nest or run concurrently, so one (2, n) scratch
+        # per law serves them all.
         self.mean_total = float(self.mean_gains.sum())
         self.mean_other = float(self.mean_gains[1:].sum())
         self.mean_est_gain = self.expect(self.est_gain)
@@ -70,9 +69,9 @@ class FadingDistribution:
         return self.gains.shape[0]
 
     def expect(self, values: np.ndarray) -> float:
-        """Average of a per-sample array."""
+        """Average of a per-sample array of shape (num_samples,)."""
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.num_samples:
+        if values.shape != (self.num_samples,):
             raise InvalidInputError("per-sample values must match sample count")
         return float(self.weights @ values)
 

@@ -81,11 +81,20 @@ class SinrBreakdown:
         return self.p_signal / (self.p_noise + self.p_contam + self.p_inter)
 
 
+def check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer of at least 1; a bool, a float
+    or None is refused, not coerced, and a numpy integer passes."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInputError(
+            f"{name} must be an integer, got {reprlib.repr(value)}")
+    if value < 1:
+        raise InvalidInputError(
+            f"{name} must be at least 1, got {reprlib.repr(value)}")
+
+
 def users_per_cell(alpha: float, M: int) -> int:
     """K = round(alpha * M); the limit treats alpha as exact, finite M rounds."""
-    if M < 1:
-        raise InvalidInputError(
-            f"the antenna count must be at least 1, got {reprlib.repr(M)}")
+    check_count("the antenna count", M)
     try:
         K = int(round(alpha * M))
     except OverflowError:  # M past the float range, or alpha * M infinite

@@ -368,10 +368,13 @@ class TestStieltjes:
 
 
 def _written_out_eta1_map(dist, alpha, noise_var, x):
-    p = dist.est_gain
-    shrink = float(dist.weights @ (p * p * x / (1.0 + p * x)))
-    return 1.0 / (noise_var + alpha * float(dist.mean_gains.sum())
-                  - alpha * shrink)
+    # 1 / (noise_var + alpha E[B] - alpha E[p^2 x / (1 + p x)]), with
+    # E[B] - E[p^2 x / (1 + p x)] summed as E[B - p] + E[p / (1 + p x)]
+    p, gains, total = dist.est_gain, dist.gains, dist.total
+    off_estimate = float(dist.weights @ (
+        gains[:, 1:].sum(axis=1) * (total + dist.own) / total))
+    return 1.0 / (noise_var + alpha * off_estimate
+                  + alpha * float(dist.weights @ (p / (1.0 + p * x))))
 
 
 def _written_out_eta1_perfect_map(dist, alpha, noise_var, x):
@@ -451,13 +454,17 @@ class TestMpmathOracle:
 
     # one cell at full load: eta1 is about noise_var^-1/2 and eta2 about
     # noise_var^-3/2 / 2, past the float range at 1e-300, whose nearest
-    # float is then inf
+    # float is then inf; the eta1 map's residual at the root is within the
+    # solver's tolerance, which no allowance for rounding widens
     @pytest.mark.parametrize("noise_var", [1e-6, 1e-20, 1e-300])
     def test_one_cell_at_any_snr(self, det_eq_oracle, noise_var):
         dist = idealized_gains(1, 0.01)
         eta1, eta2, _, pilot = det_eq_oracle(dist, 1.0, noise_var, dps=400)
         det = la.solve_det_eq(dist, 1.0, noise_var)
         assert _rel(det.eta1, eta1) <= 1e-14
+        x = det.eta1
+        assert abs(x / la.eta1_map(dist, 1.0, noise_var, x) - 1) <= (
+            la.FIXED_POINT_TOL)
         if eta2 > np.finfo(float).max:
             assert det.eta2 == np.inf
         else:

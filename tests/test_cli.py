@@ -682,10 +682,11 @@ class TestExitCodes:
         assert reason in err and len(err) < 200
         assert not out.exists()
 
-    # once shrink rounded to mean_total, the eta1 map's denominator was
-    # noise_var + alpha mean_total - alpha shrink = 0 and the run ended in a
-    # ZeroDivisionError traceback; Newton's eta1 converges here, and the
-    # run stops in the perfect-estimate eta1's damped Picard iteration
+    # the eta1 map's denominator was once noise_var + alpha mean_total -
+    # alpha shrink, which rounded to 0 here and ended the run in a
+    # ZeroDivisionError traceback; it is now a sum of nonnegative terms, at
+    # least noise_var, Newton's eta1 converges here, and the run stops in
+    # the perfect-estimate eta1's damped Picard iteration
     def test_eta1_step_dividing_by_zero_is_convergence_error(self, tmp_path,
                                                              capsys):
         path = scenario_file(tmp_path, cells=1, noise_var=1e-20)

@@ -41,8 +41,10 @@ class TestScalarReductions:
         for alpha in (0.0, float("nan")):
             with pytest.raises(InvalidInputError, match="alpha"):
                 ex.sum_rate(alpha, 10, 1.0)
-        with pytest.raises(InvalidInputError):
-            ex.sum_rate(0.5, 0, 1.0)
+        # a float or a bool M was coerced, and None ended in a TypeError
+        for M in (0, 8.0, True, None):
+            with pytest.raises(InvalidInputError, match="^M must be"):
+                ex.sum_rate(0.5, M, 1.0)
 
 
 class TestAsymptoticSweep:

@@ -100,7 +100,17 @@ def failing_in_workers(monkeypatch, exc):
 # that would take workers: (M, grid, trials, filters, mode, seed)
 REFUSALS = {
     "no trials": ((8, [0.5], 0, ALL, "noiseless", 0),
-                  "trials must be at least 1"),
+                  "trials must be at least 1, got 0"),
+    "bool trials": ((8, [0.5], True, ALL, "noiseless", 0),
+                    "trials must be an integer, got True"),
+    "float trials": ((8, [0.5], 10.0, ALL, "noiseless", 0),
+                     "trials must be an integer, got 10.0"),
+    "no trial count": ((8, [0.5], None, ALL, "noiseless", 0),
+                       "trials must be an integer, got None"),
+    "float antennas": ((8.0, [1.0], 10_000, ALL, "noiseless", 0),
+                       "the antenna count must be an integer, got 8.0"),
+    "bool antennas": ((True, [1.0], 10_000, ALL, "noiseless", 0),
+                      "the antenna count must be an integer, got True"),
     "empty grid": ((8, [], 10_000, ALL, "noiseless", 0),
                    "alpha grid must be non-empty"),
     "alpha range": ((8, [0.5, 2.0], 10_000, ALL, "noiseless", 0),
@@ -130,15 +140,42 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(REFUSALS))
-def test_refusals_come_before_any_fork(idealized_01, monkeypatch, case):
-    def no_fork():
+# the count refusals of the runners that call monte_carlo_sweep, each of
+# which once ended in a TypeError or ran: (runner, args after the scenario)
+RUNNER_REFUSALS = {
+    "percentile no trial count": (
+        ex.percentile_sweep, (8, [0.5], None, "noiseless", 0),
+        "trials must be an integer, got None"),
+    "rates no antenna count": (
+        ex.rate_table, (None, [0.5], 10, "noiseless", 0),
+        "the antenna count must be an integer, got None"),
+    "rates bool trials": (
+        ex.rate_table, (8, [0.5], True, "noiseless", 0),
+        "trials must be an integer, got True"),
+}
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def fail():
         pytest.fail("forked before refusing")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", fail)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_come_before_any_fork(idealized_01, no_fork, case):
     args, message = REFUSALS[case]
     with pytest.raises(InvalidInputError) as info:
         ex.monte_carlo_sweep(idealized_01, *args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(RUNNER_REFUSALS))
+def test_runner_refusals_come_before_any_fork(idealized_01, no_fork, case):
+    runner, args, message = RUNNER_REFUSALS[case]
+    with pytest.raises(InvalidInputError) as info:
+        runner(idealized_01, *args)
     assert str(info.value) == message
 
 
