@@ -1,4 +1,7 @@
-"""Exception types shared across the package, each with its CLI exit code."""
+"""Exception types shared across the package, each with its CLI exit code,
+and the count check every module refuses a bad count with."""
+
+import reprlib
 
 
 class InvalidInputError(ValueError):
@@ -14,3 +17,14 @@ class NumericalError(RuntimeError):
 class ConvergenceError(NumericalError):
     """A fixed-point iteration did not reach its tolerance."""
     exit_code = 3
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer of at least 1; a bool, a float
+    or None is refused, not coerced, and a numpy integer passes."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInputError(
+            f"{name} must be an integer, got {reprlib.repr(value)}")
+    if value < 1:
+        raise InvalidInputError(
+            f"{name} must be at least 1, got {reprlib.repr(value)}")

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotic import det_eq_sinr_rows, to_db
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .fading import FadingDistribution
 from .geometry import idealized_gains
-from .montecarlo import (check_count, draw_channels, empirical_sinr,
+from .montecarlo import (draw_channels, empirical_sinr,
                          generate_pilot_sequences, matched_filter,
                          mmse_filter_perfect, mmse_filter_pilot,
                          pilot_estimate_noiseless, pilot_estimate_noisy,
@@ -180,11 +180,12 @@ def _estimate_for_mode(real, mode: str, pilot_snr: float, rng):
 
 
 def run_trial(scenario: Scenario, K: int, M: int, mode: str, filters,
-              rng_channel, rng_pilot) -> dict[str, float]:
-    """One trial of K users per cell: draw, estimate, filter, measure."""
+              rng_channel, rng_pilot) -> list[float]:
+    """One trial of K users per cell: draw, estimate, filter, measure; one
+    SINR per filter, in the order of ``filters``."""
     real = draw_channels(scenario, K, M, rng_channel)
     est = _estimate_for_mode(real, mode, scenario.pilot.pilot_snr, rng_pilot)
-    out = {}
+    sinrs = []
     for f in filters:
         if f == FILTER_MF:
             filt = matched_filter(est)
@@ -192,31 +193,30 @@ def run_trial(scenario: Scenario, K: int, M: int, mode: str, filters,
             filt = mmse_filter_pilot(est, real)
         else:  # FILTER_MMSE_PERFECT; monte_carlo_sweep checks the names
             filt = mmse_filter_perfect(real)
-        out[f] = empirical_sinr(filt, real).sinr
-    return out
+        sinrs.append(empirical_sinr(filt, real).sinr)
+    return sinrs
 
 
-def _trial_block(scenario: Scenario, M: int, grid, filters, mode: str,
+def _trial_block(scenario: Scenario, M: int, Ks, filters, mode: str,
                  master_seed: int, lo: int, hi: int):
-    """Trials lo..hi-1 of every loading: their SINRs, shape (loadings,
-    filters, hi - lo), or (loading index, trial, error) of the first trial
-    in sweep order that raised."""
-    out = np.empty((len(grid), len(filters), hi - lo))
+    """Trials lo..hi-1 at each loading's user count in ``Ks``: their SINRs,
+    shape (loadings, filters, hi - lo), or (loading index, trial, error) of
+    the first trial in sweep order that raised."""
+    out = np.empty((len(Ks), len(filters), hi - lo))
     uses_pilot_stream = mode != "noiseless"
-    for ai, a in enumerate(grid):
-        K = users_per_cell(a, M)
+    # loading-major: measured faster than trial-major with forked blocks, so
+    # a failed trial comes back as a value ordered by (loading, trial)
+    for ai, K in enumerate(Ks):
         channel_tag, pilot_tag = f"mc.channel.a{ai}", f"mc.pilot.a{ai}"
         for t in range(lo, hi):
             try:
                 rng_ch = seed_substream(master_seed, channel_tag, t)
                 rng_pn = (seed_substream(master_seed, pilot_tag, t)
                           if uses_pilot_stream else None)
-                trial = run_trial(scenario, K, M, mode, filters, rng_ch,
-                                  rng_pn)
+                out[ai, :, t - lo] = run_trial(scenario, K, M, mode, filters,
+                                               rng_ch, rng_pn)
             except Exception as exc:
                 return ai, t, exc
-            for fi, f in enumerate(filters):
-                out[ai, fi, t - lo] = trial[f]
     return out
 
 
@@ -230,7 +230,9 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     identical channels. The noiseless mode draws no pilot noise and
     derives no pilot substream.
 
-    Every input is checked before any trial runs. The trial indices are
+    Every input is checked before any trial runs. Each loading's user
+    count K = round(alpha*M) is derived once, here, and read by the caps,
+    the block count and every block. The trial indices are
     split into contiguous blocks, the same at every loading, one per CPU
     the process may run on but none holding fewer than
     ``_BLOCK_MIN_ENTRIES`` channel entries; the first block runs in this
@@ -251,7 +253,8 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
             raise InvalidInputError(f"unknown filter {f!r}")
         if f in filters[:i]:
             raise InvalidInputError(f"filter {f!r} is named twice")
-    entries = scenario.cells * users_per_cell(grid[-1], M) * M
+    Ks = [users_per_cell(a, M) for a in grid]
+    entries = scenario.cells * Ks[-1] * M
     if entries > MAX_TRIAL_ENTRIES:
         raise InvalidInputError(
             f"a trial at M={reprlib.repr(M)}, alpha={grid[-1]} holds "
@@ -262,11 +265,10 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
             f"{len(grid)} loadings x {len(filters)} filters x {trials} trials "
             f"exceed the cap of {MAX_SWEEP_SAMPLES} SINR samples")
     check_seed(master_seed)
-    sweep_entries = trials * sum(scenario.cells * users_per_cell(a, M) * M
-                                 for a in grid)
+    sweep_entries = trials * scenario.cells * sum(Ks) * M
     blocks = max(1, min(cpu_count(), trials,
                         sweep_entries // _BLOCK_MIN_ENTRIES))
-    compute = functools.partial(_trial_block, scenario, M, grid, filters,
+    compute = functools.partial(_trial_block, scenario, M, Ks, filters,
                                 estimate_mode, master_seed)
     results = run_blocks(compute, split(trials, blocks))
     failures = [r for r in results if not isinstance(r, np.ndarray)]

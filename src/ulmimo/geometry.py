@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .fading import FadingDistribution
 
 log = logging.getLogger(__name__)
@@ -165,6 +165,7 @@ class Cost231Params:
 
 def hex_layout(B: int, radius_m: float) -> CellLayout:
     """Center cell alone (B=1) or with its first interfering ring (B=7)."""
+    check_count("B", B)
     if not 0.0 < radius_m < math.inf:
         raise InvalidInputError("radius must be positive and finite")
     if B == 1:
@@ -219,8 +220,7 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
     that comes up short keeps what it accepted, the PCG64 stream jumps back
     over the later cells' rounds, and the cell finishes alone.
     """
-    if K < 1:
-        raise InvalidInputError("K must be at least 1")
+    check_count("K", K)
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise InvalidInputError("drop_users needs a PCG64-backed generator")
     R = layout.radius_m
@@ -295,8 +295,7 @@ def large_scale_gains(drop: UserDrop, params: Cost231Params,
 
 def idealized_row(B: int, beta_other: float) -> np.ndarray:
     """(B,) gains of a user in each cell: unit in-cell, constant other-cell."""
-    if B < 1:
-        raise InvalidInputError("B must be at least 1")
+    check_count("B", B)
     if not 0.0 < beta_other < 1.0:
         raise InvalidInputError("beta_other must lie in (0, 1)")
     return np.concatenate([[1.0], np.full(B - 1, beta_other)])

@@ -8,7 +8,8 @@ their large-scale gains. From a realization we form channel estimates
 each with the error variances that set the MMSE regularizer, build the
 matched and MMSE receive filters, and measure the empirical SINR as a
 conditional power decomposition: no data symbols are ever drawn, the four
-powers are quadratic forms in the filter.
+powers are quadratic forms in the filter. A count B, K or M passed in is
+refused by ``errors.check_count`` unless it is an integer of at least 1.
 
 A trial frees and reallocates the same arrays every time; the CLI sets the
 C heap's thresholds so that they stay in the heap between trials.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, check_count
 from .rng import complex_gaussian
 
 LINEAR_SOLVE_TOL = 1e-10
@@ -50,10 +51,6 @@ class ChannelRealization:
         if not self.noise_var > 0.0:  # NaN fails too
             raise InvalidInputError("noise_var must be positive")
 
-    def total_gain_per_user(self) -> np.ndarray:
-        """beta^(k) = sum_j beta_jk, length K."""
-        return self.gains.sum(axis=0)
-
 
 @dataclass
 class EstimateSet:
@@ -81,17 +78,6 @@ class SinrBreakdown:
         return self.p_signal / (self.p_noise + self.p_contam + self.p_inter)
 
 
-def check_count(name: str, value) -> None:
-    """Refuse a count that is not an integer of at least 1; a bool, a float
-    or None is refused, not coerced, and a numpy integer passes."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise InvalidInputError(
-            f"{name} must be an integer, got {reprlib.repr(value)}")
-    if value < 1:
-        raise InvalidInputError(
-            f"{name} must be at least 1, got {reprlib.repr(value)}")
-
-
 def users_per_cell(alpha: float, M: int) -> int:
     """K = round(alpha * M); the limit treats alpha as exact, finite M rounds."""
     check_count("the antenna count", M)
@@ -110,6 +96,8 @@ def users_per_cell(alpha: float, M: int) -> int:
 
 def draw_channel_matrix(B: int, K: int, M: int, rng: np.random.Generator) -> np.ndarray:
     """(B, K, M) i.i.d. CN(0, 1/M) small-scale vectors."""
+    for name, count in (("B", B), ("K", K), ("M", M)):
+        check_count(name, count)
     return complex_gaussian(rng, (B, K, M), 1.0 / M)
 
 
@@ -134,7 +122,7 @@ def draw_channels(scenario, K: int, M: int,
 def _error_variances(real: ChannelRealization, inv_rho: float) -> np.ndarray:
     """s_k = (sum_{j>=2} beta_jk + 1/rho) / (beta^(k) + 1/rho), 1/rho = 0 noiseless."""
     return ((real.gains[1:].sum(axis=0) + inv_rho)
-            / (real.total_gain_per_user() + inv_rho))
+            / (real.gains.sum(axis=0) + inv_rho))
 
 
 def pilot_estimate_noiseless(real: ChannelRealization) -> EstimateSet:
@@ -161,7 +149,7 @@ def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
     if rho_p < np.inf:
         noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
         combo = combo + noise.T / np.sqrt(rho_p)
-    gain = np.sqrt(real.gains[0]) / (real.total_gain_per_user() + inv_rho)
+    gain = np.sqrt(real.gains[0]) / (real.gains.sum(axis=0) + inv_rho)
     return EstimateSet(estimates=gain[:, None] * combo,
                        error_cov_scalars=_error_variances(real, inv_rho))
 
@@ -174,8 +162,8 @@ def generate_pilot_sequences(K: int, B: int,
     training sequence of user k in cell j, and within a cell the K
     sequences are orthonormal.
     """
-    if K < 1 or B < 1:
-        raise InvalidInputError("K and B must be at least 1")
+    check_count("K", K)
+    check_count("B", B)
     # one draw in the stream order of B complex_gaussian(rng, (K, K), 1.0)
     # calls: each cell's real block, then its imaginary block
     normals = rng.standard_normal((B, 2, K, K))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .geometry import Cost231Params, hex_layout
 
 SCHEMA_VERSION = 1
@@ -101,8 +101,9 @@ class Scenario:
         if not self.name or not self.name.isprintable() or " " in self.name:
             raise InvalidInputError(
                 "name must be non-empty printable text without whitespace")
-        if not 1 <= self.cells <= MAX_CELLS:
+        if self.cells not in range(1, MAX_CELLS + 1):
             raise InvalidInputError(f"cells must lie in [1, {MAX_CELLS}]")
+        check_count("cells", self.cells)  # a bool or integral float passes range
         if not self.alpha > 0.0:
             raise InvalidInputError("alpha must be positive")
         if not 0.0 < self.noise_var <= MAX_NOISE_VAR:
@@ -126,6 +127,7 @@ class Scenario:
     def gain_matrix(self, K: int, rng: np.random.Generator) -> np.ndarray:
         """(B, K) gains of K users per cell: one Monte Carlo trial or, transposed,
         K samples of the drop law (C-ordered, the order its mean is summed in)."""
+        check_count("K", K)
         if self.is_idealized:
             row = geometry.idealized_row(self.cells, self.gain_model.beta_other)
             return np.repeat(row[None, :], K, axis=0).T

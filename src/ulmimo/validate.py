@@ -1,7 +1,10 @@
 """Programmatic invariant self-check behind the ``validate`` command.
 
 A small, fast subset of the test suite's property checks, runnable from a
-deployed install without pytest.
+deployed install without pytest. No check repeats what the solve it calls
+enforces: ``solve_det_eq`` refuses an eta1 whose map residual exceeds
+``FIXED_POINT_TOL`` and holds eta2 >= eta1^2 by construction, so the
+fixed-point check solves and bounds the suppression.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ def _check_fixed_points() -> bool:
         dist = idealized_gains(7, beta)
         for alpha in (0.0, 0.25, 0.5, 1.0):
             det = la.solve_det_eq(dist, alpha, 0.01)
-            resid = abs(la.eta1_map(dist, alpha, 0.01, det.eta1)
-                        - det.eta1) / det.eta1
-            ok &= resid <= 1e-10
-            ok &= det.eta2 >= det.eta1 * det.eta1
             ok &= 0.0 <= det.suppression <= det.mean_total_gain
     return ok
 

@@ -107,18 +107,24 @@ def _det_eq_oracle(dist, alpha, noise_var, dps=50):
 def trace_lemma_draws():
     """Criterion 9f's forty trace-lemma draws at M = 1024, K = 513.
 
-    Each is (h1^H G^-1 h1, tr(G^-1) / M) with G = H2 H2^H + I over the
-    other K - 1 columns, drawn once for every band that reads them.
+    Each is (h1^H G^-1 h1, tr(G^-1) / M) with G = A A^H + I, A = H2 the
+    other K - 1 columns, drawn once for every band that reads them. Both
+    are computed through the (K - 1) x (K - 1) matrix S = I + A^H A, by the
+    push-through identity G^-1 = I - A S^-1 A^H:
+    tr(G^-1) = M - (K - 1) + tr(S^-1) and h1^H G^-1 h1 = ||h1||^2 - w^H S^-1 w
+    with w = A^H h1.
     """
     M, K, trials = 1024, 513, 40
     rng = seed_substream(1, "acc.trace")
     pairs = []
     for _ in range(trials):
         h = complex_gaussian(rng, (K, M), 1.0 / M)
-        G = (h[1:].T @ h[1:].conj()) + np.eye(M)
-        cf = sla.cho_factor(G, lower=True)
-        inv_l = sla.solve_triangular(cf[0], np.eye(M), lower=True)
-        tr = float(np.sum(np.abs(inv_l) ** 2))
-        quad = float((h[0].conj() @ sla.cho_solve(cf, h[0])).real)
+        S = (h[1:].conj() @ h[1:].T) + np.eye(K - 1)
+        cf = sla.cho_factor(S, lower=True)
+        inv_l = sla.solve_triangular(cf[0], np.eye(K - 1), lower=True)
+        tr = M - (K - 1) + float(np.sum(np.abs(inv_l) ** 2))
+        w = h[1:].conj() @ h[0]
+        quad = float(np.vdot(h[0], h[0]).real
+                     - np.vdot(w, sla.cho_solve(cf, w)).real)
         pairs.append((quad, tr / M))
     return pairs

@@ -30,6 +30,11 @@ class TestHexLayout:
         with pytest.raises(InvalidInputError):
             geo.hex_layout(3, 1000.0)
 
+    @pytest.mark.parametrize("B", [True, 1.0, 7.0])
+    def test_non_integer_count_refused(self, B):
+        with pytest.raises(InvalidInputError, match="B must be an integer"):
+            geo.hex_layout(B, 1000.0)
+
     def test_cells_tile_without_overlap(self):
         layout = geo.hex_layout(7, 1000.0)
         rng = np.random.default_rng(0)
@@ -67,6 +72,12 @@ class TestDropUsers:
     @pytest.mark.parametrize("K", [0, -1])
     def test_user_count_below_one_refused(self, K):
         with pytest.raises(InvalidInputError, match="K must be at least 1"):
+            geo.drop_users(geo.hex_layout(7, 1000.0), K, seed_substream(0, "x"),
+                           35.0)
+
+    @pytest.mark.parametrize("K", [2.5, 2.0, True])
+    def test_non_integer_user_count_refused(self, K):
+        with pytest.raises(InvalidInputError, match="K must be an integer"):
             geo.drop_users(geo.hex_layout(7, 1000.0), K, seed_substream(0, "x"),
                            35.0)
 
@@ -403,6 +414,14 @@ class TestIdealizedGains:
             geo.idealized_gains(7, 1.5)
         with pytest.raises(InvalidInputError, match="B must be at least 1"):
             geo.idealized_row(0, 0.1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: geo.idealized_row(2.0, 0.1), lambda: geo.idealized_row(True, 0.1),
+        lambda: geo.idealized_gains(True, 0.1)],
+        ids=["row-float", "row-bool", "law-bool"])
+    def test_non_integer_cell_count_refused(self, call):
+        with pytest.raises(InvalidInputError, match="B must be an integer"):
+            call()
 
 
 def cost231_gain_rows(layout, params, n, rng):

@@ -109,9 +109,21 @@ class TestArgumentChecks:
         (lambda real: mc.pilot_estimate_noisy(real, 10.0, None),
          "a finite rho_p needs a generator"),
         (lambda real: mc.generate_pilot_sequences(0, 7, seed_substream(0, "q")),
-         "K and B must be at least 1"),
+         "K must be at least 1"),
         (lambda real: mc.generate_pilot_sequences(2, 0, seed_substream(0, "q")),
-         "K and B must be at least 1"),
+         "B must be at least 1"),
+        (lambda real: mc.generate_pilot_sequences(2.0, 7,
+                                                  seed_substream(0, "q")),
+         "K must be an integer, got 2.0"),
+        (lambda real: mc.generate_pilot_sequences(2, True,
+                                                  seed_substream(0, "q")),
+         "B must be an integer, got True"),
+        (lambda real: mc.draw_channel_matrix(True, 2, 8, seed_substream(0, "h")),
+         "B must be an integer, got True"),
+        (lambda real: mc.draw_channel_matrix(7, 2.0, 8, seed_substream(0, "h")),
+         "K must be an integer, got 2.0"),
+        (lambda real: mc.draw_channel_matrix(7, 2, 8.0, seed_substream(0, "h")),
+         "M must be an integer, got 8.0"),
         (lambda real: mc.training_based_estimate(
             real, mc.generate_pilot_sequences(3, 7, seed_substream(0, "q")),
             10.0, seed_substream(0, "t")),
@@ -120,8 +132,9 @@ class TestArgumentChecks:
                                         real),
          "filter length does not match antennas"),
     ], ids=["gains", "noise-var", "noise-var-nan", "pilot-noise-generator",
-            "sequence-users", "sequence-cells",
-            "sequence-shape", "filter-length"])
+            "sequence-users", "sequence-cells", "sequence-users-float",
+            "sequence-cells-bool", "channel-cells-bool", "channel-users-float",
+            "channel-antennas-float", "sequence-shape", "filter-length"])
     def test_argument_refused(self, call, message):
         with pytest.raises(InvalidInputError, match=message):
             call(idealized_realization(8, 2, seed=40))
@@ -157,7 +170,7 @@ class TestNoiselessEstimate:
         # E||hhat||^2 = beta_1k / beta^(k); at M=500 the user average is tight
         real = idealized_realization(500, 64, seed=7)
         est = mc.pilot_estimate_noiseless(real)
-        total = real.total_gain_per_user()
+        total = real.gains.sum(axis=0)
         stat = np.mean(np.linalg.norm(est.estimates, axis=1) ** 2
                        * total / real.gains[0])
         assert abs(stat - 1.0) < 0.03
@@ -281,7 +294,7 @@ class TestTrainingEstimate:
         noise = complex_gaussian(seed_substream(17, "tn"), (M, K), 1.0 / M)
         combo = np.einsum("jk,jkm->km", np.sqrt(real.gains), real.small_scale)
         proj = (noise @ seqs[0].T).T   # row k: the noise seen through user k's sequence
-        total = real.total_gain_per_user()
+        total = real.gains.sum(axis=0)
         expected = (np.sqrt(real.gains[0]) / (total + 1 / rho))[:, None] * (
             combo + proj / np.sqrt(rho))
         assert np.allclose(est.estimates, expected, atol=1e-12)

@@ -133,6 +133,15 @@ class TestParsing:
         with pytest.raises(InvalidInputError, match="cells must lie"):
             scenario_from_dict(dict(MINIMAL, cells=cells))
 
+    @pytest.mark.parametrize("cells, message", [
+        (True, "cells must be an integer"), (7.0, "cells must be an integer"),
+        ("7", "cells must lie"), (None, "cells must lie")])
+    def test_cell_count_not_an_integer_refused(self, cells, message):
+        # built directly, past the typed parser
+        with pytest.raises(InvalidInputError, match=message):
+            Scenario(name="tiny", cells=cells, alpha=0.5, noise_var=0.01,
+                     gain_model=IdealizedGains(beta_other=0.1))
+
     def test_cell_cap_accepted(self):
         assert scenario_from_dict(dict(MINIMAL, cells=MAX_CELLS)).cells == MAX_CELLS
 
@@ -394,6 +403,12 @@ class TestScenarioBehaviour:
         # order by FadingDistribution.mean_gains
         assert g.T.flags.c_contiguous
         assert np.array_equal(g, sc.gain_matrix(4, None))
+
+    @pytest.mark.parametrize("name", ["idealized-1", "cost231-7cell"])
+    @pytest.mark.parametrize("K", [True, 2.0])
+    def test_non_integer_user_count_refused(self, name, K):
+        with pytest.raises(InvalidInputError, match="K must be an integer"):
+            parse_scenario(name).gain_matrix(K, seed_substream(0, "gm"))
 
     def test_layout_built_once(self, monkeypatch):
         from ulmimo import scenario as scenario_module
