@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, check_real
 from .fading import FadingDistribution, expect_total_gain
 
 FIXED_POINT_TOL = 1e-12
@@ -78,6 +78,8 @@ class DetEqSolution:
 def _check_args(dist: FadingDistribution, alpha: float,
                 noise_var: float) -> float:
     """E[B] of the law, once alpha and noise_var are known to be valid."""
+    check_real("alpha", alpha)
+    check_real("noise_var", noise_var)
     if alpha < 0.0 or not np.isfinite(alpha):
         raise InvalidInputError("alpha must be a finite nonnegative real")
     if noise_var <= 0.0 or not np.isfinite(noise_var):

@@ -1,6 +1,7 @@
 """Exception types shared across the package, each with its CLI exit code,
-and the count check every module refuses a bad count with."""
+and the checks every module refuses a bad count or real number with."""
 
+import numbers
 import reprlib
 
 
@@ -28,3 +29,16 @@ def check_count(name: str, value) -> None:
     if value < 1:
         raise InvalidInputError(
             f"{name} must be at least 1, got {reprlib.repr(value)}")
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float, refusing what is not a real number: a bool, a
+    string, None or an int past the float range is refused, not coerced,
+    and a numpy float or integer passes."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{name} must be a real number within the float "
+                            f"range, got {reprlib.repr(value)}")

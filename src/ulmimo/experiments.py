@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotic import det_eq_sinr_rows, to_db
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_real
 from .fading import FadingDistribution
 from .geometry import idealized_gains
 from .montecarlo import (draw_channels, empirical_sinr,
@@ -102,7 +102,7 @@ def _simulation_meta(M: int, trials: int, estimate_mode: str) -> dict[str, str]:
 
 
 def _check_alpha_grid(alpha_grid) -> list[float]:
-    grid = [float(a) for a in alpha_grid]
+    grid = [check_real("alpha", a) for a in alpha_grid]
     if not grid:
         raise InvalidInputError("alpha grid must be non-empty")
     if any(not 0.0 < a <= 1.5 for a in grid):
@@ -148,7 +148,7 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
     """
     _check_idealized(scenario, "rate-gap")
     alphas = _check_alpha_grid(alpha_list)
-    betas = [float(b) for b in beta_other_grid]
+    betas = [check_real("beta_other", b) for b in beta_other_grid]
     if any(not 0.0 < b <= 0.1 for b in betas):
         raise InvalidInputError("beta_other grid must lie in (0, 0.1]")
     rows = []
@@ -319,6 +319,7 @@ def achievable_rate(sinr_samples) -> float:
 
 def sum_rate(alpha: float, M: int, sinr: float) -> float:
     """alpha * M * log2(1 + SINR), bits/symbol for the whole cell."""
+    check_real("alpha", alpha)
     if not alpha > 0.0:  # NaN fails too
         raise InvalidInputError("alpha must be positive")
     check_count("M", M)

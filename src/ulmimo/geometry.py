@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_real
 from .fading import FadingDistribution
 
 log = logging.getLogger(__name__)
@@ -38,12 +38,6 @@ SQRT3 = np.sqrt(3.0)
 # deviations (a normal draw exceeds that with probability below 1e-22).
 _GAIN_FLOOR_DB = -1500.0
 _SHADOW_FADE_SIGMAS = 10.0
-
-# unit normals of the three pairs of hexagon edges (30, 90, 150 degrees)
-_HEX_NORMALS = tuple(
-    np.array([np.cos(a), np.sin(a)])
-    for a in (np.deg2rad(30.0 + 60.0 * k) for k in range(3)))
-
 
 @dataclass(frozen=True)
 class CellLayout:
@@ -166,6 +160,7 @@ class Cost231Params:
 def hex_layout(B: int, radius_m: float) -> CellLayout:
     """Center cell alone (B=1) or with its first interfering ring (B=7)."""
     check_count("B", B)
+    check_real("radius_m", radius_m)
     if not 0.0 < radius_m < math.inf:
         raise InvalidInputError("radius must be positive and finite")
     if B == 1:
@@ -180,16 +175,15 @@ def hex_layout(B: int, radius_m: float) -> CellLayout:
 
 
 def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np.ndarray:
-    """Boolean mask of points inside the hexagon (boundary counts as inside).
-
-    ``center`` is one (2,) centre or one (N, 2) row per point.
-    """
-    rel = np.atleast_2d(points) - center
-    apothem = SQRT3 / 2.0 * radius_m
-    ok = np.ones(rel.shape[0], dtype=bool)
-    for normal in _HEX_NORMALS:
-        ok &= np.abs(rel @ normal) <= apothem + 1e-9
-    return ok
+    """Boolean mask of points inside the hexagon, the boundary inside with
+    1e-9 m of slack; ``center`` is one (2,) centre or one (N, 2) row per
+    point. By symmetry about both axes, the top edge (|y|) and the 30-degree
+    edge (sqrt(3)/2 |x| + |y|/2) bound all six, each within the apothem."""
+    if np.shape(points)[-1:] != (2,) or np.shape(center)[-1:] != (2,):
+        raise InvalidInputError("points and center need a last axis of 2")
+    x, y = np.abs(np.atleast_2d(points) - center).T
+    b = SQRT3 / 2.0 * radius_m + 1e-9
+    return (y <= b) & (SQRT3 / 2.0 * x + 0.5 * y <= b)
 
 
 def _outside_disk(rel: np.ndarray, radius: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, check_count
+from .errors import InvalidInputError, NumericalError, check_count, check_real
 from .rng import complex_gaussian
 
 LINEAR_SOLVE_TOL = 1e-10
@@ -81,6 +81,7 @@ class SinrBreakdown:
 def users_per_cell(alpha: float, M: int) -> int:
     """K = round(alpha * M); the limit treats alpha as exact, finite M rounds."""
     check_count("the antenna count", M)
+    check_real("alpha", alpha)
     try:
         K = int(round(alpha * M))
     except OverflowError:  # M past the float range, or alpha * M infinite

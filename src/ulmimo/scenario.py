@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_real
 from .geometry import Cost231Params, hex_layout
 
 SCHEMA_VERSION = 1
@@ -104,6 +104,8 @@ class Scenario:
         if self.cells not in range(1, MAX_CELLS + 1):
             raise InvalidInputError(f"cells must lie in [1, {MAX_CELLS}]")
         check_count("cells", self.cells)  # a bool or integral float passes range
+        check_real("alpha", self.alpha)
+        check_real("noise_var", self.noise_var)
         if not self.alpha > 0.0:
             raise InvalidInputError("alpha must be positive")
         if not 0.0 < self.noise_var <= MAX_NOISE_VAR:

@@ -94,6 +94,12 @@ class TestEta1:
                 solve(dist, -0.1, 0.01)
             with pytest.raises(InvalidInputError):
                 solve(dist, 0.5, 0.0)
+            # a bool solved alpha = 1 or noise_var = 1
+            with pytest.raises(InvalidInputError, match="^alpha must be a real"):
+                solve(dist, True, 0.1)
+            with pytest.raises(InvalidInputError,
+                               match="^noise_var must be a real"):
+                solve(dist, 0.5, True)
 
 
 class TestEta2:
@@ -293,6 +299,10 @@ class TestGeneralizedSinr:
             la.det_eq_sinr_rows(seven_cell_001, -0.1, 0.01)
         with pytest.raises(InvalidInputError):
             la.det_eq_sinr_rows(seven_cell_001, 0.5, 0.0)
+        for alpha, noise_var in ((True, 0.1), (0.5, True), ("0.5", 0.1),
+                                 (0.5, 10**400)):
+            with pytest.raises(InvalidInputError, match="must be a real"):
+                la.det_eq_sinr_rows(seven_cell_001, alpha, noise_var)
         # a suppression above E[B] would make the MMSE interference negative
         det = la.solve_det_eq(seven_cell_001, 0.5, 0.01)
         monkeypatch.setattr(la, "solve_det_eq", lambda *args: replace(

@@ -41,6 +41,10 @@ class TestScalarReductions:
         for alpha in (0.0, float("nan")):
             with pytest.raises(InvalidInputError, match="alpha"):
                 ex.sum_rate(alpha, 10, 1.0)
+        # a bool alpha was taken as 1
+        for alpha in (True, "0.5", None):
+            with pytest.raises(InvalidInputError, match="^alpha must be a real"):
+                ex.sum_rate(alpha, 50, 1.0)
         # a float or a bool M was coerced, and None ended in a TypeError
         for M in (0, 8.0, True, None):
             with pytest.raises(InvalidInputError, match="^M must be"):
@@ -63,6 +67,11 @@ class TestAsymptoticSweep:
             ex.asymptotic_sweep(idealized_01, [0.5, 1.6])
         with pytest.raises(InvalidInputError, match="must be non-empty"):
             ex.asymptotic_sweep(idealized_01, [])
+        # a bool or a string was coerced to a loading
+        for grid in ([True], ["0.5"], [0.2, None]):
+            with pytest.raises(InvalidInputError, match="^alpha must be a real"):
+                ex.asymptotic_sweep(idealized_01, grid)
+        assert ex._check_alpha_grid([np.float64(0.5), 1]) == [0.5, 1.0]
 
     def test_drop_scenario_rejected(self):
         sc = parse_scenario("cost231-7cell")
@@ -112,6 +121,8 @@ class TestRateGap:
     def test_beta_grid_validated(self, idealized_01):
         with pytest.raises(InvalidInputError):
             ex.rate_gap_sweep(idealized_01, [0.5], [0.2])
+        with pytest.raises(InvalidInputError, match="^beta_other must be a real"):
+            ex.rate_gap_sweep(idealized_01, [0.5], ["0.05"])
 
 
 ALL = ex.ALL_FILTERS

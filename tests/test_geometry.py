@@ -21,7 +21,9 @@ class TestHexLayout:
         assert np.allclose(d, SQ3 * 1000.0)
         assert np.allclose(d, 1732.0508, atol=1e-3)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    # True built a 1 m layout
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, True, "1000",
+                                        None])
     def test_bad_radius_rejected(self, radius):
         with pytest.raises(InvalidInputError):
             geo.hex_layout(7, radius)
@@ -46,6 +48,55 @@ class TestHexLayout:
         # and the layout actually covers the central region
         near = np.linalg.norm(pts, axis=1) < 800.0
         assert counts[near].all()
+
+
+def hexagon_edge_lines(R):
+    """(start, unit outward normal) of each edge of the hexagon with vertices
+    R (cos 60k, sin 60k), counterclockwise, around the origin."""
+    angles = np.deg2rad(60.0 * np.arange(7))
+    v = R * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    e = np.diff(v, axis=0)
+    # inside lies left of each counterclockwise edge
+    return v[:-1], np.stack([e[:, 1], -e[:, 0]], axis=1) / np.hypot(*e.T)[:, None]
+
+
+def outward_distance(rel, R):
+    """Largest signed distance of each offset from the edge lines: at most 0
+    inside the hexagon."""
+    starts, normals = hexagon_edge_lines(R)
+    return np.max([(rel - a) @ n for a, n in zip(starts, normals)], axis=0)
+
+
+class TestPointsInHex:
+    """points_in_hex against the hexagon built from its vertices."""
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["center", "rows"])
+    def test_matches_the_vertex_hexagon(self, rows):
+        R, rng = 1000.0, np.random.default_rng(34)
+        for center in geo.hex_layout(7, R).centers:
+            pts = center + rng.uniform(-1.1 * R, 1.1 * R, size=(20_000, 2))
+            inside = outward_distance(pts - center, R) <= 1e-9
+            assert 0.45 < inside.mean() < 0.65  # both sides are sampled
+            c = np.repeat(center[None], len(pts), axis=0) if rows else center
+            assert np.array_equal(geo.points_in_hex(pts, c, R), inside)
+
+    @pytest.mark.parametrize("push, inside", [(0.5e-9, True), (2e-9, False)])
+    def test_edge_midpoints_and_the_slack(self, push, inside):
+        R = 1000.0
+        starts, normals = hexagon_edge_lines(R)
+        mids = 0.5 * (starts + np.roll(starts, -1, axis=0))
+        for center in geo.hex_layout(7, R).centers:
+            pts = center + mids + push * normals
+            assert (geo.points_in_hex(pts, center, R) == inside).all()
+
+    @pytest.mark.parametrize("points_shape, center_shape", [
+        ((4, 3), (2,)), ((4, 2), (3,)), ((4, 1), (2,)), ((4, 3), (4, 3))])
+    def test_last_axis_not_two_refused(self, points_shape, center_shape):
+        # (4, 1) points broadcast against the centre; the rest raised numpy's
+        # ValueError
+        with pytest.raises(InvalidInputError, match="last axis of 2"):
+            geo.points_in_hex(np.zeros(points_shape), np.zeros(center_shape),
+                              1000.0)
 
 
 class TestDropUsers:

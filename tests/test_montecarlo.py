@@ -50,6 +50,10 @@ class TestDrawChannels:
                               ALL_FILTERS, "noiseless", 0)
         with pytest.raises(InvalidInputError, match="alpha=nan"):
             mc.users_per_cell(float("nan"), 50)
+        # a bool alpha gave M users per cell
+        for alpha in (True, "0.5"):
+            with pytest.raises(InvalidInputError, match="^alpha must be a real"):
+                mc.users_per_cell(alpha, 50)
 
     @pytest.mark.parametrize("M", [0, -5])
     def test_antenna_count_below_one_rejected(self, M):

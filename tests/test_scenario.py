@@ -142,6 +142,16 @@ class TestParsing:
             Scenario(name="tiny", cells=cells, alpha=0.5, noise_var=0.01,
                      gain_model=IdealizedGains(beta_other=0.1))
 
+    @pytest.mark.parametrize("field", ["alpha", "noise_var"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_real_field_not_a_real_number_refused(self, field, value):
+        # built directly, past the typed parser: True was taken as 1
+        kwargs = dict(name="tiny", cells=1, alpha=0.5, noise_var=0.01,
+                      gain_model=IdealizedGains(beta_other=0.1))
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be a real number"):
+            Scenario(**dict(kwargs, **{field: value}))
+
     def test_cell_cap_accepted(self):
         assert scenario_from_dict(dict(MINIMAL, cells=MAX_CELLS)).cells == MAX_CELLS
 

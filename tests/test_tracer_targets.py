@@ -4,8 +4,10 @@ The tracer (``bench/tracer.py``) fails at trace time when a wrapped name
 stops resolving or a layer a workload runs records no calls, and the gate
 (``bench/gate.py``) fails a call whose outputs drift from ``bench/refs``.
 These checks move both failures into the test suite: every traced name
-must resolve, and one traced CLI call per workload at the default seed
-must exercise its layers and match its stored references. The benchmark
+must resolve, one traced CLI call per workload at the default seed must
+exercise its layers and match its stored references, and one untraced call
+per workload at the holdout seed must match its references too, as the
+benchmark's warm-up call does. The benchmark
 modules are loaded read-only; the trace wraps and then restores the
 package's functions exactly as a traced benchmark call does.
 """
@@ -59,6 +61,16 @@ def test_traced_workload_matches_references(tmp_path, name):
     with trace.installed():
         assert cli.main(workload.cli_args(seed, out)) == 0
     tracer.check_exercised(trace, workload.exercised)
+    refs = gate.load_references(BENCH / "refs", name)
+    problems, _ = gate.Gate(refs).check(out, seed)
+    assert problems == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_holdout_workload_matches_references(tmp_path, name):
+    seed = workloads.HOLDOUT_SEED
+    out = tmp_path / "out"
+    assert cli.main(workloads.WORKLOADS[name].cli_args(seed, out)) == 0
     refs = gate.load_references(BENCH / "refs", name)
     problems, _ = gate.Gate(refs).check(out, seed)
     assert problems == []

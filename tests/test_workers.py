@@ -117,6 +117,12 @@ REFUSALS = {
                     "alpha grid must lie in (0, 1.5]"),
     "alpha order": ((8, [0.5, 0.25], 10_000, ALL, "noiseless", 0),
                     "alpha grid must be strictly increasing"),
+    "bool alpha": ((8, [True], 10_000, ALL, "noiseless", 0),
+                   "alpha must be a real number within the float range, "
+                   "got True"),
+    "string alpha": ((8, ["0.5"], 10_000, ALL, "noiseless", 0),
+                     "alpha must be a real number within the float range, "
+                     "got '0.5'"),
     "mode": ((8, [0.5], 10_000, ALL, "psychic", 0),
              "unknown estimate mode 'psychic'"),
     "no filter": ((8, [0.5], 10_000, (), "noiseless", 0),
