@@ -84,11 +84,11 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
     """One file per figure/table analog, with schema/seed/units in the header."""
     units = ",".join(f"{c}:{COLUMN_UNITS[c]}" for c in result.columns)
     meta = " ".join(f"{k}={v}" for k, v in sorted(result.meta.items()))
-    lines = [f"# ulmimo-csv schema={CSV_SCHEMA} {meta} units={units}"]
-    lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write(f"# ulmimo-csv schema={CSV_SCHEMA} {meta} units={units}\n")
+        f.write(",".join(result.columns) + "\n")
+        for row in result.rows:
+            f.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def _base_meta(scenario: Scenario, seed) -> dict[str, str]:
@@ -385,11 +385,11 @@ def rate_table(scenario: Scenario, M: int | None, alpha_grid,
     columns = ["alpha", "rate_pilot", "rate_perfect"]
     meta = _base_meta(scenario, master_seed) | {"drops": str(RATE_DROPS)}
     if trials is not None:
-        for a in grid:
-            if users_per_cell(a, M) < 3:
-                raise InvalidInputError(
-                    f"alpha={a}, M={M} gives fewer than 3 users per cell; "
-                    "refusing to extrapolate the rate table")
+        # K = round(alpha M) never falls along the increasing grid
+        if users_per_cell(grid[0], M) < 3:
+            raise InvalidInputError(
+                f"alpha={grid[0]}, M={M} gives fewer than 3 users per cell; "
+                "refusing to extrapolate the rate table")
         columns += ["rate_pilot_mc", "rate_perfect_mc"]
         meta |= _simulation_meta(M, trials, estimate_mode)
     rows = _simulation_and_limit(scenario, M, grid, trials, estimate_mode,

@@ -19,7 +19,6 @@ is the multiplier that re-anchors it (1.0 means "total as stated").
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -28,8 +27,6 @@ import numpy as np
 
 from .errors import InvalidInputError, check_count, check_real
 from .fading import FadingDistribution
-
-log = logging.getLogger(__name__)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -86,7 +83,9 @@ class Cost231Params:
         # every check is written so that NaN fails it
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            if value is None and f.type == "float | None":
+                continue
+            if not math.isfinite(check_real(f.name, value)):
                 raise InvalidInputError(f"{f.name} must be finite")
         if not self.cell_radius_m > 0.0:
             raise InvalidInputError("cell radius must be positive")
@@ -181,7 +180,8 @@ def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np
     edge (sqrt(3)/2 |x| + |y|/2) bound all six, each within the apothem."""
     if np.shape(points)[-1:] != (2,) or np.shape(center)[-1:] != (2,):
         raise InvalidInputError("points and center need a last axis of 2")
-    x, y = np.abs(np.atleast_2d(points) - center).T
+    offsets = np.atleast_2d(points) - center
+    x, y = np.abs(offsets, out=offsets).T
     b = SQRT3 / 2.0 * radius_m + 1e-9
     return (y <= b) & (SQRT3 / 2.0 * x + 0.5 * y <= b)
 
@@ -257,8 +257,9 @@ def cost231_pathloss_db(distance_m, params: Cost231Params):
     if np.any(d < params.exclusion_radius_m):
         raise InvalidInputError(
             f"distance below the {params.exclusion_radius_m} m exclusion disk")
-    pl = (params.pathloss_intercept_db
-          + params.pathloss_slope_db * np.log10(d / 1000.0))
+    pl = np.log10(d / 1000.0)
+    pl *= params.pathloss_slope_db
+    pl += params.pathloss_intercept_db
     return pl if pl.ndim else float(pl)
 
 
@@ -273,18 +274,25 @@ def large_scale_gains(drop: UserDrop, params: Cost231Params,
     positions.
     """
     bs1 = drop.layout.centers[0]
-    dist = np.hypot(drop.positions[..., 0] - bs1[0],
-                    drop.positions[..., 1] - bs1[1])
-    pl_db = cost231_pathloss_db(np.maximum(dist, params.exclusion_radius_m), params)
-    path_gain = 10.0 ** (-pl_db / 10.0)
+    # distance, path loss, then gain: every step but the path loss is in place
+    gain = drop.positions[..., 0] - bs1[0]
+    np.hypot(gain, drop.positions[..., 1] - bs1[1], out=gain)
+    np.maximum(gain, params.exclusion_radius_m, out=gain)
+    gain = cost231_pathloss_db(gain, params)
+    gain /= -10.0
+    np.power(10.0, gain, out=gain)
     if params.shadowing_sigma_db is not None and params.shadowing_sigma_db > 0.0:
-        shadow_db = params.shadowing_sigma_db * rng.standard_normal(pl_db.shape)
-        path_gain = path_gain * 10.0 ** (shadow_db / 10.0)
-    clamped = int(np.count_nonzero(path_gain > 1.0))
+        shadow = params.shadowing_sigma_db * rng.standard_normal(gain.shape)
+        shadow /= 10.0
+        gain *= np.power(10.0, shadow, out=shadow)
+    clamped = int(np.count_nonzero(gain > 1.0))
     if clamped:
-        log.warning("clamped %d link gains at unit path gain", clamped)
-        path_gain = np.minimum(path_gain, 1.0)
-    return path_gain * (params.tx_power_mw / params.noise_power_mw)
+        import logging  # here, not at import: no bundled scenario clamps
+        logging.getLogger(__name__).warning(
+            "clamped %d link gains at unit path gain", clamped)
+        np.minimum(gain, 1.0, out=gain)
+    gain *= params.tx_power_mw / params.noise_power_mw
+    return gain
 
 
 def idealized_row(B: int, beta_other: float) -> np.ndarray:

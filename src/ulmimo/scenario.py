@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
@@ -47,7 +48,7 @@ class IdealizedGains:
     beta_other: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta_other < 1.0:
+        if not 0.0 < check_real("beta_other", self.beta_other) < 1.0:
             raise InvalidInputError("beta_other must lie in (0, 1)")
 
 
@@ -66,7 +67,7 @@ class PilotSettings:
         if self.mode not in _PILOT_MODES:
             raise InvalidInputError(f"unknown pilot mode {self.mode!r}")
         lo, hi = PILOT_SNR_DB_RANGE
-        if not lo <= self.pilot_snr_db <= hi:
+        if not lo <= check_real("pilot_snr_db", self.pilot_snr_db) <= hi:
             raise InvalidInputError(f"pilot_snr_db must lie in [{lo:g}, {hi:g}] dB")
 
     @property
@@ -82,8 +83,11 @@ class Coherence:
     subcarriers: int = 14
 
     def __post_init__(self):
-        if not (1 <= self.symbols and 1 <= self.subcarriers):
-            raise InvalidInputError("coherence block must be at least 1x1")
+        for name in ("symbols", "subcarriers"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and not value >= 1:  # NaN too
+                raise InvalidInputError("coherence block must be at least 1x1")
+            check_count(name, value)
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,8 @@ class Scenario:
 
     def __post_init__(self):
         # the name is one value of the CSV header's space-separated key=value
-        if not self.name or not self.name.isprintable() or " " in self.name:
+        if not (isinstance(self.name, str) and self.name
+                and self.name.isprintable() and " " not in self.name):
             raise InvalidInputError(
                 "name must be non-empty printable text without whitespace")
         if self.cells not in range(1, MAX_CELLS + 1):
@@ -111,6 +116,13 @@ class Scenario:
         if not 0.0 < self.noise_var <= MAX_NOISE_VAR:
             raise InvalidInputError(
                 f"noise_var must lie in (0, {MAX_NOISE_VAR:g}]")
+        for key, kinds in (("gain_model", (IdealizedGains, Cost231Params)),
+                           ("pilot", (PilotSettings,)), ("coherence", (Coherence,))):
+            value = getattr(self, key)
+            if not isinstance(value, kinds):
+                raise InvalidInputError(
+                    f"{key} must be {' or '.join(k.__name__ for k in kinds)}, "
+                    f"got {reprlib.repr(value)}")
         if not self.is_idealized and self.cells not in (1, 7):
             raise InvalidInputError("cost231 scenarios need cells = 1 or 7")
 

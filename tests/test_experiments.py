@@ -6,6 +6,7 @@ from ulmimo import experiments as ex
 from ulmimo.errors import InvalidInputError
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import idealized_gains
+from ulmimo.montecarlo import users_per_cell
 from ulmimo.rng import seed_substream
 from ulmimo.scenario import parse_scenario
 
@@ -268,6 +269,20 @@ class TestDropRunners:
         sc = parse_scenario("cost231-7cell")
         with pytest.raises(InvalidInputError, match="fewer than 3"):
             ex.rate_table(sc, 10, [0.1], 5, "noiseless", 0)
+
+    def test_rate_table_checks_the_first_loading_alone(self, monkeypatch,
+                                                       idealized_01):
+        # K = round(alpha M) never falls along an increasing grid: the K >= 3
+        # refusal reads the first loading, and the sweep derives each K once
+        calls = []
+
+        def counting(alpha, M):
+            calls.append(alpha)
+            return users_per_cell(alpha, M)
+
+        monkeypatch.setattr(ex, "users_per_cell", counting)
+        ex.rate_table(idealized_01, 10, [0.3, 0.5], 4, "noiseless", 0)
+        assert calls == [0.3, 0.3, 0.5]
 
     def test_training_five_percentile_tracks_repeated_pilot_theory(self):
         # full per-cell training at M=50 stays within half a dB of the

@@ -333,6 +333,16 @@ class TestPathloss:
         with pytest.raises(InvalidInputError):
             geo.Cost231Params(**{field: value})
 
+    # built directly, past the typed parser: the bools were accepted, the
+    # string and None raised TypeError
+    @pytest.mark.parametrize("field, value", [
+        ("tx_power_dbm", True), ("shadowing_sigma_db", True),
+        ("cell_radius_m", "x"), ("bs_height_m", None)])
+    def test_field_not_a_real_number_refused(self, field, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be a real number"):
+            geo.Cost231Params(**{field: value})
+
     def test_validity_ranges_enforced(self):
         with pytest.raises(InvalidInputError):
             geo.Cost231Params(carrier_freq_mhz=900.0)
@@ -415,6 +425,30 @@ class TestLargeScaleGains:
         assert gains[1:, 0] == pytest.approx(10 ** (-pl / 10) * ratio,
                                              rel=1e-12)
 
+
+    def test_in_place_chain_matches_out_of_place_formula(self, caplog):
+        # a shadowed law with a user next to the mast, whose gain is clamped;
+        # the formula below keeps the operand order of the out-of-place chain
+        params = geo.Cost231Params(shadowing_sigma_db=4.0, exclusion_radius_m=0.1)
+        layout = geo.hex_layout(7, params.cell_radius_m)
+        drop = geo.drop_users(layout, 500, seed_substream(12, "d"), 0.1)
+        drop.positions[0, 0] = [0.05, 0.0]
+        with caplog.at_level("WARNING", logger=geo.__name__):
+            gains = geo.large_scale_gains(drop, params, seed_substream(12, "s"))
+        assert len(caplog.records) == 1
+        rng = seed_substream(12, "s")
+        bs1 = layout.centers[0]
+        dist = np.hypot(drop.positions[..., 0] - bs1[0],
+                        drop.positions[..., 1] - bs1[1])
+        pl_db = (params.pathloss_intercept_db + params.pathloss_slope_db
+                 * np.log10(np.maximum(dist, params.exclusion_radius_m) / 1000.0))
+        path_gain = 10.0 ** (-pl_db / 10.0)
+        shadow_db = params.shadowing_sigma_db * rng.standard_normal(pl_db.shape)
+        path_gain = path_gain * 10.0 ** (shadow_db / 10.0)
+        assert path_gain[0, 0] > 1.0
+        path_gain = np.minimum(path_gain, 1.0)
+        expected = path_gain * (params.tx_power_mw / params.noise_power_mw)
+        assert np.array_equal(gains, expected)
 
 class TestWeakestGainBound:
     """The radius and shadowing bounds put the weakest link gain, a user at

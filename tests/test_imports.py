@@ -1,8 +1,9 @@
 """What a run loads, what its output depends on, and what it costs the heap.
 
 ulmimo needs numpy alone: importing the package and running any command
-must leave scipy, which only the tests use, unloaded, and the package root
-loads none of its submodules. The project's declared dependencies must
+must leave scipy, which only the tests use, unloaded, and logging too,
+which only a clamped link gain reports with; the package root loads none
+of its submodules. The project's declared dependencies must
 match what the code imports, and its ``test`` extra what the tests import
 beyond them. A run's output bytes must not depend on the BLAS thread
 count, and the CLI fixes the heap thresholds so a trial's arrays are not
@@ -37,10 +38,12 @@ def run_fresh(code: str, **env: str) -> str:
     return proc.stdout
 
 
-def scipy_loaded_after(code: str) -> bool:
-    """Whether any scipy module was loaded once code has run."""
-    report = "\nimport sys\nprint('scipy' in sys.modules)\n"
-    return run_fresh(code + report).split()[-1] == "True"
+def unwanted_modules_after(code: str) -> list[str]:
+    """Which of scipy and logging are loaded once code has run; a run must
+    leave both unloaded."""
+    report = ("\nimport sys\n"
+              "print(*[m for m in ('scipy', 'logging') if m in sys.modules])\n")
+    return run_fresh(code + report).splitlines()[-1].split()
 
 
 def cli_run(out: Path, *argv: str) -> str:
@@ -49,7 +52,7 @@ def cli_run(out: Path, *argv: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    assert not scipy_loaded_after("import ulmimo.cli")
+    assert unwanted_modules_after("import ulmimo.cli") == []
 
 
 def test_bare_import_loads_no_submodule():
@@ -65,7 +68,7 @@ def test_bare_import_loads_no_submodule():
     ("rates", "--scenario", "cost231-7cell"),
 ], ids=["asymptotic", "rategap", "rates"])
 def test_limit_only_runs_leave_scipy_unloaded(tmp_path, argv):
-    assert not scipy_loaded_after(cli_run(tmp_path / "o", *argv))
+    assert unwanted_modules_after(cli_run(tmp_path / "o", *argv)) == []
     assert (tmp_path / "o" / f"{argv[0]}.csv").exists()
 
 
@@ -76,7 +79,7 @@ def test_limit_only_runs_leave_scipy_unloaded(tmp_path, argv):
     ("percentile", "--antennas", "8", "--alpha", "1.0", "--trials", "20"),
 ], ids=["montecarlo", "percentile"])
 def test_simulating_runs_leave_scipy_unloaded(tmp_path, argv):
-    assert not scipy_loaded_after(cli_run(tmp_path / "o", *argv))
+    assert unwanted_modules_after(cli_run(tmp_path / "o", *argv)) == []
     assert (tmp_path / "o" / f"{argv[0]}.csv").exists()
 
 

@@ -29,6 +29,10 @@ MINIMAL = {
 
 APOTHEM_1KM = np.sqrt(3.0) / 2.0 * 1000.0
 
+# MINIMAL's fields as Scenario arguments, for building past the parser
+DIRECT = dict(name="tiny", cells=1, alpha=0.5, noise_var=0.01,
+              gain_model=IdealizedGains(beta_other=0.1))
+
 
 class TestParsing:
     def test_minimal_single_cell(self, tmp_path):
@@ -170,6 +174,28 @@ class TestParsing:
             PilotSettings(pilot_snr_db=float("nan"))
         with pytest.raises(InvalidInputError):
             Coherence(symbols=float("nan"))
+
+    # built directly, past the typed parser: the bools and the 2.5 were
+    # accepted, the strings raised TypeError and the name AttributeError
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PilotSettings(pilot_snr_db=True), "pilot_snr_db must be a real"),
+        (lambda: PilotSettings(pilot_snr_db="x"), "pilot_snr_db must be a real"),
+        (lambda: Coherence(symbols=True, subcarriers=2.5),
+         "symbols must be an integer"),
+        (lambda: Coherence(subcarriers=2.5), "subcarriers must be an integer"),
+        (lambda: Coherence(symbols="a"), "symbols must be an integer"),
+        (lambda: IdealizedGains(beta_other="x"), "beta_other must be a real"),
+        (lambda: Scenario(**dict(DIRECT, gain_model={})),
+         "gain_model must be IdealizedGains or Cost231Params"),
+        (lambda: Scenario(**dict(DIRECT, pilot=None)), "pilot must be PilotSettings"),
+        (lambda: Scenario(**dict(DIRECT, name=5)), "name must be non-empty")],
+        ids=["snr-bool", "snr-str", "coherence-bool-float", "coherence-float",
+             "coherence-str", "beta-str", "gain-model-dict", "pilot-none",
+             "name-int"])
+    def test_settings_built_directly_refuse_what_parsing_refuses(self, build,
+                                                                 message):
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            build()
 
     # refusals past the key and kind checks, each with its message and the
     # origin prefix; the last comes from geometry.Cost231Params
