@@ -298,7 +298,7 @@ def large_scale_gains(drop: UserDrop, params: Cost231Params,
 def idealized_row(B: int, beta_other: float) -> np.ndarray:
     """(B,) gains of a user in each cell: unit in-cell, constant other-cell."""
     check_count("B", B)
-    if not 0.0 < beta_other < 1.0:
+    if not 0.0 < check_real("beta_other", beta_other) < 1.0:
         raise InvalidInputError("beta_other must lie in (0, 1)")
     return np.concatenate([[1.0], np.full(B - 1, beta_other)])
 

@@ -48,8 +48,8 @@ class ChannelRealization:
         self.B, self.K, self.M = self.small_scale.shape
         if not np.all(self.gains > 0.0):
             raise InvalidInputError("large-scale gains must be positive")
-        if not self.noise_var > 0.0:  # NaN fails too
-            raise InvalidInputError("noise_var must be positive")
+        if not 0.0 < check_real("noise_var", self.noise_var) < np.inf:  # NaN too
+            raise InvalidInputError("noise_var must be positive and finite")
 
 
 @dataclass
@@ -141,7 +141,7 @@ def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
     The pilot noise is drawn as an (M, K) CN(0, I/M) matrix, as in the
     training estimator, so identical substreams give comparable results.
     """
-    if not rho_p > 0.0:
+    if not check_real("rho_p", rho_p) > 0.0:
         raise InvalidInputError("rho_p must be positive")
     if rho_p < np.inf and rng is None:
         raise InvalidInputError("a finite rho_p needs a generator for the pilot noise")
@@ -195,7 +195,7 @@ def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
     """
     if sequences.shape != (real.B, real.K, real.K):
         raise InvalidInputError("sequence shape does not match realization")
-    if not pilot_snr > 0.0:
+    if not check_real("pilot_snr", pilot_snr) > 0.0:
         raise InvalidInputError("pilot_snr must be positive")
 
     noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)

@@ -1,11 +1,12 @@
 """Scenario files: strict JSON configs that pin every experiment input.
 
 A scenario fixes the cell count, noise variance, gain model and pilot
-settings. Parsing is strict: unknown and repeated keys, NaN and
-infinities, and values of the wrong JSON type are rejected, and every
-range is validated, so a scenario hash plus a master seed fully determines
-a run. Bundled scenarios (the idealized three and the 7-cell drop model)
-live inside the package and can be referenced by name.
+settings. Parsing is strict: unknown, missing and repeated keys, NaN and
+infinities, and a block that is not a JSON object are rejected, and the
+config dataclasses refuse every value outside their field's kind or range,
+so a scenario hash plus a master seed fully determines a run. Bundled
+scenarios (the idealized three and the 7-cell drop model) live inside the
+package and can be referenced by name.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
@@ -83,11 +83,8 @@ class Coherence:
     subcarriers: int = 14
 
     def __post_init__(self):
-        for name in ("symbols", "subcarriers"):
-            value = getattr(self, name)
-            if isinstance(value, numbers.Real) and not value >= 1:  # NaN too
-                raise InvalidInputError("coherence block must be at least 1x1")
-            check_count(name, value)
+        check_count("symbols", self.symbols)
+        check_count("subcarriers", self.subcarriers)
 
 
 @dataclass(frozen=True)
@@ -106,14 +103,12 @@ class Scenario:
                 and self.name.isprintable() and " " not in self.name):
             raise InvalidInputError(
                 "name must be non-empty printable text without whitespace")
-        if self.cells not in range(1, MAX_CELLS + 1):
+        check_count("cells", self.cells)
+        if self.cells > MAX_CELLS:
             raise InvalidInputError(f"cells must lie in [1, {MAX_CELLS}]")
-        check_count("cells", self.cells)  # a bool or integral float passes range
-        check_real("alpha", self.alpha)
-        check_real("noise_var", self.noise_var)
-        if not self.alpha > 0.0:
-            raise InvalidInputError("alpha must be positive")
-        if not 0.0 < self.noise_var <= MAX_NOISE_VAR:
+        if not 0.0 < check_real("alpha", self.alpha) < math.inf:  # NaN fails too
+            raise InvalidInputError("alpha must be positive and finite")
+        if not 0.0 < check_real("noise_var", self.noise_var) <= MAX_NOISE_VAR:
             raise InvalidInputError(
                 f"noise_var must lie in (0, {MAX_NOISE_VAR:g}]")
         for key, kinds in (("gain_model", (IdealizedGains, Cost231Params)),
@@ -152,53 +147,29 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # strict parsing: the dataclasses above and geometry.Cost231Params are the
-# schema, one field per key
+# schema, one field per key, and each refuses its own bad values
 # ---------------------------------------------------------------------------
 
-# JSON value kinds, read from the dataclass annotations (strings under
-# postponed evaluation); any other annotation takes a JSON object. A bool is
-# not a number, an int field takes only ints, and a float field takes an int
-# or a finite float, kept as written so that the scenario_sha of a valid
-# file does not move.
-_KIND_NAMES = {"int": "an integer", "float": "a finite number",
-               "str": "a string", "float | None": "a finite number or null"}
-_JSON_TYPES = {"int": int, "str": str}
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInputError(
+            f"{where} must be a JSON object, got {reprlib.repr(value)}")
+    return value
 
 
-def _has_kind(value, kind: str) -> bool:
-    if value is None or isinstance(value, bool):
-        return value is None and kind == "float | None"
-    if kind.startswith("float"):
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            return False
-    return isinstance(value, _JSON_TYPES.get(kind, dict))
-
-
-def _take(mapping: dict, where: str, cls, **extra: str) -> dict:
-    """The fields of ``mapping``, checked against the fields of dataclass
-    ``cls`` plus the required ``extra`` keys (key -> kind)."""
-    known = {key: (True, kind) for key, kind in extra.items()}
-    for f in fields(cls):
-        known[f.name] = (f.default is MISSING and f.default_factory is MISSING,
-                         f.type)
-    unknown = set(mapping) - set(known)
+def _take(mapping, where: str, cls, *extra: str) -> dict:
+    """JSON object ``mapping``, checked to hold only the fields of dataclass
+    ``cls`` plus the ``extra`` keys, and every one without a default."""
+    required = dict.fromkeys(extra, True)
+    required.update((f.name, f.default is MISSING and f.default_factory is MISSING)
+                    for f in fields(cls))
+    unknown = set(_object(mapping, where)) - set(required)
     if unknown:
         raise InvalidInputError(f"unknown field(s) in {where}: {sorted(unknown)}")
-    out = {}
-    for key, (required, kind) in known.items():
-        if key in mapping:
-            value = mapping[key]
-            if not _has_kind(value, kind):
-                raise InvalidInputError(
-                    f"{where}.{key} must be "
-                    f"{_KIND_NAMES.get(kind, 'a JSON object')}, "
-                    f"got {reprlib.repr(value)}")
-            out[key] = value
-        elif required:
+    for key, needed in required.items():
+        if needed and key not in mapping:
             raise InvalidInputError(f"missing required field {key!r} in {where}")
-    return out
+    return mapping
 
 
 _GAIN_MODELS = {"idealized": IdealizedGains, "cost231": Cost231Params}
@@ -206,18 +177,21 @@ _GAIN_KINDS = {model: kind for kind, model in _GAIN_MODELS.items()}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    top = _take(data, "scenario", Scenario, schema="int")
+    top = dict(_take(data, "scenario", Scenario, "schema"))
     schema = top.pop("schema")
-    if schema != SCHEMA_VERSION:
+    # 1.0 and True equal 1, but only the integer is the version
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise InvalidInputError(f"unsupported schema version {schema!r}")
 
-    gm = dict(top["gain_model"])
+    gm = dict(_object(top["gain_model"], "gain_model"))
     kind = gm.pop("kind", None)
     model = _GAIN_MODELS.get(kind) if isinstance(kind, str) else None
     if model is None:
         raise InvalidInputError(f"unknown gain model kind {kind!r}")
+    # every other number is kept as written, so a valid file's hash holds
     top.update(
-        alpha=float(top["alpha"]), noise_var=float(top["noise_var"]),
+        alpha=check_real("alpha", top["alpha"]),
+        noise_var=check_real("noise_var", top["noise_var"]),
         gain_model=model(**_take(gm, "gain_model", model)),
         pilot=PilotSettings(**_take(top.get("pilot", {}), "pilot",
                                     PilotSettings)),
@@ -272,11 +246,8 @@ def _unique_keys(pairs: list) -> dict:
 
 def _parse_text(text: str, origin: str) -> Scenario:
     try:
-        data = json.loads(text, parse_constant=_refuse_constant,
-                          object_pairs_hook=_unique_keys)
-        if not isinstance(data, dict):
-            raise InvalidInputError("scenario must be a JSON object")
-        return scenario_from_dict(data)
+        return scenario_from_dict(json.loads(
+            text, parse_constant=_refuse_constant, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(
             f"{origin}: parse error at line {exc.lineno}, column {exc.colno}: "

@@ -333,7 +333,7 @@ class TestPathloss:
         with pytest.raises(InvalidInputError):
             geo.Cost231Params(**{field: value})
 
-    # built directly, past the typed parser: the bools were accepted, the
+    # built directly, past the parser: the bools were accepted, the
     # string and None raised TypeError
     @pytest.mark.parametrize("field, value", [
         ("tx_power_dbm", True), ("shadowing_sigma_db", True),
@@ -499,6 +499,11 @@ class TestIdealizedGains:
             geo.idealized_gains(7, 1.5)
         with pytest.raises(InvalidInputError, match="B must be at least 1"):
             geo.idealized_row(0, 0.1)
+        # the string raised TypeError, and the bool was refused only as 1
+        for beta in ("0.1", True):
+            with pytest.raises(InvalidInputError,
+                               match="^beta_other must be a real number"):
+                geo.idealized_row(7, beta)
 
     @pytest.mark.parametrize("call", [
         lambda: geo.idealized_row(2.0, 0.1), lambda: geo.idealized_row(True, 0.1),

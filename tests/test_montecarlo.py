@@ -110,6 +110,23 @@ class TestArgumentChecks:
         (lambda real: mc.ChannelRealization(
             small_scale=real.small_scale, gains=real.gains,
             noise_var=float("nan")), "noise_var must be positive"),
+        # inf and True were accepted, and "1" raised TypeError
+        (lambda real: mc.ChannelRealization(
+            small_scale=real.small_scale, gains=real.gains,
+            noise_var=float("inf")), "noise_var must be positive and finite"),
+        (lambda real: mc.ChannelRealization(
+            small_scale=real.small_scale, gains=real.gains, noise_var=True),
+         "noise_var must be a real number"),
+        (lambda real: mc.ChannelRealization(
+            small_scale=real.small_scale, gains=real.gains, noise_var="1"),
+         "noise_var must be a real number"),
+        # each True was taken as 1
+        (lambda real: mc.pilot_estimate_noisy(real, True, seed_substream(0, "p")),
+         "rho_p must be a real number"),
+        (lambda real: mc.training_based_estimate(
+            real, mc.generate_pilot_sequences(2, 7, seed_substream(0, "q")),
+            True, seed_substream(0, "t")),
+         "pilot_snr must be a real number"),
         (lambda real: mc.pilot_estimate_noisy(real, 10.0, None),
          "a finite rho_p needs a generator"),
         (lambda real: mc.generate_pilot_sequences(0, 7, seed_substream(0, "q")),
@@ -135,7 +152,9 @@ class TestArgumentChecks:
         (lambda real: mc.empirical_sinr(np.ones(real.M + 1, dtype=complex),
                                         real),
          "filter length does not match antennas"),
-    ], ids=["gains", "noise-var", "noise-var-nan", "pilot-noise-generator",
+    ], ids=["gains", "noise-var", "noise-var-nan", "noise-var-inf",
+            "noise-var-bool", "noise-var-str", "rho-p-bool", "pilot-snr-bool",
+            "pilot-noise-generator",
             "sequence-users", "sequence-cells", "sequence-users-float",
             "sequence-cells-bool", "channel-cells-bool", "channel-users-float",
             "channel-antennas-float", "sequence-shape", "filter-length"])

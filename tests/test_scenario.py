@@ -12,9 +12,9 @@ from ulmimo.errors import InvalidInputError
 from ulmimo.fading import FadingDistribution
 from ulmimo.geometry import Cost231Params
 from ulmimo.rng import seed_substream
-from ulmimo.scenario import (MAX_CELLS, Coherence, IdealizedGains,
-                             PilotSettings, Scenario, _parse_text,
-                             parse_scenario, scenario_from_dict,
+from ulmimo.scenario import (_GAIN_MODELS, MAX_CELLS, Coherence,
+                             IdealizedGains, PilotSettings, Scenario,
+                             _parse_text, parse_scenario, scenario_from_dict,
                              scenario_hash, scenario_to_dict,
                              serialize_scenario)
 
@@ -134,14 +134,15 @@ class TestParsing:
 
     @pytest.mark.parametrize("cells", [0, MAX_CELLS + 1, 1_000_000])
     def test_cell_count_outside_cap_rejected(self, cells):
-        with pytest.raises(InvalidInputError, match="cells must lie"):
+        message = "cells must be at least 1" if cells < 1 else "cells must lie"
+        with pytest.raises(InvalidInputError, match=message):
             scenario_from_dict(dict(MINIMAL, cells=cells))
 
     @pytest.mark.parametrize("cells, message", [
         (True, "cells must be an integer"), (7.0, "cells must be an integer"),
-        ("7", "cells must lie"), (None, "cells must lie")])
+        ("7", "cells must be an integer"), (None, "cells must be an integer")])
     def test_cell_count_not_an_integer_refused(self, cells, message):
-        # built directly, past the typed parser
+        # built directly, past the parser
         with pytest.raises(InvalidInputError, match=message):
             Scenario(name="tiny", cells=cells, alpha=0.5, noise_var=0.01,
                      gain_model=IdealizedGains(beta_other=0.1))
@@ -149,7 +150,7 @@ class TestParsing:
     @pytest.mark.parametrize("field", ["alpha", "noise_var"])
     @pytest.mark.parametrize("value", [True, "0.5", None])
     def test_real_field_not_a_real_number_refused(self, field, value):
-        # built directly, past the typed parser: True was taken as 1
+        # built directly, past the parser: True was taken as 1
         kwargs = dict(name="tiny", cells=1, alpha=0.5, noise_var=0.01,
                       gain_model=IdealizedGains(beta_other=0.1))
         with pytest.raises(InvalidInputError,
@@ -175,7 +176,7 @@ class TestParsing:
         with pytest.raises(InvalidInputError):
             Coherence(symbols=float("nan"))
 
-    # built directly, past the typed parser: the bools and the 2.5 were
+    # built directly, past the parser: the bools and the 2.5 were
     # accepted, the strings raised TypeError and the name AttributeError
     @pytest.mark.parametrize("build, message", [
         (lambda: PilotSettings(pilot_snr_db=True), "pilot_snr_db must be a real"),
@@ -197,15 +198,15 @@ class TestParsing:
         with pytest.raises(InvalidInputError, match=f"^{message}"):
             build()
 
-    # refusals past the key and kind checks, each with its message and the
-    # origin prefix; the last comes from geometry.Cost231Params
+    # refusals past the key checks, each with its message and the origin
+    # prefix; the last comes from geometry.Cost231Params
     @pytest.mark.parametrize("text, message", [
         (json.dumps(dict(MINIMAL, pilot={"mode": "noisy"})),
          "unknown pilot mode 'noisy'"),
-        (json.dumps(dict(MINIMAL, alpha=0)), "alpha must be positive"),
+        (json.dumps(dict(MINIMAL, alpha=0)), "alpha must be positive and finite"),
         (json.dumps(dict(MINIMAL, gain_model={"kind": "rayleigh"})),
          "unknown gain model kind 'rayleigh'"),
-        ("[]", "scenario must be a JSON object"),
+        ("[]", "scenario must be a JSON object, got []"),
         (json.dumps(dict(MINIMAL, gain_model={"kind": "cost231",
                                               "carrier_freq_mhz": 100.0})),
          "carrier frequency outside model validity")],
@@ -272,6 +273,34 @@ def fuzzed_scenarios(draw):
     return data
 
 
+# every field set to each of these, parsed and built directly
+_PARITY_VALUES = [True, False, None, "1", [1], {}, float("inf"), float("-inf"),
+                  float("nan"), 10 ** 400, 0, -1, 2.5]
+
+
+def _built_directly(data: dict) -> Scenario:
+    """The config dataclasses of ``data`` built past the parser: a block that
+    is a JSON object builds its class, any other value is passed as it is."""
+    kwargs = {key: value for key, value in data.items() if key != "schema"}
+    gm = kwargs["gain_model"]
+    model = _GAIN_MODELS.get(gm.get("kind") if isinstance(gm, dict) else None)
+    if model:
+        kwargs["gain_model"] = model(**{k: v for k, v in gm.items()
+                                        if k != "kind"})
+    for key, cls in (("pilot", PilotSettings), ("coherence", Coherence)):
+        if isinstance(kwargs[key], dict):
+            kwargs[key] = cls(**kwargs[key])
+    return Scenario(**kwargs)
+
+
+def _refuses(build, data: dict) -> bool:
+    try:
+        build(data)
+    except InvalidInputError:
+        return True
+    return False
+
+
 class TestTypedFields:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(fuzzed_scenarios())
@@ -289,8 +318,40 @@ class TestTypedFields:
         ("coherence", None),
         pytest.param("noise_var", 10 ** 400, id="noise_var-int-past-float")])
     def test_top_level_field_kinds(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"scenario.{field} must be"):
+        # a block's kind is judged by the parser, any other by the dataclass
+        # that holds the value, or for schema by the version check
+        message = {
+            "cells": "cells must be an integer",
+            "alpha": "alpha must be a real number",
+            "noise_var": "noise_var must be a real number within the float range",
+            "schema": "unsupported schema version",
+            "name": "name must be non-empty printable text",
+        }.get(field, f"{field} must be a JSON object")
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
             scenario_from_dict(dict(MINIMAL, **{field: value}))
+
+    @pytest.mark.parametrize("bundled", ["idealized-01", "cost231-7cell"])
+    def test_parser_refuses_exactly_what_the_dataclasses_refuse(self, bundled):
+        # the parser judges keys and blocks only: a value set on any field
+        # is refused parsed if and only if it is refused built directly
+        # (alpha=inf was refused parsed and accepted built)
+        base = scenario_to_dict(parse_scenario(bundled))
+        disagree = []
+        paths = {path for path in _field_paths(Scenario)
+                 if path[0] != "gain_model" or path[-1] in base["gain_model"]}
+        for path in sorted(paths | {("gain_model",), ("pilot",), ("coherence",)}):
+            for value in _PARITY_VALUES:
+                data = json.loads(json.dumps(base))
+                *parents, key = path
+                holder = data
+                for p in parents:
+                    holder = holder[p]
+                holder[key] = value
+                refused = [_refuses(scenario_from_dict, data),
+                           _refuses(_built_directly, data)]
+                if refused[0] != refused[1]:
+                    disagree.append((path, value, refused))
+        assert disagree == []
 
     def test_int_in_float_field_kept_as_written(self):
         # scenario_sha of a valid file with integer-valued floats does not
