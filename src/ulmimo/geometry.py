@@ -180,19 +180,25 @@ def points_in_hex(points: np.ndarray, center: np.ndarray, radius_m: float) -> np
     edge (sqrt(3)/2 |x| + |y|/2) bound all six, each within the apothem."""
     if np.shape(points)[-1:] != (2,) or np.shape(center)[-1:] != (2,):
         raise InvalidInputError("points and center need a last axis of 2")
-    offsets = np.atleast_2d(points) - center
+    offsets = np.subtract(np.atleast_2d(points), center, dtype=float)
     x, y = np.abs(offsets, out=offsets).T
     b = SQRT3 / 2.0 * radius_m + 1e-9
-    return (y <= b) & (SQRT3 / 2.0 * x + 0.5 * y <= b)
+    inside = y <= b
+    x *= SQRT3 / 2.0  # SQRT3 / 2 * x + 0.5 * y, in place on the offsets
+    y *= 0.5
+    x += y
+    inside &= x <= b
+    return inside
 
 
 def _outside_disk(rel: np.ndarray, radius: float) -> np.ndarray:
     """``np.hypot(x, y) >= radius`` for each row (x, y) of ``rel``, with
     hypot called only inside the disk's bounding square: a faithfully
     rounded hypot is never below max(|x|, |y|). A NaN fails the strict
-    test and takes the exact one."""
-    x, y = rel.T
-    out = (np.abs(x) > radius) | (np.abs(y) > radius)
+    test and takes the exact one. Overwrites ``rel`` with its magnitudes
+    (hypot is symmetric in sign)."""
+    x, y = np.abs(rel, out=rel).T
+    out = (x > radius) | (y > radius)
     near = np.flatnonzero(~out)
     out[near] = np.hypot(x[near], y[near]) >= radius
     return out
@@ -232,19 +238,22 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
         need = K - got
         m = max(2 * need, 8)
         centers = np.repeat(layout.centers[j:j + g], m, axis=0)
-        cand = centers + rng.uniform(-R, R, size=centers.shape)
+        cand = rng.uniform(-R, R, size=centers.shape)
+        cand += centers
         keep = (points_in_hex(cand, centers, R)
                 & _outside_disk(cand - centers, exclusion_m)).reshape(g, m)
-        kept = np.cumsum(keep, axis=1)
+        # int32 counts: the trial-size cap holds a round to 2 K <= 2**25
+        # candidates, and one of 2**31 would take 32 GiB
+        kept = np.cumsum(keep, axis=1, dtype=np.int32)
         short = np.flatnonzero(kept[:, -1] < need)
         full = int(short[0]) if short.size else g
         # full cells take their first `need` accepted candidates, a short
         # one all of its own, and the cells after it none
-        take = keep & (kept <= need)
-        take[full + 1:] = False
-        rows = cand.compress(take.ravel(), axis=0)
-        flat[filled:filled + rows.shape[0]] = rows
-        filled += rows.shape[0]
+        keep &= kept <= need
+        keep[full + 1:] = False
+        n = int(np.count_nonzero(keep))
+        cand.compress(keep.ravel(), axis=0, out=flat[filled:filled + n])
+        filled += n
         alone = full < g  # a short cell's next round is its own
         if full + 1 < g:
             rng.bit_generator.advance((-2 * m * (g - full - 1)) % 2**128)
@@ -257,7 +266,8 @@ def cost231_pathloss_db(distance_m, params: Cost231Params):
     if np.any(d < params.exclusion_radius_m):
         raise InvalidInputError(
             f"distance below the {params.exclusion_radius_m} m exclusion disk")
-    pl = np.log10(d / 1000.0)
+    pl = np.asarray(d / 1000.0)  # a scalar quotient becomes a 0-d array
+    np.log10(pl, out=pl)
     pl *= params.pathloss_slope_db
     pl += params.pathloss_intercept_db
     return pl if pl.ndim else float(pl)

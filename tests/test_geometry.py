@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -5,6 +7,7 @@ from scipy.stats import chisquare
 from ulmimo import geometry as geo
 from ulmimo.errors import InvalidInputError
 from ulmimo.rng import seed_substream
+from ulmimo.scenario import parse_scenario
 
 SQ3 = np.sqrt(3.0)
 
@@ -88,6 +91,25 @@ class TestPointsInHex:
         for center in geo.hex_layout(7, R).centers:
             pts = center + mids + push * normals
             assert (geo.points_in_hex(pts, center, R) == inside).all()
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["center", "rows"])
+    def test_arguments_left_unwritten(self, rows):
+        # the test works in place on its own offsets, never on the caller's
+        R, center = 1000.0, geo.hex_layout(7, 1000.0).centers[3]
+        pts = center + np.random.default_rng(35).uniform(-R, R, size=(500, 2))
+        c = np.repeat(center[None], len(pts), axis=0) if rows else center
+        pts_before, c_before = pts.copy(), c.copy()
+        geo.points_in_hex(pts, c, R)
+        assert pts.tobytes() == pts_before.tobytes()
+        assert c.tobytes() == c_before.tobytes()
+
+    def test_integer_points_decide_as_floats(self):
+        pts = np.array([[0, 0], [0, 866], [0, 867], [750, 433], [751, 433],
+                        [-1000, 0], [1001, 0]])
+        inside = geo.points_in_hex(pts, np.array([0, 0]), 1000.0)
+        assert inside.tolist() == [True, True, False, True, False, True, False]
+        assert np.array_equal(
+            inside, geo.points_in_hex(pts.astype(float), np.zeros(2), 1000.0))
 
     @pytest.mark.parametrize("points_shape, center_shape", [
         ((4, 3), (2,)), ((4, 2), (3,)), ((4, 1), (2,)), ((4, 3), (4, 3))])
@@ -230,9 +252,11 @@ class TestDropMatchesSequentialLoop:
             self.check(B, K, 35.0, range(60))
 
     # K = 300 splits seven cells into blocks of six and one; K = 5000
-    # draws one cell per block
+    # draws one cell per block; K = 10,000 is the rates table's drop law,
+    # where each cell's first round fills at the frozen 35 m disk (about 65%
+    # of candidates pass) and comes up short at 860 m (about 7%)
     @pytest.mark.parametrize("exclusion_m", [35.0, 860.0])
-    @pytest.mark.parametrize("K", [300, 5000])
+    @pytest.mark.parametrize("K", [300, 5000, 10_000])
     def test_multi_block(self, K, exclusion_m):
         self.check(7, K, exclusion_m, range(3))
 
@@ -258,8 +282,10 @@ class TestExclusionDecision:
         corners = [(sx * a, sy * b) for sx in (1, -1) for sy in (1, -1)
                    for a in (e, down) for b in (e, down, up)]
         odd = [(0.0, 0.0), (-0.0, 0.0), (tiny, 0.0), (tiny, tiny),
-               (-tiny, 3 * tiny), (1e-310, 1e-310), (np.nan, 0.0),
-               (np.nan, np.inf), (np.inf, np.nan)]
+               (-tiny, 3 * tiny), (-tiny, -0.0), (1e-310, 1e-310),
+               (-1e-310, -1e-310), (np.nan, 0.0), (np.nan, np.inf),
+               (np.inf, np.nan), (-np.inf, np.nan), (np.nan, -np.inf),
+               (-np.inf, -0.0), (-0.0, -np.inf)]
         return np.vstack([*neighbours, edges, corners, odd])
 
     @pytest.mark.parametrize("e", [
@@ -268,7 +294,12 @@ class TestExclusionDecision:
     def test_adversarial_rows_decide_as_hypot(self, e):
         rel = self.adversarial_rows(e)
         want = np.hypot(rel[:, 0], rel[:, 1]) >= e
-        assert np.array_equal(geo._outside_disk(rel, e), want)
+        # the test overwrites its argument with the magnitudes, which decide
+        # as the signed rows do
+        overwritten = rel.copy()
+        assert np.array_equal(geo._outside_disk(overwritten, e), want)
+        assert np.array_equal(overwritten, np.abs(rel), equal_nan=True)
+        assert np.array_equal(geo._outside_disk(overwritten, e), want)
 
     def test_hypot_is_never_below_the_larger_coordinate(self):
         # the shortcut's premise: a row outside the square is outside the
@@ -319,6 +350,19 @@ class TestPathloss:
         params = geo.Cost231Params()
         assert (geo.cost231_pathloss_db(777.0, params)
                 == geo.cost231_pathloss_db(777.0, params))
+
+    def test_argument_left_unwritten(self):
+        d = np.linspace(35.0, 3000.0, 101)
+        before = d.copy()
+        geo.cost231_pathloss_db(d, geo.Cost231Params())
+        assert d.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("d", [777.0, np.array(777.0)], ids=["float", "0-d"])
+    def test_scalar_distance_gives_a_float(self, d):
+        pl = geo.cost231_pathloss_db(d, geo.Cost231Params())
+        assert type(pl) is float
+        assert pl == geo.cost231_pathloss_db(np.array([777.0]),
+                                             geo.Cost231Params())[0]
 
     def test_below_exclusion_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -512,6 +556,26 @@ class TestIdealizedGains:
     def test_non_integer_cell_count_refused(self, call):
         with pytest.raises(InvalidInputError, match="B must be an integer"):
             call()
+
+
+class TestDropLawMemory:
+    """The rates table's 10,000-drop law is built in place: its traced peak,
+    about 2.16 MiB, is the positions (1.07 MiB), the gains (0.53 MiB) and
+    one cell's candidate round; out-of-place sampler temporaries or a
+    second path-loss array each push it past 2.4 MiB."""
+
+    @pytest.mark.parametrize("seed", [0, 4099])
+    def test_traced_peak(self, seed):
+        scenario = parse_scenario("cost231-7cell")
+        rng = seed_substream(seed, "drops")
+        tracemalloc.start()
+        try:
+            gains = scenario.gain_matrix(10_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gains.shape == (7, 10_000)
+        assert peak <= 2.4 * 2**20
 
 
 def cost231_gain_rows(layout, params, n, rng):
