@@ -31,9 +31,9 @@ from .workers import cpu_count, run_blocks, split
 CSV_SCHEMA = 1
 MIN_PERCENTILE_SAMPLES = 20
 # Caps checked before any draw. The B*K*M channel entries of one trial: 2**24
-# complex entries are 256 MiB per (B, K, M) array, and a trial holds several;
-# it admits M = 1024 at alpha = 1.5 in 7 cells. The SINR samples of one sweep,
-# loadings x filters x trials: 2**24 float64 samples are 128 MiB.
+# complex entries are 256 MiB per (B, K, M) array, and a training trial at
+# K = M peaks at five; it admits M = 1024 at alpha = 1.5 in 7 cells. The SINR
+# samples of one sweep, loadings x filters x trials: 2**24 float64 are 128 MiB.
 MAX_TRIAL_ENTRIES = 2 ** 24
 MAX_SWEEP_SAMPLES = 2 ** 24
 # The fewest channel entries, summed over its trials, that a block of a

@@ -155,6 +155,17 @@ def pilot_estimate_noisy(real: ChannelRealization, rho_p: float,
                        error_cov_scalars=_error_variances(real, inv_rho))
 
 
+def _haar_seeds(B: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """(B, K, K) CN(0, 1) seeds from one draw in the stream order of B
+    complex_gaussian(rng, (K, K), 1.0) calls: each cell's real block, then
+    its imaginary block. The normals are freed on return."""
+    normals = rng.standard_normal((B, 2, K, K))
+    z = np.empty((B, K, K), dtype=complex)
+    np.multiply(normals[:, 0], np.sqrt(0.5), out=z.real)
+    np.multiply(normals[:, 1], np.sqrt(0.5), out=z.imag)
+    return z
+
+
 def generate_pilot_sequences(K: int, B: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Independent per-cell training: a Haar-random unitary basis per cell.
@@ -165,18 +176,12 @@ def generate_pilot_sequences(K: int, B: int,
     """
     check_count("K", K)
     check_count("B", B)
-    # one draw in the stream order of B complex_gaussian(rng, (K, K), 1.0)
-    # calls: each cell's real block, then its imaginary block
-    normals = rng.standard_normal((B, 2, K, K))
-    z = np.empty((B, K, K), dtype=complex)
-    np.multiply(normals[:, 0], np.sqrt(0.5), out=z.real)
-    np.multiply(normals[:, 1], np.sqrt(0.5), out=z.imag)
-    q, r = np.linalg.qr(z)
+    # the seeds are freed when QR returns, and the sequences take R's buffer
+    q, r = np.linalg.qr(_haar_seeds(B, K, rng))
     # fix the phase ambiguity so the law is exactly Haar
     diag = np.diagonal(r, axis1=1, axis2=2)
     phases = diag / np.abs(diag)
-    return np.multiply(np.swapaxes(q, 1, 2), phases[:, :, None],
-                       out=np.empty_like(q))
+    return np.multiply(np.swapaxes(q, 1, 2), phases[:, :, None], out=r)
 
 
 def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
@@ -200,16 +205,16 @@ def training_based_estimate(real: ChannelRealization, sequences: np.ndarray,
 
     noise = complex_gaussian(rng, (real.M, real.K), 1.0 / real.M)
     root = np.sqrt(real.gains)
-    conj = sequences.conj()
-    # per-cell terms, (B, M, K) and (B, K, K); each slice is the product
-    # the cell would give alone
-    seen = (np.swapaxes(real.small_scale, 1, 2) * root[:, None, :]) @ conj
-    gram = np.swapaxes(sequences, 1, 2) @ (real.gains[:, :, None] * conj)
-    Y = noise / np.sqrt(pilot_snr)
-    A = np.eye(real.K, dtype=complex) / pilot_snr
-    for j in range(real.B):  # summed in cell order
-        Y += seen[j]
-        A += gram[j]
+    # complex128 even for complex64 sequences, since it is weighted in place
+    conj = np.conjugate(sequences, dtype=complex)
+    # per-cell terms, (B, M, K) then (B, K, K), each slice the product the
+    # cell would give alone, summed in cell order; sum() frees the first
+    # stack before the second is formed (a loop variable would hold it)
+    Y = sum((np.swapaxes(real.small_scale, 1, 2) * root[:, None, :]) @ conj,
+            noise / np.sqrt(pilot_snr))
+    conj *= real.gains[:, :, None]
+    A = sum(np.swapaxes(sequences, 1, 2) @ conj,
+            np.eye(real.K, dtype=complex) / pilot_snr)
 
     # A is I/pilot_snr plus positive semidefinite terms, so its condition
     # number is at most pilot_snr * trace(A). The eigenvalues decide only

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,6 +21,23 @@ def no_child_left():
         return  # no child at all
     state = "still running" if pid == 0 else f"{pid} exited but unreaped"
     pytest.fail(f"the test run left a child process behind ({state})")
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """(call, *args) -> (call(*args), peak): the tracemalloc peak in bytes
+    of what the call allocates. Tracing starts just before the call and
+    stops, also when the call raises, before the pair is returned."""
+    return _traced_peak
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

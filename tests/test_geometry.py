@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -565,15 +563,10 @@ class TestDropLawMemory:
     second path-loss array each push it past 2.4 MiB."""
 
     @pytest.mark.parametrize("seed", [0, 4099])
-    def test_traced_peak(self, seed):
+    def test_traced_peak(self, seed, traced_peak):
         scenario = parse_scenario("cost231-7cell")
-        rng = seed_substream(seed, "drops")
-        tracemalloc.start()
-        try:
-            gains = scenario.gain_matrix(10_000, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        gains, peak = traced_peak(scenario.gain_matrix, 10_000,
+                                  seed_substream(seed, "drops"))
         assert gains.shape == (7, 10_000)
         assert peak <= 2.4 * 2**20
 

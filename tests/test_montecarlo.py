@@ -322,6 +322,17 @@ class TestTrainingEstimate:
             combo + proj / np.sqrt(rho))
         assert np.allclose(est.estimates, expected, atol=1e-12)
 
+    def test_complex64_sequences_computed_in_complex128(self):
+        real = idealized_realization(20, 10, seed=21)
+        seqs = mc.generate_pilot_sequences(10, 7, seed_substream(21, "u"))
+        narrow = seqs.astype(np.complex64)
+        est = mc.training_based_estimate(real, narrow, 10 ** 2.8,
+                                         seed_substream(21, "tn"))
+        wide = mc.training_based_estimate(real, narrow.astype(complex),
+                                          10 ** 2.8, seed_substream(21, "tn"))
+        assert est.estimates.dtype == complex
+        assert np.array_equal(est.estimates, wide.estimates)
+
     def test_condition_guard(self):
         M, K = 8, 3
         rng = seed_substream(18, "cond")
@@ -412,14 +423,28 @@ class TestTrainingPathReference:
     """The training path gives the bits, and leaves the stream state, of
     the per-cell loops it replaced."""
 
-    @pytest.mark.parametrize("scenario", [
+    SCENARIOS = [
         pytest.param(lambda: parse_scenario("idealized-01"), id="idealized"),
-        pytest.param(shadowed_cost231, id="shadowed-cost231")])
+        pytest.param(shadowed_cost231, id="shadowed-cost231")]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("B", [1, 7])
     @pytest.mark.parametrize("K", [1, 3, 10, 25, 50])
     def test_bit_identical_to_per_cell_loops(self, K, B, scenario):
-        sc = scenario()
-        M = 50
+        self.check(scenario(), B, K, 50)
+
+    # with K != M the (B, M, K) observation products and the (B, K, K) Gram
+    # products differ in shape, so a weighting of the wrong stack shows
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("K", [10, 25])
+    @pytest.mark.parametrize("M", [20, 80])
+    def test_bit_identical_with_antennas_unequal_to_users(self, M, K, B,
+                                                          scenario):
+        self.check(scenario(), B, K, M)
+
+    @staticmethod
+    def check(sc, B, K, M):
         for seed in range(3):
             rng = seed_substream(seed, "channel")
             gains = sc.gain_matrix(K, rng)[:B]
@@ -436,12 +461,42 @@ class TestTrainingPathReference:
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
             snr = sc.pilot.pilot_snr
+            inputs = (seqs, real.small_scale, real.gains)
+            before = [a.copy() for a in inputs]
             est = mc.training_based_estimate(real, seqs, snr, fast_rng)
+            for a, copy in zip(inputs, before):  # nothing is weighted in place
+                assert np.array_equal(a, copy)
             ref_est, ref_error = per_cell_training_estimate(real, ref_seqs, snr,
                                                             ref_rng)
             assert np.array_equal(est.estimates, ref_est)
             assert np.array_equal(est.error_cov_scalars, ref_error)
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestTrainingTrialMemory:
+    """A warm training trial at K = M = 50 in 7 cells traces about 1.38 MiB,
+    about five (7, 50, 50) complex arrays of 273 KiB: the channels and, in
+    pilot generation, the Gaussian seeds, QR's copy of them, Q and R, or,
+    in the estimator, the sequences, their conjugate, the weighted channels
+    and their products with it. Either stage as it was before, the normals
+    alive through QR (1.63 MiB) or the observation products alive beside a
+    weighted copy of the conjugate and the Gram products (1.65 MiB), fails
+    the bound; the trial with both read 1.84 MiB."""
+
+    @pytest.mark.parametrize("seed", [0, 4099])
+    def test_traced_peak(self, seed, traced_peak):
+        from ulmimo.experiments import ALL_FILTERS, run_trial
+        scenario = parse_scenario("idealized-01")
+
+        def trial():
+            return run_trial(scenario, 50, 50, "training", ALL_FILTERS,
+                             seed_substream(seed, "mc.channel.a2", 0),
+                             seed_substream(seed, "mc.pilot.a2", 0))
+        # a first call also traces numpy's and LAPACK's one-time set-up
+        trial()
+        sinrs, peak = traced_peak(trial)
+        assert len(sinrs) == len(ALL_FILTERS)
+        assert peak <= 1.6 * 2**20
 
 
 class TestThetaEffective:
