@@ -101,14 +101,14 @@ def _simulation_meta(M: int, trials: int, estimate_mode: str) -> dict[str, str]:
             "estimate": estimate_mode}
 
 
-def _check_alpha_grid(alpha_grid) -> list[float]:
-    grid = [check_real("alpha", a) for a in alpha_grid]
+def _check_grid(name: str, values, upper: float) -> list[float]:
+    grid = [check_real(name, v) for v in values]
     if not grid:
-        raise InvalidInputError("alpha grid must be non-empty")
-    if any(not 0.0 < a <= 1.5 for a in grid):
-        raise InvalidInputError("alpha grid must lie in (0, 1.5]")
+        raise InvalidInputError(f"{name} grid must be non-empty")
+    if any(not 0.0 < v <= upper for v in grid):
+        raise InvalidInputError(f"{name} grid must lie in (0, {upper}]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("alpha grid must be strictly increasing")
+        raise InvalidInputError(f"{name} grid must be strictly increasing")
     return grid
 
 
@@ -126,7 +126,7 @@ def _check_idealized(scenario: Scenario, runner: str) -> None:
 def asymptotic_sweep(scenario: Scenario, alpha_grid) -> SweepResult:
     """Limiting SINR of the three receivers versus loading (idealized cells)."""
     _check_idealized(scenario, "asymptotic")
-    grid = _check_alpha_grid(alpha_grid)
+    grid = _check_grid("alpha", alpha_grid, 1.5)
     dist = idealized_gains(scenario.cells, scenario.gain_model.beta_other)
     rows = []
     for a in grid:
@@ -147,10 +147,8 @@ def rate_gap_sweep(scenario: Scenario, alpha_list, beta_other_grid) -> SweepResu
     other-cell-interference limited and the comparison is uninformative.
     """
     _check_idealized(scenario, "rate-gap")
-    alphas = _check_alpha_grid(alpha_list)
-    betas = [check_real("beta_other", b) for b in beta_other_grid]
-    if any(not 0.0 < b <= 0.1 for b in betas):
-        raise InvalidInputError("beta_other grid must lie in (0, 0.1]")
+    alphas = _check_grid("alpha", alpha_list, 1.5)
+    betas = _check_grid("beta_other", beta_other_grid, 0.1)
     rows = []
     for a in alphas:
         for b in betas:
@@ -242,7 +240,7 @@ def monte_carlo_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
     order), do not depend on the number of blocks.
     """
     check_count("trials", trials)
-    grid = _check_alpha_grid(alpha_grid)
+    grid = _check_grid("alpha", alpha_grid, 1.5)
     if estimate_mode not in ESTIMATE_MODES:
         raise InvalidInputError(f"unknown estimate mode {estimate_mode!r}")
     filters = tuple(filters)
@@ -353,7 +351,7 @@ def _simulation_and_limit(scenario: Scenario, M: int | None, grid,
 def percentile_sweep(scenario: Scenario, M: int, alpha_grid, trials: int,
                      estimate_mode: str, master_seed: int) -> SweepResult:
     """Five-percentile SINR versus loading: simulation and limit side by side."""
-    grid = _check_alpha_grid(alpha_grid)
+    grid = _check_grid("alpha", alpha_grid, 1.5)
     check_count("trials", trials)
     if trials < MIN_PERCENTILE_SAMPLES:
         raise InvalidInputError(
@@ -381,7 +379,7 @@ def rate_table(scenario: Scenario, M: int | None, alpha_grid,
     are not read. Simulation columns need K = round(alpha*M) >= 3; below
     that the finite-system table is not reproduced, it is refused.
     """
-    grid = _check_alpha_grid(alpha_grid)
+    grid = _check_grid("alpha", alpha_grid, 1.5)
     columns = ["alpha", "rate_pilot", "rate_perfect"]
     meta = _base_meta(scenario, master_seed) | {"drops": str(RATE_DROPS)}
     if trials is not None:

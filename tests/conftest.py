@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from ulmimo.geometry import idealized_gains
 from ulmimo.rng import complex_gaussian, seed_substream
+from ulmimo.scenario import parse_scenario
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -38,6 +39,11 @@ def _traced_peak(call, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def idealized_01():
+    return parse_scenario("idealized-01")
 
 
 @pytest.fixture(scope="session")
@@ -75,19 +81,30 @@ def point_mass_root():
 
 @pytest.fixture(scope="session")
 def det_eq_oracle():
-    """(dist, alpha, noise_var, dps=50) -> eta1, eta2, C and the per-sample
-    pilot-MMSE SINR of a law, as mpmath numbers in ``dps``-digit arithmetic
-    from the float gains.
+    """(dist, alpha, noise_var, dps=50) -> eta1, eta2, C, the per-sample
+    pilot-MMSE SINR, eta1* and the per-sample perfect-estimate SINR of a
+    law, as mpmath numbers in ``dps``-digit arithmetic from the float gains.
 
     eta1 is the root of x (noise_var + alpha E[B] - alpha E[p^2 x/(1+px)])
-    = 1, the fixed point of the eta1 map, which lies between the map's
-    lower bound 1/(noise_var + alpha E[B]) and 1/noise_var; eta2 is
-    1/(eta1^-2 - alpha E[(p/(1+p eta1))^2]), and C and the SINR
-    S/(noise_var + P + alpha (E[B] - C)) take their defining sums. Each
+    = 1 and eta1* that of x (noise_var + alpha sum_{j>=2} E[beta_j] +
+    alpha E[beta_1/(1 + beta_1 x)]) = 1, the fixed points of the two trace
+    maps, which both lie between the maps' lower bound 1/(noise_var +
+    alpha E[B]) and 1/noise_var; eta2 is 1/(eta1^-2 - alpha E[(p/(1+p
+    eta1))^2]), C and the pilot SINR S/(noise_var + P + alpha (E[B] - C))
+    take their defining sums, and the perfect SINR is beta_1 eta1*. Each
     difference is exact to the working precision, so it must hold enough
     digits for the cancellation of its case.
     """
     return _det_eq_oracle
+
+
+def _root(residual, lo, hi):
+    """The root of an increasing residual in [lo, hi]: bisected
+    geometrically to 12 digits, then polished by the secant."""
+    while hi > lo * (1 + mpmath.mpf("1e-12")):
+        mid = mpmath.sqrt(lo * hi)
+        lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
+    return lo if lo == hi else mpmath.findroot(residual, (lo, hi))
 
 
 def _det_eq_oracle(dist, alpha, noise_var, dps=50):
@@ -98,18 +115,12 @@ def _det_eq_oracle(dist, alpha, noise_var, dps=50):
         total = [sum(row) for row in rows]
         p = [row[0] ** 2 / b for row, b in zip(rows, total)]
         q = [sum(g * g for g in row[1:]) / b for row, b in zip(rows, total)]
+        own = [row[0] for row in rows]
         mean_total = sum(total) / n
-
-        def residual(x):
-            shrink = sum(pi * pi * x / (1 + pi * x) for pi in p) / n
-            return x * (s2 + a * mean_total - a * shrink) - 1
-
-        # bisect geometrically to 12 digits, then polish by the secant
+        mean_other = sum(sum(row[1:]) for row in rows) / n
         lo, hi = 1 / (s2 + a * mean_total), 1 / s2
-        while hi > lo * (1 + mpf("1e-12")):
-            mid = mpmath.sqrt(lo * hi)
-            lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
-        eta1 = lo if lo == hi else mpmath.findroot(residual, (lo, hi))
+        eta1 = _root(lambda x: x * (s2 + a * mean_total - a * sum(
+            pi * pi * x / (1 + pi * x) for pi in p) / n) - 1, lo, hi)
         r = [1 / (1 + pi * eta1) for pi in p]
         eta2 = 1 / (eta1 ** -2 - a * sum((pi * ri) ** 2
                                          for pi, ri in zip(p, r)) / n)
@@ -118,7 +129,9 @@ def _det_eq_oracle(dist, alpha, noise_var, dps=50):
                    for pi, qi, ri in zip(p, q, r)) / n
         pilot = [pi / (s2 + qi + a * (mean_total - supp))
                  for pi, qi in zip(p, q)]
-        return eta1, eta2, supp, pilot
+        eta1_star = _root(lambda x: x * (s2 + a * mean_other + a * sum(
+            o / (1 + o * x) for o in own) / n) - 1, lo, hi)
+        return eta1, eta2, supp, pilot, eta1_star, [o * eta1_star for o in own]
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,6 @@ from ulmimo.rng import seed_substream
 from ulmimo.scenario import parse_scenario
 
 
-@pytest.fixture(scope="module")
-def idealized_01():
-    return parse_scenario("idealized-01")
-
-
 class TestScalarReductions:
     def test_five_percentile_constant(self):
         assert ex.five_percentile(np.full(50, 3.7)) == 3.7
@@ -72,7 +67,7 @@ class TestAsymptoticSweep:
         for grid in ([True], ["0.5"], [0.2, None]):
             with pytest.raises(InvalidInputError, match="^alpha must be a real"):
                 ex.asymptotic_sweep(idealized_01, grid)
-        assert ex._check_alpha_grid([np.float64(0.5), 1]) == [0.5, 1.0]
+        assert ex._check_grid("alpha", [np.float64(0.5), 1], 1.5) == [0.5, 1.0]
 
     def test_drop_scenario_rejected(self):
         sc = parse_scenario("cost231-7cell")
@@ -124,6 +119,13 @@ class TestRateGap:
             ex.rate_gap_sweep(idealized_01, [0.5], [0.2])
         with pytest.raises(InvalidInputError, match="^beta_other must be a real"):
             ex.rate_gap_sweep(idealized_01, [0.5], ["0.05"])
+        with pytest.raises(InvalidInputError,
+                           match="^beta_other grid must be non-empty"):
+            ex.rate_gap_sweep(idealized_01, [0.5], [])
+        for betas in ([0.05, 0.05], [0.05, 0.01]):
+            with pytest.raises(InvalidInputError,
+                               match="^beta_other grid must be strictly"):
+                ex.rate_gap_sweep(idealized_01, [0.5], betas)
 
 
 ALL = ex.ALL_FILTERS

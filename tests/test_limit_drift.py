@@ -5,9 +5,12 @@ three idealized scenarios (default grid) and ``rategap`` on idealized-01,
 and their pilot-MMSE cells then rewritten from the 50-digit oracle (the
 ``det_eq_oracle`` fixture): each is the nearest float to the limit the
 oracle computes, and ``rategap``'s gap takes the perfect-estimate SINR
-the code computes. A refactor of the limit SINRs may change summation
-order, so every float cell must stay within 1e-12 relative of its pinned
-value; every other cell, and the header, must match exactly.
+the code computes. The perfect-estimate cells of ``asymptotic`` hold the
+code's Picard eta1*, within 1e-11 of the oracle's perfect-estimate SINR
+(the band of ``TestMpmathOracle``). A refactor of the limit SINRs may
+change summation order, so every float cell must stay within 1e-12
+relative of its pinned value; every other cell, and the header, must
+match exactly.
 ``asymptotic`` on idealized-01 is also pinned byte for byte, by SHA-256.
 """
 
@@ -70,10 +73,13 @@ def test_pilot_cells_are_the_oracle_limits(det_eq_oracle, command, scenario):
         alpha = cells[0]
         beta = sc.gain_model.beta_other if command == "asymptotic" else cells[1]
         dist = idealized_gains(sc.cells, beta)
-        pilot = det_eq_oracle(dist, alpha, sc.noise_var)[3][0]
+        oracle = det_eq_oracle(dist, alpha, sc.noise_var)
+        pilot = oracle[3][0]
         with mpmath.workdps(50):
             if command == "asymptotic":
                 want = 10 * mpmath.log10(pilot)
+                perfect = 10 ** (cells[3] / 10)
+                assert abs(perfect / oracle[5][0] - 1) <= 1e-11, line
             else:
                 perfect = mpmath.mpf(float(
                     det_eq_sinr_rows(dist, alpha, sc.noise_var)[2][0]))

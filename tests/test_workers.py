@@ -26,7 +26,6 @@ from ulmimo import cli
 from ulmimo import experiments as ex
 from ulmimo import workers
 from ulmimo.errors import InvalidInputError, NumericalError
-from ulmimo.scenario import parse_scenario
 
 SRC = Path(ex.__file__).resolve().parents[1]
 ALL = ex.ALL_FILTERS
@@ -34,11 +33,6 @@ ALL = ex.ALL_FILTERS
 
 class WorkerCrash(Exception):
     """An exception type the package knows nothing of."""
-
-
-@pytest.fixture(scope="module")
-def idealized_01():
-    return parse_scenario("idealized-01")
 
 
 class Forks(list):
