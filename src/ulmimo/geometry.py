@@ -204,8 +204,11 @@ def _outside_disk(rel: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-# Bound on the candidates of one round of drop_users: the first rounds of 7
-# cells of up to 292 users share one draw, a 4,000-user cell draws alone.
+# Bound on the candidates of every draw of drop_users and the users of every
+# piece of large_scale_gains: the first rounds of 7 cells of up to 292 users
+# share one draw, a longer round is drawn in pieces of at most this many,
+# and a Monte Carlo trial's gains, up to 585 users a cell in 7 cells, are
+# one piece.
 _BLOCK_POINTS = 4096
 
 
@@ -218,7 +221,10 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
     keep the accepted ones in draw order until K are kept. A cell's first
     round is drawn with those of the cells after it in its block; a cell
     that comes up short keeps what it accepted, the PCG64 stream jumps back
-    over the later cells' rounds, and the cell finishes alone.
+    over the later cells' rounds, and the cell finishes alone. A round of
+    more than ``_BLOCK_POINTS`` candidates is drawn in pieces of at most
+    that many; once the cell is full, the stream advances over the round's
+    undrawn rest.
     """
     check_count("K", K)
     if not isinstance(rng.bit_generator, np.random.PCG64):
@@ -231,19 +237,21 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
     per_block = max(1, _BLOCK_POINTS // max(2 * K, 8))
     pos = np.empty((layout.num_cells, K, 2))
     flat = pos.reshape(-1, 2)  # cell j, slot got is row j K + got
-    filled, alone = 0, False
+    filled, alone, rest = 0, False, 0
     while filled < flat.shape[0]:
         j, got = divmod(filled, K)
-        g = 1 if alone else min(per_block, layout.num_cells - j)
         need = K - got
-        m = max(2 * need, 8)
+        if not rest:  # a new round; only a lone cell's round outgrows a piece
+            g = 1 if alone else min(per_block, layout.num_cells - j)
+            rest = max(2 * need, 8)
+        m = min(rest, _BLOCK_POINTS)
+        rest -= m
         centers = np.repeat(layout.centers[j:j + g], m, axis=0)
         cand = rng.uniform(-R, R, size=centers.shape)
         cand += centers
         keep = (points_in_hex(cand, centers, R)
                 & _outside_disk(cand - centers, exclusion_m)).reshape(g, m)
-        # int32 counts: the trial-size cap holds a round to 2 K <= 2**25
-        # candidates, and one of 2**31 would take 32 GiB
+        # int32 counts: a piece holds at most _BLOCK_POINTS candidates
         kept = np.cumsum(keep, axis=1, dtype=np.int32)
         short = np.flatnonzero(kept[:, -1] < need)
         full = int(short[0]) if short.size else g
@@ -254,16 +262,22 @@ def drop_users(layout: CellLayout, K: int, rng: np.random.Generator,
         n = int(np.count_nonzero(keep))
         cand.compress(keep.ravel(), axis=0, out=flat[filled:filled + n])
         filled += n
-        alone = full < g  # a short cell's next round is its own
-        if full + 1 < g:
-            rng.bit_generator.advance((-2 * m * (g - full - 1)) % 2**128)
+        alone = full < g  # a short cell's next piece or round is its own
+        # a short cell's stream jumps back over the later cells' rounds, a
+        # full one's skips its round's undrawn rest
+        skip, rest = (-m * (g - full - 1), rest) if alone else (rest, 0)
+        if skip:
+            rng.bit_generator.advance(2 * skip % 2**128)
     return UserDrop(positions=pos, layout=layout)
 
 
 def cost231_pathloss_db(distance_m, params: Cost231Params):
-    """Urban COST231-Hata path loss in dB; distance at or above the exclusion disk."""
+    """Urban COST231-Hata path loss in dB; finite distances at or above the
+    exclusion disk."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d < params.exclusion_radius_m):
+    if not np.isfinite(d).all():
+        raise InvalidInputError("distance must be finite")
+    if (d < params.exclusion_radius_m).any():
         raise InvalidInputError(
             f"distance below the {params.exclusion_radius_m} m exclusion disk")
     pl = np.asarray(d / 1000.0)  # a scalar quotient becomes a 0-d array
@@ -284,11 +298,17 @@ def large_scale_gains(drop: UserDrop, params: Cost231Params,
     positions.
     """
     bs1 = drop.layout.centers[0]
-    # distance, path loss, then gain: every step but the path loss is in place
-    gain = drop.positions[..., 0] - bs1[0]
-    np.hypot(gain, drop.positions[..., 1] - bs1[1], out=gain)
-    np.maximum(gain, params.exclusion_radius_m, out=gain)
-    gain = cost231_pathloss_db(gain, params)
+    gain = np.empty(drop.positions.shape[:-1])
+    xy, flat = drop.positions.reshape(-1, 2), gain.reshape(-1)
+    # distance and path loss in pieces of at most _BLOCK_POINTS users, the
+    # rest in place on the whole array
+    for start in range(0, flat.size, _BLOCK_POINTS):
+        x, y = xy[start:start + _BLOCK_POINTS].T
+        d = flat[start:start + _BLOCK_POINTS]
+        np.subtract(x, bs1[0], out=d)
+        np.hypot(d, y - bs1[1], out=d)
+        np.maximum(d, params.exclusion_radius_m, out=d)
+        d[:] = cost231_pathloss_db(d, params)
     gain /= -10.0
     np.power(10.0, gain, out=gain)
     if params.shadowing_sigma_db is not None and params.shadowing_sigma_db > 0.0:

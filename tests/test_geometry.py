@@ -249,14 +249,18 @@ class TestDropMatchesSequentialLoop:
         for K in (1, 4, 10, 25, 50):
             self.check(B, K, 35.0, range(60))
 
-    # K = 300 splits seven cells into blocks of six and one; K = 5000
-    # draws one cell per block; K = 10,000 is the rates table's drop law,
-    # where each cell's first round fills at the frozen 35 m disk (about 65%
-    # of candidates pass) and comes up short at 860 m (about 7%)
+    # K = 300 splits seven cells into blocks of six and one; from K = 2048,
+    # whose first round is exactly _BLOCK_POINTS candidates, each cell draws
+    # alone, and from K = 2049 its rounds are drawn in pieces; K = 10,000 is
+    # the rates table's drop law. At the frozen 35 m disk (about 65% of
+    # candidates pass) a cell fills in its first round's first pieces and
+    # the stream skips the rest; at 860 m (about 7%) every round comes up
+    # short and the next one continues in pieces
     @pytest.mark.parametrize("exclusion_m", [35.0, 860.0])
-    @pytest.mark.parametrize("K", [300, 5000, 10_000])
-    def test_multi_block(self, K, exclusion_m):
-        self.check(7, K, exclusion_m, range(3))
+    @pytest.mark.parametrize("K", [300, 2048, 2049, 4096, 5000, 6000, 10_000])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_multi_block(self, B, K, exclusion_m):
+        self.check(B, K, exclusion_m, range(3))
 
 
 class TestExclusionDecision:
@@ -366,6 +370,18 @@ class TestPathloss:
         with pytest.raises(InvalidInputError):
             geo.cost231_pathloss_db(10.0, geo.Cost231Params())
 
+    # a NaN passed the exclusion test and gave a NaN path loss, an infinity
+    # an infinite one
+    @pytest.mark.parametrize("d", [
+        np.nan, np.inf, -np.inf, np.array([500.0, np.nan, 800.0]),
+        np.array([[500.0], [np.inf]])],
+        ids=["nan", "inf", "-inf", "array-nan", "array-inf"])
+    def test_non_finite_distance_refused(self, d):
+        with pytest.raises(InvalidInputError,
+                           match="^distance must be finite") as refused:
+            geo.cost231_pathloss_db(d, geo.Cost231Params())
+        assert refused.value.exit_code == 2
+
     @pytest.mark.parametrize("field", [
         "cell_radius_m", "tx_power_dbm", "noise_power_dbm", "noise_bandwidth_hz",
         "carrier_freq_mhz", "bs_height_m", "ms_height_m", "shadowing_sigma_db",
@@ -435,6 +451,16 @@ class TestLargeScaleGains:
         assert 10 * np.log10(gains[0, 0] / gains[1, 0]) == pytest.approx(
             delta_db, rel=1e-9)
 
+    # a NaN position gave all-NaN gains; hypot(inf, nan) is inf
+    @pytest.mark.parametrize("xy", [
+        (np.nan, 100.0), (400.0, np.inf), (np.inf, np.nan)],
+        ids=["nan", "inf", "inf-nan"])
+    def test_non_finite_position_refused(self, xy):
+        drop = self._drop_at(np.array([[300.0, 0.0], xy]))
+        with pytest.raises(InvalidInputError, match="^distance must be finite"):
+            geo.large_scale_gains(drop, geo.Cost231Params(),
+                                  seed_substream(8, "sh"))
+
     def test_shadowing_off_is_deterministic(self):
         drop = self._drop_at(np.array([[400.0, 100.0]]))
         g1 = geo.large_scale_gains(drop, geo.Cost231Params(), seed_substream(1, "a"))
@@ -467,17 +493,28 @@ class TestLargeScaleGains:
         assert gains[1:, 0] == pytest.approx(10 ** (-pl / 10) * ratio,
                                              rel=1e-12)
 
-
-    def test_in_place_chain_matches_out_of_place_formula(self, caplog):
-        # a shadowed law with a user next to the mast, whose gain is clamped;
-        # the formula below keeps the operand order of the out-of-place chain
-        params = geo.Cost231Params(shadowing_sigma_db=4.0, exclusion_radius_m=0.1)
-        layout = geo.hex_layout(7, params.cell_radius_m)
-        drop = geo.drop_users(layout, 500, seed_substream(12, "d"), 0.1)
-        drop.positions[0, 0] = [0.05, 0.0]
+    # B K = 4095, 4096 and 4097 users sit at the piece boundary, 70,000 is
+    # the rates table's drop law; the clamped budget's path gain exceeds 1
+    # at the mast, where one user is put
+    @pytest.mark.parametrize("params", [
+        geo.Cost231Params(), geo.Cost231Params(shadowing_sigma_db=8.0),
+        geo.Cost231Params(carrier_freq_mhz=1500.0, bs_height_m=200.0,
+                          ms_height_m=10.0, exclusion_radius_m=0.1,
+                          shadowing_sigma_db=4.0)],
+        ids=["plain", "shadowed", "clamped"])
+    @pytest.mark.parametrize("B, K", [(7, 585), (1, 4096), (1, 4097), (7, 10_000)])
+    def test_pieces_match_whole_array_arithmetic(self, B, K, params, caplog):
+        layout = geo.hex_layout(B, params.cell_radius_m)
+        drop = geo.drop_users(layout, K, seed_substream(12, "d", K),
+                              params.exclusion_radius_m)
+        clamps = params.exclusion_radius_m < 1.0
+        if clamps:
+            drop.positions[0, 0] = [0.05, 0.0]
+        before = drop.positions.copy()
         with caplog.at_level("WARNING", logger=geo.__name__):
             gains = geo.large_scale_gains(drop, params, seed_substream(12, "s"))
-        assert len(caplog.records) == 1
+        assert len(caplog.records) == clamps
+        assert drop.positions.tobytes() == before.tobytes()
         rng = seed_substream(12, "s")
         bs1 = layout.centers[0]
         dist = np.hypot(drop.positions[..., 0] - bs1[0],
@@ -485,12 +522,14 @@ class TestLargeScaleGains:
         pl_db = (params.pathloss_intercept_db + params.pathloss_slope_db
                  * np.log10(np.maximum(dist, params.exclusion_radius_m) / 1000.0))
         path_gain = 10.0 ** (-pl_db / 10.0)
-        shadow_db = params.shadowing_sigma_db * rng.standard_normal(pl_db.shape)
-        path_gain = path_gain * 10.0 ** (shadow_db / 10.0)
-        assert path_gain[0, 0] > 1.0
+        if params.shadowing_sigma_db:
+            shadow_db = params.shadowing_sigma_db * rng.standard_normal(pl_db.shape)
+            path_gain = path_gain * 10.0 ** (shadow_db / 10.0)
+        assert (path_gain[0, 0] > 1.0) == clamps
         path_gain = np.minimum(path_gain, 1.0)
         expected = path_gain * (params.tx_power_mw / params.noise_power_mw)
-        assert np.array_equal(gains, expected)
+        assert gains.tobytes() == expected.tobytes()
+
 
 class TestWeakestGainBound:
     """The radius and shadowing bounds put the weakest link gain, a user at
@@ -557,10 +596,12 @@ class TestIdealizedGains:
 
 
 class TestDropLawMemory:
-    """The rates table's 10,000-drop law is built in place: its traced peak,
-    about 2.16 MiB, is the positions (1.07 MiB), the gains (0.53 MiB) and
-    one cell's candidate round; out-of-place sampler temporaries or a
-    second path-loss array each push it past 2.4 MiB."""
+    """The rates table's 10,000-drop law is built in pieces: its traced
+    peak, about 1.67 MiB, is the positions (1.07 MiB), the gains (0.53 MiB)
+    and one piece's temporaries of at most _BLOCK_POINTS candidates or
+    distances. A cell's whole 20,000-candidate round, or a whole-law
+    y-offset or path-loss array (0.53 MiB each), pushes it past 1.8 MiB;
+    the law built with both read 2.16 MiB."""
 
     @pytest.mark.parametrize("seed", [0, 4099])
     def test_traced_peak(self, seed, traced_peak):
@@ -568,7 +609,21 @@ class TestDropLawMemory:
         gains, peak = traced_peak(scenario.gain_matrix, 10_000,
                                   seed_substream(seed, "drops"))
         assert gains.shape == (7, 10_000)
-        assert peak <= 2.4 * 2**20
+        assert peak <= 1.8 * 2**20
+
+    def test_rates_command_traced_peak(self, tmp_path, traced_peak):
+        """A warm `rates` run on the drop law traces about 1.69 MiB: the
+        drop law sets its peak (2.17 MiB with whole rounds and arrays)."""
+        from ulmimo import cli
+
+        def rates(out):
+            return cli.main(["rates", "--scenario", "cost231-7cell",
+                             "--out", str(tmp_path / out)])
+        # a first call also traces the package's one-time set-up
+        assert rates("warm") == 0
+        code, peak = traced_peak(rates, "traced")
+        assert code == 0
+        assert peak <= 1.8 * 2**20
 
 
 def cost231_gain_rows(layout, params, n, rng):
